@@ -34,12 +34,7 @@ from .graph import (
     build_odd_half,
     build_odd_plus_excluding,
 )
-from .permanent import (
-    CapacityError,
-    permanent_brute,
-    permanent_expand,
-    permanent_ryser,
-)
+from .permanent import CapacityError, permanent_brute, permanent_ryser
 
 __all__ = [
     "__version__",
@@ -76,6 +71,5 @@ __all__ = [
     "build_odd_plus_excluding",
     "CapacityError",
     "permanent_brute",
-    "permanent_expand",
     "permanent_ryser",
 ]

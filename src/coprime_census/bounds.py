@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import mertens_product, primes_upto
+from .reference import BRACKETS
 
 __all__ = [
     "EULER_GAMMA",
@@ -173,10 +174,14 @@ def mcnew_product(P: int) -> float:
     return math.exp(math.fsum(logs))
 
 
+# the literature upper bound at 1/2 caps every dyadic density bound
+_DYADIC_CAP = BRACKETS[0][2]
+
+
 def _dyadic_density_bound(i: int) -> float:
-    # delta(1/2^i) <= min(1.78/4^i, 0.02352): the second-moment
-    # inequality capped by the literature bound at 1/2
-    return min(1.78 / 4.0**i, 0.02352)
+    # delta(1/2^i) <= min(1.78/4^i, cap): the second-moment inequality
+    # capped by the literature bound at 1/2
+    return min(1.78 / 4.0**i, _DYADIC_CAP)
 
 
 def esum_dyadic(*, term_tol: float = 1e-15) -> BoundReport:
@@ -202,39 +207,22 @@ def esum_dyadic(*, term_tol: float = 1e-15) -> BoundReport:
         computed=value,
         relation=">",
         claimed=-0.0538,
-        notes=f"split points 1/2^i for i=2..{i}; bound min(1.78/4^i, 0.02352)",
+        notes=f"split points 1/2^i for i=2..{i}; bound min(1.78/4^i, {_DYADIC_CAP})",
     )
-
-
-# upper ends of the literature brackets at the middle split points
-_MID_UPPER = {
-    "1/4": 0.02352,
-    "0.5": 0.02352,
-    "0.6": 0.1624,
-    "0.7": 0.3794,
-    "0.8": 0.5120,
-    "0.9": 0.6310,
-    "0.99": 0.7949,
-    "0.999": 0.8539,
-}
 
 
 def esum_middle() -> BoundReport:
     """Contribution of the split points 1/4, 0.5, 0.6, ..., 0.99.
 
+    Each point a contributes f(a - d(a)) - f(a - d(a+)), where d is the
+    upper end of the literature bracket at a and a+ is the next point.
     The first pair cancels by construction: the density bound used at
-    1/4 and at 0.5 is the same 0.02352.
+    1/4 is the dyadic cap, which is the bracket's upper end at 0.5.
     """
     f = f_xlogx
-    terms = [
-        f(0.25 - 0.02352) - f(0.25 - 0.02352),
-        f(0.5 - 0.02352) - f(0.5 - 0.1624),
-        f(0.6 - 0.1624) - f(0.6 - 0.3794),
-        f(0.7 - 0.3794) - f(0.7 - 0.5120),
-        f(0.8 - 0.5120) - f(0.8 - 0.6310),
-        f(0.9 - 0.6310) - f(0.9 - 0.7949),
-        f(0.99 - 0.7949) - f(0.99 - 0.8539),
-    ]
+    points = [0.25] + [float(alpha) for alpha, _, _ in BRACKETS[:-1]]
+    dens = [_DYADIC_CAP] + [upper for _, _, upper in BRACKETS]
+    terms = [f(a - d) - f(a - d1) for a, d, d1 in zip(points, dens, dens[1:])]
     value = math.fsum(terms)
     return BoundReport.make(
         name="esum-middle",
@@ -259,11 +247,16 @@ def eq_need_core(i: int) -> bool:
     return 10.0 ** (-(i - 1)) < _tail_g(float(i))
 
 
+# the first tail term starts from the last literature bracket
+_TAIL_SEED = float(BRACKETS[-1][0]) - BRACKETS[-1][2]
+
+
 def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
     """Contribution of the split points 1 - 10^-i for i >= 4.
 
-    The density bound at 0.999 is the literature 0.8539; at 1 - 10^-i
-    for i >= 4 it is 1 - g(i) with g from the Mertens tail estimate.
+    The density bound at 0.999 is the upper end of the last literature
+    bracket; at 1 - 10^-i for i >= 4 it is 1 - g(i) with g from the
+    Mertens tail estimate.
     Terms decay like log(i)/i^2, so convergence to ``term_tol`` needs a
     few million terms; they are evaluated vectorized.  The feasibility
     inequality 10^(1-i) < g(i) is checked for every index along the way.
@@ -279,7 +272,7 @@ def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
         eps_prev = 10.0 ** (-(i - 1.0))
         x = g_prev - eps_prev
         if lo == 4:
-            x[0] = 0.999 - 0.8539
+            x[0] = _TAIL_SEED
         y = g - eps_prev
         terms = x * np.log(x) - y * np.log(y)
         need_ok = need_ok and bool(np.all(eps_prev < g))
@@ -408,9 +401,9 @@ def partition_scheme(j0: int = 12, j1: int = 10) -> PartitionScheme:
     for j in range(j0, 1, -1):
         alphas.append(Fraction(1, 2**j))
         bounds.append(_dyadic_density_bound(j))
-    for s in ("0.5", "0.6", "0.7", "0.8", "0.9", "0.99", "0.999"):
-        alphas.append(Fraction(s))
-        bounds.append(_MID_UPPER[s])
+    for alpha, _, upper in BRACKETS:
+        alphas.append(alpha)
+        bounds.append(upper)
     for i in range(4, j1 + 1):
         alphas.append(1 - Fraction(1, 10**i))
         bounds.append(1.0 - _tail_g(float(i)))

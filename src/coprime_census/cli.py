@@ -1,7 +1,7 @@
 """Command-line surface: counts, tables, distribution scans, verification.
 
-Exit codes: 0 success, 1 verification failure (or cache contention),
-2 usage error, 3 capacity refusal.
+Exit codes: 0 success, 1 verification failure (or cache contention, or a
+corrupt cache), 2 usage error, 3 capacity refusal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, bounds, counts, dist, reference
+from . import __version__, bounds, counts, dist
 from .counts import CapacityError
 from .graph import (
     build_anti,
@@ -24,6 +24,7 @@ from .graph import (
     build_gcd_k,
     build_odd_half,
 )
+from .permanent import DEFAULT_CEILING
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -41,7 +42,9 @@ class ResultCache:
     """Append-only JSONL store of count records, exclusive while open.
 
     Duplicate (kind, n, aux) keys resolve last-writer-wins with a warning
-    on load; contention on the advisory lock fails fast.
+    on load; contention on the advisory lock fails fast.  A line that is
+    not a record (a truncated append, say) is refused with its path and
+    line number, and the file is left as it is.
     """
 
     def __init__(self, path: Path):
@@ -54,13 +57,21 @@ class ResultCache:
             raise RuntimeError(f"cache file {path} is locked by another process")
         self.records: dict[tuple, dict] = {}
         self._fh.seek(0)
-        for line in self._fh:
+        for lineno, line in enumerate(self._fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            key = (rec["kind"], rec["n"], rec.get("aux"))
-            if key in self.records:
+            try:
+                rec = json.loads(line)
+                key = (rec["kind"], rec["n"], rec.get("aux"))
+                duplicate = key in self.records
+                int(rec["value"])  # every record carries an exact value
+            except (ValueError, KeyError, TypeError) as exc:
+                self._fh.close()
+                raise RuntimeError(
+                    f"corrupt cache {path} line {lineno}: {exc!r}"
+                ) from None
+            if duplicate:
                 print(
                     f"warning: duplicate cache key {key}, keeping the later record",
                     file=sys.stderr,
@@ -92,20 +103,11 @@ def _record(kind: str, n: int, aux: int | None, value: int, ratio: str | None) -
 
 
 def _ratio_for(kind: str, n: int, value: int) -> str | None:
-    if kind == "c":
-        return counts.format_ratio(float_ratio(math.factorial(n), value, n))
+    if kind in ("c", "a"):
+        return counts.format_ratio(counts.growth_ratio(n, value))
     if kind == "c0":
-        c2n = value * value
-        return counts.format_ratio(float_ratio(math.factorial(2 * n), c2n, 2 * n))
-    if kind == "a":
-        return counts.format_ratio(float_ratio(math.factorial(n), value, n))
+        return counts.format_ratio(counts.growth_ratio(2 * n, value * value))
     return None
-
-
-def float_ratio(fac: int, value: int, root: int) -> float:
-    from fractions import Fraction
-
-    return float(Fraction(fac, value)) ** (1.0 / root)
 
 
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
@@ -139,7 +141,9 @@ def cmd_count(args) -> int:
         cache = ResultCache(Path(args.cache))
     try:
         cached = cache.get(kind, args.n, args.aux) if cache else None
-        if cached is not None and not args.verify_cache:
+        # a named method is a request to compute: it checks the record
+        # like --verify-cache instead of returning it
+        if cached is not None and not args.verify_cache and args.method == "auto":
             print(json.dumps(cached, sort_keys=True))
             return 0
         result = counts.compute(
@@ -167,37 +171,11 @@ def cmd_count(args) -> int:
             cache.close()
 
 
-def _table_rows(which: str, max_n: int, threads: int, ceiling: int) -> list[dict]:
-    rows = []
-    if which == "t1":
-        for n in range(1, max_n + 1):
-            v = counts.count_c0(n, threads=threads, ceiling=ceiling)
-            r = counts.format_ratio(float_ratio(math.factorial(2 * n), v * v, 2 * n))
-            rows.append({"n": n, "value": str(v), "ratio": r})
-    elif which == "t2":
-        for n in range(1, max_n + 1, 2):
-            v = counts.count_c(n, threads=threads, max_n=max(max_n, 50), ceiling=ceiling)
-            r = counts.format_ratio(float_ratio(math.factorial(n), v, n))
-            rows.append({"n": n, "value": str(v), "ratio": r})
-    elif which == "t3":
-        sieve_limit = max(max_n, 4)
-        from .arith import build_sieve, is_prime
-
-        sieve = build_sieve(sieve_limit)
-        for n in range(4, max_n + 1):
-            if is_prime(n, sieve):
-                continue
-            v = counts.count_a(n, threads=threads, ceiling=ceiling)
-            r = counts.format_ratio(float_ratio(math.factorial(n), v, n))
-            rows.append({"n": n, "value": str(v), "ratio": r})
-    else:
-        raise UsageError(f"unknown table {which!r}")
-    return rows
-
-
 def cmd_table(args) -> int:
-    rows = _table_rows(args.which, args.max, args.threads, args.ceiling)
-    _emit_rows(rows, args.format, sys.stdout)
+    rows = counts.table_rows(
+        args.which, args.max, threads=args.threads, ceiling=args.ceiling
+    )
+    _emit_rows([row.printed() for row in rows], args.format, sys.stdout)
     return 0
 
 
@@ -244,35 +222,11 @@ def _print_check(ok: bool, name: str, detail: str, warn: bool = False) -> bool:
     return ok or warn
 
 
-def _verify_tables(max_n: int, threads: int, ceiling: int) -> bool:
-    ok = True
-    for n, (want, want_r) in reference.TABLE_C0.items():
-        if n > max_n:
-            continue
-        got = counts.count_c0(n, threads=threads, ceiling=ceiling)
-        r = float_ratio(math.factorial(2 * n), got * got, 2 * n)
-        good = got == want and reference.ratio_matches(r, want_r)
-        ok &= _print_check(good, f"t1 n={n}", f"C0={got} r={r:.4f}")
-    for n, (want, want_r) in reference.TABLE_C_ODD.items():
-        if n > max_n:
-            continue
-        got = counts.count_c(n, threads=threads, ceiling=ceiling)
-        r = float_ratio(math.factorial(n), got, n)
-        good = got == want and reference.ratio_matches(r, want_r)
-        ok &= _print_check(good, f"t2 n={n}", f"C={got} r={r:.4f}")
-    for n, (want, want_r) in reference.TABLE_A.items():
-        if n > max_n:
-            continue
-        got = counts.count_a(n, threads=threads, ceiling=ceiling)
-        r = float_ratio(math.factorial(n), got, n)
-        good = got == want and reference.ratio_matches(r, want_r)
-        ok &= _print_check(good, f"t3 n={n}", f"A={got} u={r:.4f}")
-    return ok
+# table -> the detail of its verify line: the count, then the ratio
+_TABLE_DETAIL = {"t1": "C0={} r={:.4f}", "t2": "C={} r={:.4f}", "t3": "A={} u={:.4f}"}
 
 
 def _verify_lemmas(max_n: int, threads: int, ceiling: int) -> bool:
-    from .arith import build_sieve, is_prime
-
     ok = True
     top = min(max_n // 2, 12)
     for n in range(2, top + 1):
@@ -301,7 +255,6 @@ def _verify_lemmas(max_n: int, threads: int, ceiling: int) -> bool:
     ok &= _print_check(
         counts.count_ck(12, 3) == 82944, "threes n=12", "C_3(12) = 82944"
     )
-    sieve = build_sieve(20)
     for p in (3, 5, 7, 11, 13):
         ok &= _print_check(
             counts.count_a(p, threads=threads) == counts.count_a(p - 1, threads=threads),
@@ -383,7 +336,13 @@ def cmd_verify(args) -> int:
     suite = args.suite
     ok = True
     if suite in ("tables", "all"):
-        ok &= _verify_tables(args.max, args.threads, args.ceiling)
+        for which, detail in _TABLE_DETAIL.items():
+            for row, passed in counts.check_table(
+                which, args.max, threads=args.threads, ceiling=args.ceiling
+            ):
+                ok &= _print_check(
+                    passed, f"{which} n={row.n}", detail.format(row.value, row.ratio)
+                )
     if suite in ("lemmas", "all"):
         ok &= _verify_lemmas(args.max, args.threads, args.ceiling)
     if suite in ("bounds", "all"):
@@ -403,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT, help="phi table cap"
     )
     common.add_argument(
-        "--ceiling", type=int, default=40, help="permanent dimension cap"
+        "--ceiling", type=int, default=DEFAULT_CEILING, help="permanent dimension cap"
     )
     common.add_argument("--cache", default=DEFAULT_CACHE, help="result cache path")
     common.add_argument("--no-cache", action="store_true", help="skip the cache")

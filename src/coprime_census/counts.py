@@ -11,6 +11,9 @@
 * C_k(n): permutations avoiding common factors with k!.
 * anti_lower(n): the gluing lower bound for A(n) built from
   smallest-prime-factor classes.
+* The three published tables (t1: C0(n) with r_2n, t2: odd C(n) with
+  r_n, t3: composite A(n) with u_n), row by row, and their comparison
+  against reference.py.
 
 All values are exact integers and are memoized in-process by
 (kind, n, aux); the persistent cache lives in the CLI layer.
@@ -24,7 +27,8 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from math import gcd
 
-from .arith import build_sieve
+from . import reference
+from .arith import build_sieve, is_prime
 from .graph import (
     build_anti,
     build_full_coprime,
@@ -36,7 +40,6 @@ from .permanent import (
     DEFAULT_CEILING,
     CapacityError,
     permanent_brute,
-    permanent_expand,
     permanent_ryser,
 )
 
@@ -50,8 +53,12 @@ __all__ = [
     "count_a",
     "count_ck",
     "anti_lower",
+    "growth_ratio",
     "ratio_r",
     "ratio_u",
+    "TableRow",
+    "table_rows",
+    "check_table",
     "brute_constrained_count",
     "format_ratio",
     "compute",
@@ -156,8 +163,8 @@ def count_c(
 def count_a(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j)) > 1 for j >= 2.
 
-    n = 1 is the trivial identity case; otherwise the permanent of the
-    reduced matrix (forced fixed points removed) via row expansion.
+    n = 1 is the trivial identity case; otherwise the Gray-code Ryser
+    permanent of the reduced matrix (forced fixed points removed).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -166,7 +173,7 @@ def count_a(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
         if n == 1:
             value = 1
         else:
-            value = permanent_expand(build_anti(n), threads=threads)
+            value = permanent_ryser(build_anti(n), threads=threads, ceiling=ceiling)
         if n <= _BRUTE_XCHECK_MAX:
             check = brute_constrained_count(n, "anti")
             if check != value:
@@ -215,6 +222,11 @@ def anti_lower(n: int) -> int:
     return result
 
 
+def growth_ratio(n: int, value: int) -> float:
+    """(n!/value)^(1/n), with n!/value formed exactly before rounding."""
+    return float(Fraction(math.factorial(n), value)) ** (1.0 / n)
+
+
 def ratio_r(
     n: int,
     *,
@@ -223,21 +235,85 @@ def ratio_r(
     ceiling: int = DEFAULT_CEILING,
 ) -> float:
     """(n!/C(n))^(1/n); the normalized decay rate of the coprime count."""
-    value = count_c(n, threads=threads, max_n=max_n, ceiling=ceiling)
-    q = float(Fraction(math.factorial(n), value))
-    return q ** (1.0 / n)
+    return growth_ratio(n, count_c(n, threads=threads, max_n=max_n, ceiling=ceiling))
 
 
 def ratio_u(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> float:
     """(n!/A(n))^(1/n); the anti-coprime analogue of ratio_r."""
-    value = count_a(n, threads=threads, ceiling=ceiling)
-    q = float(Fraction(math.factorial(n), value))
-    return q ** (1.0 / n)
+    return growth_ratio(n, count_a(n, threads=threads, ceiling=ceiling))
 
 
 def format_ratio(x: float) -> str:
     """Render a ratio at 4 decimals, ties half-even (table convention)."""
     return str(Decimal(repr(x)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
+
+
+@dataclass(frozen=True)
+class TableRow:
+    """One row of a published table: n, its count and the ratio column."""
+
+    n: int
+    value: int
+    ratio: float  # r_2n for t1, r_n for t2, u_n for t3
+
+    def printed(self) -> dict:
+        """The row as the table prints it: exact value, 4-decimal ratio."""
+        return {"n": self.n, "value": str(self.value), "ratio": format_ratio(self.ratio)}
+
+
+_REFERENCE = {
+    "t1": reference.TABLE_C0,
+    "t2": reference.TABLE_C_ODD,
+    "t3": reference.TABLE_A,
+}
+
+
+def _table_row(which: str, n: int, *, threads: int, ceiling: int) -> TableRow:
+    if which == "t1":
+        value = count_c0(n, threads=threads, ceiling=ceiling)
+        return TableRow(n, value, growth_ratio(2 * n, value * value))
+    if which == "t2":
+        # the table's --max is the explicit size decision, so count_c's
+        # default cap does not apply
+        value = count_c(n, threads=threads, max_n=n, ceiling=ceiling)
+    else:
+        value = count_a(n, threads=threads, ceiling=ceiling)
+    return TableRow(n, value, growth_ratio(n, value))
+
+
+def table_rows(
+    which: str, max_n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
+) -> list[TableRow]:
+    """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite n)."""
+    if which == "t1":
+        ns = range(1, max_n + 1)
+    elif which == "t2":
+        ns = range(1, max_n + 1, 2)
+    elif which == "t3":
+        sieve = build_sieve(max(max_n, 4))
+        ns = [n for n in range(4, max_n + 1) if not is_prime(n, sieve)]
+    else:
+        raise ValueError(f"unknown table {which!r}")
+    return [_table_row(which, n, threads=threads, ceiling=ceiling) for n in ns]
+
+
+def check_table(
+    which: str, max_n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
+) -> list[tuple[TableRow, bool]]:
+    """Recompute the reference rows n <= max_n of a table; flag each match.
+
+    A row matches when its value equals the reference value and its ratio
+    prints as the reference string.  At the five errata rows the
+    reference holds the corrected entry, so the check asserts the
+    correction rather than the published typo.
+    """
+    checks = []
+    for n, (want, want_ratio) in _REFERENCE[which].items():
+        if n <= max_n:
+            row = _table_row(which, n, threads=threads, ceiling=ceiling)
+            passed = row.value == want and format_ratio(row.ratio) == want_ratio
+            checks.append((row, passed))
+    return checks
 
 
 def _allowed_masks(n: int, constraint: str, k: int | None) -> list[int]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .arith import mertens_product, phi_array, prime_recip_sum, primes_upto
 from .bounds import BoundReport
+from .reference import BRACKETS
 
 __all__ = [
     "DistEstimate",
@@ -95,20 +96,7 @@ class BracketTable:
         raise KeyError(f"no bracket row for alpha={a}")
 
 
-# literature brackets for the limiting density delta(alpha) of odd m with
-# phi(m)/m <= alpha (Kobayashi for 0.5; Wall for 0.6..0.9; the last two
-# from the Mertens-product tail estimate)
-_BRACKETS = BracketTable(
-    rows=(
-        BracketRow(Fraction(1, 2), 0.02240, 0.02352),
-        BracketRow(Fraction(6, 10), 0.1160, 0.1624),
-        BracketRow(Fraction(7, 10), 0.3556, 0.3794),
-        BracketRow(Fraction(8, 10), 0.4808, 0.5120),
-        BracketRow(Fraction(9, 10), 0.5644, 0.6310),
-        BracketRow(Fraction(99, 100), 0.7593, 0.7949),
-        BracketRow(Fraction(999, 1000), 0.8380, 0.8539),
-    )
-)
+_BRACKETS = BracketTable(rows=tuple(BracketRow(*row) for row in BRACKETS))
 
 
 def bracket_table() -> BracketTable:

@@ -1,13 +1,10 @@
 """Exact permanents of 0/1 matrices.
 
-Three routes, all returning exact Python integers:
+Two routes, both returning exact Python integers:
 
 * :func:`permanent_ryser` -- Ryser's inclusion-exclusion with a Gray-code
-  subset walk, optionally split across process lanes.  The workhorse.
-* :func:`permanent_expand` -- recursive expansion along a minimum-popcount
-  row with zero-row short-circuit, falling back to Ryser once the
-  remaining block is small or dense.  Exploits forced fixed points and
-  2-cycles in sparse rows.
+  subset walk, optionally split across process lanes.  The engine behind
+  every count.
 * :func:`permanent_brute` -- direct sum over all n! permutations, the
   small-n oracle.
 
@@ -18,7 +15,6 @@ fixed-width fast path, so no overflow is possible.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
@@ -28,7 +24,6 @@ __all__ = [
     "CapacityError",
     "DEFAULT_CEILING",
     "permanent_ryser",
-    "permanent_expand",
     "permanent_brute",
 ]
 
@@ -118,87 +113,6 @@ def permanent_ryser(
             f"permanent dimension {n} exceeds ceiling {ceiling} (cost 2^n)"
         )
     return _ryser_masks(matrix.rows, n, threads)
-
-
-class _BoundedMemo:
-    """Insertion-ordered memo with LRU-style eviction."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        val = self.data.get(key)
-        if val is not None:
-            self.data.move_to_end(key)
-        return val
-
-    def put(self, key, val):
-        self.data[key] = val
-        if len(self.data) > self.capacity:
-            self.data.popitem(last=False)
-
-
-def permanent_expand(
-    matrix: BitMatrix,
-    *,
-    threads: int = 1,
-    ryser_threshold: int = 24,
-    memo_capacity: int = 1 << 17,
-) -> int:
-    """Exact permanent by minimum-popcount row expansion.
-
-    Rows are eliminated in a fixed order (ascending static popcount), so
-    the column-availability bitmask alone identifies a subproblem and the
-    memo key is sound.  Rows with no available column short-circuit to 0;
-    once the remaining block has dimension <= ``ryser_threshold`` it is
-    handed to the Gray-code Ryser walk.  Equals :func:`permanent_ryser`
-    on every input.
-    """
-    n = matrix.n
-    if n == 0:
-        return 1
-    order = sorted(range(n), key=lambda i: matrix.rows[i].bit_count())
-    rows = [matrix.rows[i] for i in order]
-    full = (1 << n) - 1
-    memo = _BoundedMemo(memo_capacity)
-
-    def solve(depth: int, colmask: int) -> int:
-        remaining = rows[depth:]
-        dim = len(remaining)
-        if dim == 0:
-            return 1
-        # zero-row short-circuit over every remaining row
-        avail = [r & colmask for r in remaining]
-        if any(a == 0 for a in avail):
-            return 0
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        if dim <= ryser_threshold:
-            cols = [j for j in range(n) if (colmask >> j) & 1]
-            remap = {j: t for t, j in enumerate(cols)}
-            sub = []
-            for a in avail:
-                m = 0
-                while a:
-                    low = a & -a
-                    m |= 1 << remap[low.bit_length() - 1]
-                    a ^= low
-                sub.append(m)
-            result = _ryser_masks(tuple(sub), dim, threads)
-        else:
-            # branch the current row over its available columns
-            a = avail[0]
-            result = 0
-            while a:
-                low = a & -a
-                result += solve(depth + 1, colmask ^ low)
-                a ^= low
-        memo.put(colmask, result)
-        return result
-
-    return solve(0, full)
 
 
 def permanent_brute(matrix: BitMatrix) -> int:

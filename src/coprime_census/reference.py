@@ -1,4 +1,5 @@
-"""Published reference values for the three count tables, with errata.
+"""Published reference values for the three count tables, with errata,
+and the literature brackets for the density of phi(m)/m.
 
 Sources: OEIS A005326 (coprime permutations of [n]) and A009679
 (partitions of [2n] into coprime pairs), plus the published table of
@@ -21,6 +22,8 @@ disagrees (so a silent regression toward the typo would be caught):
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 # n -> (C0(n), corrected 4-decimal (2n)!-ratio r_{2n})
 TABLE_C0: dict[int, tuple[int, str]] = {
@@ -114,6 +117,20 @@ ERRATA_RATIOS: dict[tuple[str, int], tuple[str, str]] = {
     ("r", 40): ("2.4029", "2.4021"),
     ("u", 6): ("2.1170", "2.1169"),
 }
+
+# literature brackets (alpha, lower, upper) for the limiting density
+# delta(alpha) of odd m with phi(m)/m <= alpha (Kobayashi for 0.5; Wall
+# for 0.6..0.9; the last two from the Mertens-product tail estimate).
+# The upper ends are the density bounds of the lower-bound assembly.
+BRACKETS: tuple[tuple[Fraction, float, float], ...] = (
+    (Fraction(1, 2), 0.02240, 0.02352),
+    (Fraction(6, 10), 0.1160, 0.1624),
+    (Fraction(7, 10), 0.3556, 0.3794),
+    (Fraction(8, 10), 0.4808, 0.5120),
+    (Fraction(9, 10), 0.5644, 0.6310),
+    (Fraction(99, 100), 0.7593, 0.7949),
+    (Fraction(999, 1000), 0.8380, 0.8539),
+)
 
 
 def ratio_matches(computed: float, printed: str, *, slack: float = 1e-9) -> bool:

@@ -19,7 +19,7 @@ from conftest import THREADS
 from coprime_census import bounds, counts, dist, reference
 from coprime_census.arith import build_sieve, coprime_count, euler_phi, omega, omega_array
 from coprime_census.graph import build_full_coprime
-from coprime_census.permanent import permanent_expand, permanent_ryser
+from coprime_census.permanent import permanent_ryser
 
 
 @contextmanager

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coprime_census
 
 
@@ -87,6 +89,15 @@ class TestCount:
         assert res.returncode == 3
         assert "ceiling" in res.stderr
 
+    def test_capacity_refusal_for_anti(self, tmp_path):
+        # build_anti(20) has dimension 15; a subprocess has an empty memo
+        res = run_cli(
+            "count", "--kind", "a", "--n", "20", "--ceiling", "10", "--no-cache",
+            cwd=tmp_path,
+        )
+        assert res.returncode == 3, res.stderr
+        assert "ceiling" in res.stderr
+
     def test_dump_matrix(self, tmp_path):
         res = run_cli(
             "count",
@@ -139,6 +150,36 @@ class TestCache:
         )
         assert res.returncode == 1
         assert "mismatch" in res.stderr
+
+    def test_named_method_checks_the_cached_record(self, tmp_path):
+        seed = run_cli("count", "--kind", "c", "--n", "9", cwd=tmp_path)
+        assert seed.returncode == 0, seed.stderr
+        cache_file = tmp_path / "coprime-census.cache.jsonl"
+        rec = json.loads(cache_file.read_text())
+        assert rec["value"] == "3600"
+        rec["value"] = "3601"
+        cache_file.write_text(json.dumps(rec, sort_keys=True) + "\n")
+        res = run_cli("count", "--kind", "c", "--n", "9", "--method", "brute", cwd=tmp_path)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "mismatch" in res.stderr
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-value"])
+    def test_corrupt_line_names_the_file_and_line(self, tmp_path, damage):
+        seed = run_cli("count", "--kind", "c0", "--n", "5", cwd=tmp_path)
+        assert seed.returncode == 0, seed.stderr
+        cache_file = tmp_path / "coprime-census.cache.jsonl"
+        text = cache_file.read_text()
+        if damage == "truncated":
+            # a second record cut off mid-append
+            bad = text[:-20]
+        else:
+            bad = '{"aux": null, "kind": "c0", "n": 7}\n'
+        cache_file.write_text(text + bad)
+        res = run_cli("count", "--kind", "c0", "--n", "6", cwd=tmp_path)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "line 2" in res.stderr
+        assert cache_file.name in res.stderr
+        assert cache_file.read_text() == text + bad
 
 
 class TestTable:

@@ -5,13 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import THREADS
-from coprime_census.graph import BitMatrix, build_anti, build_full_coprime, build_odd_half
-from coprime_census.permanent import (
-    CapacityError,
-    permanent_brute,
-    permanent_expand,
-    permanent_ryser,
-)
+from coprime_census.graph import BitMatrix, build_full_coprime, build_odd_half
+from coprime_census.permanent import CapacityError, permanent_brute, permanent_ryser
 
 
 def matrix_from_rows(rows: list[int], n: int) -> BitMatrix:
@@ -75,27 +70,6 @@ class TestRyser:
         assert permanent_ryser(matrix_from_rows(shuffled_rows, n)) == base
 
 
-class TestExpand:
-    def test_zero_row_short_circuit(self):
-        m = matrix_from_rows([3, 0], 2)
-        assert permanent_expand(m) == 0
-
-    def test_published_anti_14(self):
-        assert permanent_expand(build_anti(14)) == 29640
-        assert permanent_expand(build_anti(14), ryser_threshold=3) == 29640
-
-    def test_matches_ryser_on_random_8x8(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            m = random_matrix(rng, 8, density=rng.uniform(0.2, 0.9))
-            assert permanent_expand(m, ryser_threshold=3) == permanent_ryser(m)
-
-    def test_forced_branches(self):
-        # sparse rows drive the expansion branch rather than the fallback
-        m = matrix_from_rows([1, 3, 7, 15], 4)
-        assert permanent_expand(m, ryser_threshold=1) == permanent_brute(m)
-
-
 class TestBrute:
     def test_two_by_two(self):
         assert permanent_brute(matrix_from_rows([3, 1], 2)) == 1
@@ -118,13 +92,11 @@ class TestThreeWayAgreement:
                 m = random_matrix(rng, n, density=rng.uniform(0.1, 0.95))
                 b = permanent_brute(m)
                 assert permanent_ryser(m) == b
-                assert permanent_expand(m, ryser_threshold=2) == b
                 checked += 1
         for n in (8, 9):
             for _ in range(10):
                 m = random_matrix(rng, n, density=rng.uniform(0.3, 0.8))
                 b = permanent_brute(m)
                 assert permanent_ryser(m) == b
-                assert permanent_expand(m, ryser_threshold=4) == b
                 checked += 1
         assert checked >= 500
