@@ -18,20 +18,10 @@ from pathlib import Path
 
 from . import __version__, bounds, counts, dist
 from .counts import CapacityError
-from .graph import (
-    build_anti,
-    build_full_coprime,
-    build_gcd_k,
-    build_odd_half,
-)
 from .permanent import DEFAULT_CEILING
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _now() -> str:
@@ -123,27 +113,24 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
 
 def cmd_count(args) -> int:
     kind = args.kind
-    if kind == "ck" and args.aux is None:
-        raise UsageError("kind 'ck' requires --aux K")
+    # before the cache, so no record is ever served under an --aux it ignores
+    counts.check_aux(kind, args.aux)
     if args.dump_matrix:
-        builders = {
-            "c": lambda: build_full_coprime(args.n),
-            "c0": lambda: build_odd_half(args.n),
-            "a": lambda: build_anti(args.n),
-            "ck": lambda: build_gcd_k(args.n, args.aux),
-        }
-        if kind not in builders:
-            raise UsageError(f"--dump-matrix is not defined for kind {kind!r}")
-        print(builders[kind]().to_text())
+        print(counts.matrix_for(kind, args.n, args.aux).to_text())
 
     cache = None
     if not args.no_cache:
         cache = ResultCache(Path(args.cache))
     try:
         cached = cache.get(kind, args.n, args.aux) if cache else None
-        # a named method is a request to compute: it checks the record
-        # like --verify-cache instead of returning it
-        if cached is not None and not args.verify_cache and args.method == "auto":
+        # a named method is a request to compute, and a record from another
+        # engine version is suspect: both check it like --verify-cache
+        if (
+            cached is not None
+            and not args.verify_cache
+            and args.method == "auto"
+            and cached.get("engine_version") == __version__
+        ):
             print(json.dumps(cached, sort_keys=True))
             return 0
         result = counts.compute(
@@ -196,7 +183,7 @@ def cmd_dist(args) -> int:
         )
         return 0
     if args.top_set:
-        got = dist.top_interval_set(args.n, check=False)
+        got = dist.top_interval_set(args.n)
         expected = dist.top_interval_characterization(args.n)
         verdict = "EQUAL" if got == expected else "DIFFER"
         print(
@@ -228,42 +215,42 @@ _TABLE_DETAIL = {"t1": "C0={} r={:.4f}", "t2": "C={} r={:.4f}", "t3": "A={} u={:
 
 def _verify_lemmas(max_n: int, threads: int, ceiling: int) -> bool:
     ok = True
+    kw = {"threads": threads, "ceiling": ceiling}
     top = min(max_n // 2, 12)
     for n in range(2, top + 1):
-        c_even = counts.count_c(2 * n, threads=threads, ceiling=ceiling)
-        c0 = counts.count_c0(n, threads=threads, ceiling=ceiling)
+        c_even = counts.count_c(2 * n, **kw)
+        c0 = counts.count_c0(n, **kw)
         ok &= _print_check(c_even == c0 * c0, f"square n={n}", "C(2n)=C0(n)^2")
-        c_odd = counts.count_c(2 * n + 1, threads=threads, ceiling=ceiling)
-        lo = 2 * counts.count_c0(n - 1, threads=threads, ceiling=ceiling) ** 2
-        hi = counts.count_c1(n, threads=threads, ceiling=ceiling) ** 2
+        c_odd = counts.count_c(2 * n + 1, **kw)
+        lo = 2 * counts.count_c0(n - 1, **kw) ** 2
+        hi = counts.count_c1(n, **kw) ** 2
         ok &= _print_check(
             lo <= c_odd <= hi, f"sandwich n={n}", f"{lo} <= C(2n+1)={c_odd} <= {hi}"
         )
     for n in range(1, 7):
         ok &= _print_check(
-            counts.count_ck(2 * n, 2, threads=threads) == math.factorial(n) ** 2,
+            counts.count_ck(2 * n, 2, **kw) == math.factorial(n) ** 2,
             f"parity even n={n}",
             "C_2(2n) = n!^2",
         )
         ok &= _print_check(
-            counts.count_ck(2 * n + 1, 2, threads=threads)
-            == math.factorial(n + 1) ** 2,
+            counts.count_ck(2 * n + 1, 2, **kw) == math.factorial(n + 1) ** 2,
             f"parity odd n={n}",
             "C_2(2n+1) = (n+1)!^2",
         )
-    ok &= _print_check(counts.count_ck(6, 3) == 16, "threes n=6", "C_3(6) = 16")
+    ok &= _print_check(counts.count_ck(6, 3, **kw) == 16, "threes n=6", "C_3(6) = 16")
     ok &= _print_check(
-        counts.count_ck(12, 3) == 82944, "threes n=12", "C_3(12) = 82944"
+        counts.count_ck(12, 3, **kw) == 82944, "threes n=12", "C_3(12) = 82944"
     )
     for p in (3, 5, 7, 11, 13):
         ok &= _print_check(
-            counts.count_a(p, threads=threads) == counts.count_a(p - 1, threads=threads),
+            counts.count_a(p, **kw) == counts.count_a(p - 1, **kw),
             f"anti prime p={p}",
             "A(p) = A(p-1)",
         )
     for n in (10, 15, 20):
         ok &= _print_check(
-            counts.anti_lower(n) <= counts.count_a(n, threads=threads),
+            counts.anti_lower(n) <= counts.count_a(n, **kw),
             f"anti gluing n={n}",
             "anti_lower(n) <= A(n)",
         )
@@ -273,8 +260,7 @@ def _verify_lemmas(max_n: int, threads: int, ceiling: int) -> bool:
         dist.second_moment(n) < 1.78 * n, "second moment", f"sum < 1.78n at n={n}"
     )
     ok &= _print_check(
-        dist.top_interval_set(n, check=False)
-        == dist.top_interval_characterization(n),
+        dist.top_interval_set(n) == dist.top_interval_characterization(n),
         "top interval",
         f"set characterization at n={n}",
     )
@@ -353,33 +339,36 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="worker lanes"
-    )
-    common.add_argument(
-        "--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT, help="phi table cap"
-    )
-    common.add_argument(
-        "--ceiling", type=int, default=DEFAULT_CEILING, help="permanent dimension cap"
-    )
-    common.add_argument("--cache", default=DEFAULT_CACHE, help="result cache path")
-    common.add_argument("--no-cache", action="store_true", help="skip the cache")
-    common.add_argument(
-        "--verify-cache",
-        action="store_true",
-        help="recompute cached entries and compare",
-    )
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+# the flags more than one subcommand reads; each subcommand takes only its own
+_SHARED_FLAGS = {
+    "--threads": dict(type=int, default=os.cpu_count() or 1, help="worker lanes"),
+    "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="permanent dimension cap"),
+    "--sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT, help="phi table cap"),
+    "--cache": dict(default=DEFAULT_CACHE, help="result cache path"),
+    "--no-cache": dict(action="store_true", help="skip the cache"),
+    "--verify-cache": dict(action="store_true", help="recompute cached entries and compare"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coprime-census",
         description="Exact coprime-permutation counting and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[common], help="compute one count")
+    def add(name: str, func, summary: str, *flags: str):
+        # --no-cache is accepted everywhere so one invocation style runs
+        # every subcommand; only count has a cache to skip
+        p = sub.add_parser(name, help=summary)
+        for flag in (*flags, "--no-cache"):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    count_flags = ("--threads", "--ceiling", "--cache", "--verify-cache")
+    p_count = add("count", cmd_count, "compute one count", *count_flags)
     p_count.add_argument("--kind", required=True, choices=("c", "c0", "c1", "a", "ck"))
     p_count.add_argument("--n", required=True, type=int)
     p_count.add_argument("--aux", type=int, help="k for kind=ck")
@@ -389,28 +378,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--dump-matrix", action="store_true", help="print the matrix before counting"
     )
-    p_count.set_defaults(func=cmd_count)
 
-    p_table = sub.add_parser("table", parents=[common], help="emit a full table")
+    p_table = add(
+        "table", cmd_table, "emit a full table", "--threads", "--ceiling", "--format"
+    )
     p_table.add_argument("--which", required=True, choices=("t1", "t2", "t3"))
     p_table.add_argument("--max", required=True, type=int)
-    p_table.set_defaults(func=cmd_table)
 
-    p_dist = sub.add_parser("dist", parents=[common], help="distribution scans")
+    p_dist = add("dist", cmd_dist, "distribution scans", "--format", "--sieve-limit")
     p_dist.add_argument("--alpha", action="append", help="cutoff (repeatable)")
     p_dist.add_argument("--n", required=True, type=int)
     p_dist.add_argument("--second-moment", action="store_true")
     p_dist.add_argument("--top-set", action="store_true")
-    p_dist.set_defaults(func=cmd_dist)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verification suites")
+    p_verify = add("verify", cmd_verify, "verification suites", "--threads", "--ceiling")
     p_verify.add_argument(
         "--suite",
         required=True,
         choices=("tables", "lemmas", "bounds", "constants", "all"),
     )
     p_verify.add_argument("--max", type=int, default=16, help="table verification cap")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -422,9 +409,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity refusal: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@
   against reference.py.
 
 All values are exact integers and are memoized in-process by
-(kind, n, aux); the persistent cache lives in the CLI layer.
+(kind, n, aux); a memoized value is still refused past a smaller
+ceiling.  The persistent cache lives in the CLI layer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from math import gcd
 from . import reference
 from .arith import build_sieve, is_prime
 from .graph import (
+    BitMatrix,
     build_anti,
     build_full_coprime,
     build_gcd_k,
@@ -61,6 +63,8 @@ __all__ = [
     "check_table",
     "brute_constrained_count",
     "format_ratio",
+    "check_aux",
+    "matrix_for",
     "compute",
     "clear_cache",
 ]
@@ -88,26 +92,42 @@ class CountResult:
     method: str
 
 
+def _memoized(key: tuple, dim: int, ceiling: int, count, oracle=None) -> int:
+    """``count()`` memoized under ``key``, refused past the ceiling.
+
+    ``dim`` is the largest permanent dimension behind the value.  It is
+    checked on hits as well as misses, so a value memoized under one
+    ceiling is never returned past a smaller one.  For n = key[1] <= 12,
+    ``oracle()`` (a backtracking count) cross-checks the value once per key.
+    """
+    if dim > ceiling:
+        raise CapacityError(
+            f"permanent dimension {dim} exceeds ceiling {ceiling} (cost 2^n)"
+        )
+    if key not in _memo:
+        value = count()
+        if oracle is not None and key[1] <= _BRUTE_XCHECK_MAX:
+            check = oracle()
+            if check != value:
+                raise AssertionError(f"{key} value {value} != oracle {check}")
+        _memo[key] = value
+    return _memo[key]
+
+
 def count_c0(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime matchings from the first n odd numbers into [n]."""
-    key = ("c0", n)
-    if key not in _memo:
-        _memo[key] = permanent_ryser(
-            build_odd_half(n), threads=threads, ceiling=ceiling
-        )
-    return _memo[key]
+    count = lambda: permanent_ryser(build_odd_half(n), threads=threads, ceiling=ceiling)
+    return _memoized(("c0", n), n, ceiling, count)
 
 
 def count_c_a(
     n: int, a: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
 ) -> int:
     """Coprime matchings between [n] and the first n+1 odd numbers minus {a}."""
-    key = ("ca", n, a)
-    if key not in _memo:
-        _memo[key] = permanent_ryser(
-            build_odd_plus_excluding(n, a), threads=threads, ceiling=ceiling
-        )
-    return _memo[key]
+    count = lambda: permanent_ryser(
+        build_odd_plus_excluding(n, a), threads=threads, ceiling=ceiling
+    )
+    return _memoized(("ca", n, a), n, ceiling, count)
 
 
 def count_c1(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
@@ -128,36 +148,26 @@ def count_c(
     """Number of coprime permutations of [n].
 
     Even n: count_c0(n/2) squared.  Odd n = 2m+1: the coprime double sum
-    over excluded odd values a, b.  Results for n <= 12 are cross-checked
-    against the independent backtracking oracle on every call.
+    over excluded odd values a, b.  The first result for each n <= 12 is
+    cross-checked against the independent backtracking oracle.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:
         raise CapacityError(f"count_c limited to n <= {max_n} (cost 2^(n/2))")
-    key = ("c", n)
-    if key not in _memo:
+
+    def reduce() -> int:
+        m = n // 2
         if n == 1:
-            value = 1  # the single permutation of {1}
-        elif n % 2 == 0:
-            value = count_c0(n // 2, threads=threads, ceiling=ceiling) ** 2
-        else:
-            m = n // 2
-            odds = range(1, 2 * m + 2, 2)
-            ca = {
-                a: count_c_a(m, a, threads=threads, ceiling=ceiling) for a in odds
-            }
-            value = sum(
-                ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1
-            )
-        if n <= _BRUTE_XCHECK_MAX:
-            check = brute_constrained_count(n, "coprime")
-            if check != value:
-                raise AssertionError(
-                    f"count_c({n}) reduction {value} != oracle {check}"
-                )
-        _memo[key] = value
-    return _memo[key]
+            return 1  # the single permutation of {1}
+        if n % 2 == 0:
+            return count_c0(m, threads=threads, ceiling=ceiling) ** 2
+        odds = range(1, 2 * m + 2, 2)
+        ca = {a: count_c_a(m, a, threads=threads, ceiling=ceiling) for a in odds}
+        return sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
+
+    oracle = lambda: brute_constrained_count(n, "coprime")
+    return _memoized(("c", n), n // 2, ceiling, reduce, oracle)
 
 
 def count_a(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
@@ -168,37 +178,21 @@ def count_a(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    key = ("a", n)
-    if key not in _memo:
-        if n == 1:
-            value = 1
-        else:
-            value = permanent_ryser(build_anti(n), threads=threads, ceiling=ceiling)
-        if n <= _BRUTE_XCHECK_MAX:
-            check = brute_constrained_count(n, "anti")
-            if check != value:
-                raise AssertionError(
-                    f"count_a({n}) reduction {value} != oracle {check}"
-                )
-        _memo[key] = value
-    return _memo[key]
+    if n == 1:
+        return 1
+    matrix = build_anti(n)
+    count = lambda: permanent_ryser(matrix, threads=threads, ceiling=ceiling)
+    oracle = lambda: brute_constrained_count(n, "anti")
+    return _memoized(("a", n), matrix.n, ceiling, count, oracle)
 
 
 def count_ck(
     n: int, k: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
 ) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1."""
-    key = ("ck", n, k)
-    if key not in _memo:
-        value = permanent_ryser(build_gcd_k(n, k), threads=threads, ceiling=ceiling)
-        if n <= _BRUTE_XCHECK_MAX:
-            check = brute_constrained_count(n, "gcd_k", k=k)
-            if check != value:
-                raise AssertionError(
-                    f"count_ck({n}, {k}) permanent {value} != oracle {check}"
-                )
-        _memo[key] = value
-    return _memo[key]
+    count = lambda: permanent_ryser(build_gcd_k(n, k), threads=threads, ceiling=ceiling)
+    oracle = lambda: brute_constrained_count(n, "gcd_k", k=k)
+    return _memoized(("ck", n, k), n, ceiling, count, oracle)
 
 
 def anti_lower(n: int) -> int:
@@ -368,6 +362,32 @@ def brute_constrained_count(
     return walk(1, 0)
 
 
+def check_aux(kind: str, aux: int | None) -> None:
+    """Refuse an ``aux`` the count does not read: k is for kind 'ck' only."""
+    if kind == "ck" and aux is None:
+        raise ValueError("kind 'ck' needs --aux K")
+    if kind != "ck" and aux is not None:
+        raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
+
+
+def matrix_for(kind: str, n: int, aux: int | None = None) -> BitMatrix:
+    """The 0/1 matrix whose permanent is the count ``kind`` at (n, aux).
+
+    Defined for c, c0, a (the reduced matrix) and ck; c1 is a sum of
+    permanents, not one, so it is refused with ``ValueError``.
+    """
+    check_aux(kind, aux)
+    builders = {
+        "c": lambda: build_full_coprime(n),
+        "c0": lambda: build_odd_half(n),
+        "a": lambda: build_anti(n),
+        "ck": lambda: build_gcd_k(n, aux),
+    }
+    if kind not in builders:
+        raise ValueError(f"kind {kind!r} is not the permanent of one matrix")
+    return builders[kind]()
+
+
 def compute(
     kind: str,
     n: int,
@@ -380,52 +400,54 @@ def compute(
 ) -> CountResult:
     """Dispatch a named count; the CLI's single entry point.
 
-    ``method`` selects the computation path: "auto" uses the reduction
-    lemmas, "permanent" forces the direct permanent of the defining
-    matrix, "brute" the backtracking enumeration (n <= 12).
+    ``method`` selects the computation path:
+
+    * "auto" (every kind): the memoized count_* reductions;
+    * "permanent" (c, c0, a, ck): the Ryser permanent of ``matrix_for``;
+    * "brute" (every kind): the backtracking oracle for c, a and ck
+      (n <= 12), permanent_brute of the defining matrices for c0 and c1
+      (n <= 10).
+
+    A pair outside the table, an ``aux`` on a kind other than ck, or a
+    ck without one raises ``ValueError``.
     """
-    if kind == "c":
-        if method == "auto":
-            value = count_c(n, threads=threads, max_n=max_n, ceiling=ceiling)
-        elif method == "permanent":
-            value = permanent_ryser(
-                build_full_coprime(n), threads=threads, ceiling=ceiling
-            )
-        elif method == "brute":
-            value = brute_constrained_count(n, "coprime")
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    elif kind == "c0":
-        if method == "brute":
-            value = permanent_brute(build_odd_half(n))
-        else:
-            value = count_c0(n, threads=threads, ceiling=ceiling)
-    elif kind == "c1":
-        if method == "brute":
-            value = sum(
+    kw = {"threads": threads, "ceiling": ceiling}
+    permanent = lambda: permanent_ryser(matrix_for(kind, n, aux), **kw)
+    table = {
+        "c": {
+            "auto": lambda: count_c(n, max_n=max_n, **kw),
+            "permanent": permanent,
+            "brute": lambda: brute_constrained_count(n, "coprime"),
+        },
+        "c0": {
+            "auto": lambda: count_c0(n, **kw),
+            "permanent": permanent,
+            "brute": lambda: permanent_brute(matrix_for(kind, n, aux)),
+        },
+        "c1": {
+            "auto": lambda: count_c1(n, **kw),
+            "brute": lambda: sum(
                 permanent_brute(build_odd_plus_excluding(n, a))
                 for a in range(1, 2 * n + 2, 2)
-            )
-        else:
-            value = count_c1(n, threads=threads, ceiling=ceiling)
-    elif kind == "a":
-        if method == "auto":
-            value = count_a(n, threads=threads, ceiling=ceiling)
-        elif method == "permanent":
-            value = permanent_ryser(build_anti(n), threads=threads, ceiling=ceiling)
-        elif method == "brute":
-            value = brute_constrained_count(n, "anti")
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    elif kind == "ck":
-        if aux is None:
-            raise ValueError("kind 'ck' needs --aux K")
-        if method == "brute":
-            value = brute_constrained_count(n, "gcd_k", k=aux)
-        else:
-            value = count_ck(n, aux, threads=threads, ceiling=ceiling)
-    else:
+            ),
+        },
+        "a": {
+            "auto": lambda: count_a(n, **kw),
+            "permanent": permanent,
+            "brute": lambda: brute_constrained_count(n, "anti"),
+        },
+        "ck": {
+            "auto": lambda: count_ck(n, aux, **kw),
+            "permanent": permanent,
+            "brute": lambda: brute_constrained_count(n, "gcd_k", k=aux),
+        },
+    }
+    if kind not in table:
         raise ValueError(f"unknown kind {kind!r}")
+    check_aux(kind, aux)
+    if method not in table[kind]:
+        raise ValueError(f"kind {kind!r} has no method {method!r}")
+    value = table[kind][method]()
     if value < 0:
         raise AssertionError("counts are nonnegative")
     if kind == "c" and value < 1:

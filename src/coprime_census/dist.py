@@ -112,20 +112,23 @@ def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:
     return sum(1 for a, b in zip(ph.tolist(), m.tolist()) if q * a <= p * b)
 
 
-def d_count(alpha, n: int, *, phi: np.ndarray | None = None) -> DistEstimate:
-    """Exact D(alpha, n): odd m < 2n with phi(m)/m <= alpha."""
-    a = as_fraction(alpha)
-    if not 0 <= a <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
+def _odd_terms(n: int, phi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Odd m < 2n and phi(m), read from ``phi`` or the shared table."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if phi is None:
         phi = _ensure_phi(2 * n)
     elif len(phi) < 2 * n:
         raise ValueError(f"phi table too small for n={n}")
-    m = np.arange(1, 2 * n, 2, dtype=np.int64)
-    ph = phi[1 : 2 * n : 2]
-    count = _count_le(a, m, ph)
+    return np.arange(1, 2 * n, 2, dtype=np.int64), phi[1 : 2 * n : 2]
+
+
+def d_count(alpha, n: int, *, phi: np.ndarray | None = None) -> DistEstimate:
+    """Exact D(alpha, n): odd m < 2n with phi(m)/m <= alpha."""
+    a = as_fraction(alpha)
+    if not 0 <= a <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    count = _count_le(a, *_odd_terms(n, phi))
     return DistEstimate(alpha=a, n=n, count=count, density=count / n)
 
 
@@ -176,14 +179,7 @@ def second_moment(n: int, *, phi: np.ndarray | None = None) -> float:
     floor(m^2 * 2^80 / phi(m)^2); the total truncation error is below
     n / 2^80, far under float64 resolution of the result.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if phi is None:
-        phi = _ensure_phi(max(2 * n, 2))
-    elif len(phi) < 2 * n:
-        raise ValueError(f"phi table too small for n={n}")
-    m = np.arange(1, 2 * n, 2, dtype=np.int64)
-    ph = phi[1 : 2 * n : 2]
+    m, ph = _odd_terms(n, phi)
     num = (m * m).astype(object)
     den = (ph * ph).astype(object)
     acc = int(((num << 80) // den).sum())
@@ -202,40 +198,24 @@ def second_moment_constant(P: int) -> float:
     return math.exp(math.fsum(logs))
 
 
-def top_interval_set(
-    n: int, *, phi: np.ndarray | None = None, check: bool = True
-) -> set[int]:
+def top_interval_set(n: int, *, phi: np.ndarray | None = None) -> set[int]:
     """Odd m < 2n with phi(m)/m > 1 - 1/sqrt(2n).
 
     The comparison is exact: phi/m > 1 - 1/sqrt(2n) iff
-    2n*(m - phi)^2 < m^2.  With ``check`` the result is verified against
-    the closed characterization {1} union {primes in (sqrt(2n), 2n)}.
+    2n*(m - phi)^2 < m^2.  Callers compare the result against
+    :func:`top_interval_characterization`, the closed form
+    {1} union {primes in (sqrt(2n), 2n)}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if phi is None:
-        phi = _ensure_phi(2 * n)
-    elif len(phi) < 2 * n:
-        raise ValueError(f"phi table too small for n={n}")
-    m = np.arange(1, 2 * n, 2, dtype=np.int64)
-    ph = phi[1 : 2 * n : 2]
+    m, ph = _odd_terms(n, phi)
     if (2 * n) ** 3 < 2**63:
         d = m - ph
         mask = 2 * n * d * d < m * m
-        result = set(int(v) for v in m[mask])
-    else:
-        result = {
-            int(a)
-            for a, b in zip(m.tolist(), ph.tolist())
-            if 2 * n * (a - b) ** 2 < a * a
-        }
-    if check:
-        expected = top_interval_characterization(n)
-        if result != expected:
-            raise AssertionError(
-                f"top interval set at n={n} differs from {{1}} + primes"
-            )
-    return result
+        return set(int(v) for v in m[mask])
+    return {
+        int(a)
+        for a, b in zip(m.tolist(), ph.tolist())
+        if 2 * n * (a - b) ** 2 < a * a
+    }
 
 
 def top_interval_characterization(n: int) -> set[int]:

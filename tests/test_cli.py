@@ -116,6 +116,45 @@ class TestCount:
         assert lines[2:5] == ["111", "110", "111"]
         json.loads(lines[5])  # record still emitted
 
+    def test_dump_matrix_for_ck(self, tmp_path):
+        res = run_cli(
+            "count", "--kind", "ck", "--n", "6", "--aux", "3", "--dump-matrix",
+            "--no-cache", cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[:2] == ["rows: 1 2 3 4 5 6", "cols: 1 2 3 4 5 6"]
+        # gcd(i, j, 3!) = 1: no shared factor 2 or 3
+        assert lines[2:8] == ["111111", "101010", "110110", "101010", "111111", "100010"]
+        assert json.loads(lines[8])["value"] == "16"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--kind", "c", "--n", "9", "--aux", "3"],
+            ["count", "--kind", "c1", "--n", "4", "--method", "permanent"],
+            ["count", "--kind", "c1", "--n", "3", "--dump-matrix"],
+            ["count", "--kind", "c0", "--n", "6", "--sieve-limit", "5"],
+            ["count", "--kind", "c0", "--n", "6", "--format", "json"],
+            ["table", "--which", "t1", "--max", "3", "--verify-cache"],
+            ["dist", "--n", "100", "--ceiling", "3"],
+            ["dist", "--n", "100", "--threads", "0"],
+        ],
+        ids=[
+            "count-aux-on-c",
+            "count-c1-permanent",
+            "count-c1-dump",
+            "count-sieve-limit",
+            "count-format",
+            "table-verify-cache",
+            "dist-ceiling",
+            "dist-threads",
+        ],
+    )
+    def test_input_the_command_does_not_read_is_refused(self, tmp_path, argv):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+
 
 class TestCache:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -162,6 +201,20 @@ class TestCache:
         res = run_cli("count", "--kind", "c", "--n", "9", "--method", "brute", cwd=tmp_path)
         assert res.returncode == 1, res.stdout + res.stderr
         assert "mismatch" in res.stderr
+
+    def test_record_from_another_engine_version_is_recomputed(self, tmp_path):
+        seed = run_cli("count", "--kind", "c0", "--n", "8", cwd=tmp_path)
+        assert seed.returncode == 0, seed.stderr
+        cache_file = tmp_path / "coprime-census.cache.jsonl"
+        rec = json.loads(cache_file.read_text())
+        rec["engine_version"] = "0.0.0"
+        rec["value"] = "9553"
+        stale = json.dumps(rec, sort_keys=True) + "\n"
+        cache_file.write_text(stale)
+        res = run_cli("count", "--kind", "c0", "--n", "8", cwd=tmp_path)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert "mismatch" in res.stderr
+        assert cache_file.read_text() == stale
 
     @pytest.mark.parametrize("damage", ["truncated", "no-value"])
     def test_corrupt_line_names_the_file_and_line(self, tmp_path, damage):
@@ -302,6 +355,16 @@ class TestVerify:
         )
         assert res.returncode == 0, res.stdout
         assert "verification PASSED" in res.stdout
+
+
+    def test_lemmas_respect_the_ceiling(self, tmp_path):
+        # the C_2(2n+1) parity checks reach dimension 13
+        res = run_cli(
+            "verify", "--suite", "lemmas", "--max", "4", "--ceiling", "12",
+            "--no-cache", cwd=tmp_path,
+        )
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert "exceeds ceiling 12" in res.stderr
 
 
 class TestDeterminism:

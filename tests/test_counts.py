@@ -177,3 +177,30 @@ class TestCompute:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             compute("zz", 5)
+
+    @pytest.mark.parametrize(
+        "count_fn, args",
+        [(count_a, (20,)), (count_c0, (12,)), (count_c, (24,)), (count_ck, (12, 3))],
+        ids=["a", "c0", "c", "ck"],
+    )
+    def test_memo_hit_respects_a_smaller_ceiling(self, count_fn, args):
+        count_fn(*args)  # memoized under the default ceiling
+        with pytest.raises(CapacityError, match="ceiling 10"):
+            count_fn(*args, ceiling=10)
+
+    @pytest.mark.parametrize(
+        "kind, n, aux, method",
+        [("c", 9, 3, "auto"), ("c1", 4, None, "permanent")],
+        ids=["aux-on-c", "c1-permanent"],
+    )
+    def test_refuses_unread_input(self, kind, n, aux, method):
+        with pytest.raises(ValueError):
+            compute(kind, n, aux, method=method)
+
+    @pytest.mark.parametrize(
+        "kind, n, aux", [("c0", 8, None), ("a", 14, None), ("ck", 10, 3)]
+    )
+    def test_direct_permanent_matches_auto(self, kind, n, aux):
+        direct = compute(kind, n, aux, method="permanent")
+        assert direct.value == compute(kind, n, aux).value
+        assert direct.method == "permanent"
