@@ -10,7 +10,6 @@ stops at the last reference row.  Typical runs:
 """
 
 import argparse
-import os
 import sys
 import time
 
@@ -28,14 +27,13 @@ def main() -> int:
     ap.add_argument("--max1", type=int, default=16, help="largest n for C0(n)")
     ap.add_argument("--max2", type=int, default=25, help="largest odd n for C(n)")
     ap.add_argument("--max3", type=int, default=30, help="largest composite n for A(n)")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = ap.parse_args()
 
     bad = 0
     t0 = time.time()
     for which, max_n in (("t1", args.max1), ("t2", args.max2), ("t3", args.max3)):
         print(HEADERS[which])
-        for row, passed in counts.check_table(which, max_n, threads=args.threads):
+        for row, passed in counts.check_table(which, max_n):
             bad += not passed
             note = "" if passed else "  <-- differs from reference"
             print(f"{row.n}, {row.value}, {counts.format_ratio(row.ratio)} {note}")

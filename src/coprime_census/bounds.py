@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -297,16 +297,7 @@ def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
     report = BoundReport.make(
         name="esum-tail", computed=value, relation=">", claimed=-0.2814, notes=notes
     )
-    if not need_ok:
-        report = BoundReport(
-            name=report.name,
-            computed=report.computed,
-            claimed=report.claimed,
-            relation=report.relation,
-            passed=False,
-            notes=report.notes,
-        )
-    return report
+    return report if need_ok else replace(report, passed=False)
 
 
 def assemble_lower_bound(

@@ -12,7 +12,6 @@ import datetime
 import fcntl
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -138,7 +137,6 @@ def cmd_count(args) -> int:
             args.n,
             args.aux,
             method=args.method,
-            threads=args.threads,
             ceiling=args.ceiling,
         )
         if cached is not None and cached["value"] != str(result.value):
@@ -159,9 +157,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = counts.table_rows(
-        args.which, args.max, threads=args.threads, ceiling=args.ceiling
-    )
+    rows = counts.table_rows(args.which, args.max, ceiling=args.ceiling)
     _emit_rows([row.printed() for row in rows], args.format, sys.stdout)
     return 0
 
@@ -213,9 +209,9 @@ def _print_check(ok: bool, name: str, detail: str, warn: bool = False) -> bool:
 _TABLE_DETAIL = {"t1": "C0={} r={:.4f}", "t2": "C={} r={:.4f}", "t3": "A={} u={:.4f}"}
 
 
-def _verify_lemmas(max_n: int, threads: int, ceiling: int) -> bool:
+def _verify_lemmas(max_n: int, ceiling: int) -> bool:
     ok = True
-    kw = {"threads": threads, "ceiling": ceiling}
+    kw = {"ceiling": ceiling}
     top = min(max_n // 2, 12)
     for n in range(2, top + 1):
         c_even = counts.count_c(2 * n, **kw)
@@ -322,15 +318,21 @@ def cmd_verify(args) -> int:
     suite = args.suite
     ok = True
     if suite in ("tables", "all"):
+        compared = 0
         for which, detail in _TABLE_DETAIL.items():
-            for row, passed in counts.check_table(
-                which, args.max, threads=args.threads, ceiling=args.ceiling
-            ):
+            checks = counts.check_table(which, args.max, ceiling=args.ceiling)
+            for row, passed in checks:
+                compared += 1
                 ok &= _print_check(
                     passed, f"{which} n={row.n}", detail.format(row.value, row.ratio)
                 )
+        if not compared:
+            # a suite that checked nothing must not report PASSED
+            raise ValueError(
+                f"the tables suite compared no reference row: none has n <= {args.max}"
+            )
     if suite in ("lemmas", "all"):
-        ok &= _verify_lemmas(args.max, args.threads, args.ceiling)
+        ok &= _verify_lemmas(args.max, args.ceiling)
     if suite in ("bounds", "all"):
         ok &= _verify_bounds()
     if suite in ("constants", "all"):
@@ -341,7 +343,6 @@ def cmd_verify(args) -> int:
 
 # the flags more than one subcommand reads; each subcommand takes only its own
 _SHARED_FLAGS = {
-    "--threads": dict(type=int, default=os.cpu_count() or 1, help="worker lanes"),
     "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="permanent dimension cap"),
     "--sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT, help="phi table cap"),
     "--cache": dict(default=DEFAULT_CACHE, help="result cache path"),
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    count_flags = ("--threads", "--ceiling", "--cache", "--verify-cache")
+    count_flags = ("--ceiling", "--cache", "--verify-cache")
     p_count = add("count", cmd_count, "compute one count", *count_flags)
     p_count.add_argument("--kind", required=True, choices=("c", "c0", "c1", "a", "ck"))
     p_count.add_argument("--n", required=True, type=int)
@@ -379,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-matrix", action="store_true", help="print the matrix before counting"
     )
 
-    p_table = add(
-        "table", cmd_table, "emit a full table", "--threads", "--ceiling", "--format"
-    )
+    p_table = add("table", cmd_table, "emit a full table", "--ceiling", "--format")
     p_table.add_argument("--which", required=True, choices=("t1", "t2", "t3"))
     p_table.add_argument("--max", required=True, type=int)
 
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--second-moment", action="store_true")
     p_dist.add_argument("--top-set", action="store_true")
 
-    p_verify = add("verify", cmd_verify, "verification suites", "--threads", "--ceiling")
+    p_verify = add("verify", cmd_verify, "verification suites", "--ceiling")
     p_verify.add_argument(
         "--suite",
         required=True,

@@ -114,36 +114,25 @@ def _memoized(key: tuple, dim: int, ceiling: int, count, oracle=None) -> int:
     return _memo[key]
 
 
-def count_c0(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
+def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime matchings from the first n odd numbers into [n]."""
-    count = lambda: permanent_ryser(build_odd_half(n), threads=threads, ceiling=ceiling)
+    count = lambda: permanent_ryser(build_odd_half(n), ceiling=ceiling)
     return _memoized(("c0", n), n, ceiling, count)
 
 
-def count_c_a(
-    n: int, a: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
-) -> int:
+def count_c_a(n: int, a: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Coprime matchings between [n] and the first n+1 odd numbers minus {a}."""
-    count = lambda: permanent_ryser(
-        build_odd_plus_excluding(n, a), threads=threads, ceiling=ceiling
-    )
+    count = lambda: permanent_ryser(build_odd_plus_excluding(n, a), ceiling=ceiling)
     return _memoized(("ca", n, a), n, ceiling, count)
 
 
-def count_c1(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
+def count_c1(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Sum of count_c_a(n, a) over all odd a <= 2n+1."""
-    return sum(
-        count_c_a(n, a, threads=threads, ceiling=ceiling)
-        for a in range(1, 2 * n + 2, 2)
-    )
+    return sum(count_c_a(n, a, ceiling=ceiling) for a in range(1, 2 * n + 2, 2))
 
 
 def count_c(
-    n: int,
-    *,
-    threads: int = 1,
-    max_n: int = DEFAULT_MAX_N,
-    ceiling: int = DEFAULT_CEILING,
+    n: int, *, max_n: int = DEFAULT_MAX_N, ceiling: int = DEFAULT_CEILING
 ) -> int:
     """Number of coprime permutations of [n].
 
@@ -161,16 +150,16 @@ def count_c(
         if n == 1:
             return 1  # the single permutation of {1}
         if n % 2 == 0:
-            return count_c0(m, threads=threads, ceiling=ceiling) ** 2
+            return count_c0(m, ceiling=ceiling) ** 2
         odds = range(1, 2 * m + 2, 2)
-        ca = {a: count_c_a(m, a, threads=threads, ceiling=ceiling) for a in odds}
+        ca = {a: count_c_a(m, a, ceiling=ceiling) for a in odds}
         return sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
 
     oracle = lambda: brute_constrained_count(n, "coprime")
     return _memoized(("c", n), n // 2, ceiling, reduce, oracle)
 
 
-def count_a(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
+def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j)) > 1 for j >= 2.
 
     n = 1 is the trivial identity case; otherwise the Gray-code Ryser
@@ -181,16 +170,14 @@ def count_a(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> int:
     if n == 1:
         return 1
     matrix = build_anti(n)
-    count = lambda: permanent_ryser(matrix, threads=threads, ceiling=ceiling)
+    count = lambda: permanent_ryser(matrix, ceiling=ceiling)
     oracle = lambda: brute_constrained_count(n, "anti")
     return _memoized(("a", n), matrix.n, ceiling, count, oracle)
 
 
-def count_ck(
-    n: int, k: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
-) -> int:
+def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1."""
-    count = lambda: permanent_ryser(build_gcd_k(n, k), threads=threads, ceiling=ceiling)
+    count = lambda: permanent_ryser(build_gcd_k(n, k), ceiling=ceiling)
     oracle = lambda: brute_constrained_count(n, "gcd_k", k=k)
     return _memoized(("ck", n, k), n, ceiling, count, oracle)
 
@@ -222,19 +209,15 @@ def growth_ratio(n: int, value: int) -> float:
 
 
 def ratio_r(
-    n: int,
-    *,
-    threads: int = 1,
-    max_n: int = DEFAULT_MAX_N,
-    ceiling: int = DEFAULT_CEILING,
+    n: int, *, max_n: int = DEFAULT_MAX_N, ceiling: int = DEFAULT_CEILING
 ) -> float:
     """(n!/C(n))^(1/n); the normalized decay rate of the coprime count."""
-    return growth_ratio(n, count_c(n, threads=threads, max_n=max_n, ceiling=ceiling))
+    return growth_ratio(n, count_c(n, max_n=max_n, ceiling=ceiling))
 
 
-def ratio_u(n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING) -> float:
+def ratio_u(n: int, *, ceiling: int = DEFAULT_CEILING) -> float:
     """(n!/A(n))^(1/n); the anti-coprime analogue of ratio_r."""
-    return growth_ratio(n, count_a(n, threads=threads, ceiling=ceiling))
+    return growth_ratio(n, count_a(n, ceiling=ceiling))
 
 
 def format_ratio(x: float) -> str:
@@ -262,23 +245,26 @@ _REFERENCE = {
 }
 
 
-def _table_row(which: str, n: int, *, threads: int, ceiling: int) -> TableRow:
+def _table_row(which: str, n: int, *, ceiling: int) -> TableRow:
     if which == "t1":
-        value = count_c0(n, threads=threads, ceiling=ceiling)
+        value = count_c0(n, ceiling=ceiling)
         return TableRow(n, value, growth_ratio(2 * n, value * value))
     if which == "t2":
         # the table's --max is the explicit size decision, so count_c's
         # default cap does not apply
-        value = count_c(n, threads=threads, max_n=n, ceiling=ceiling)
+        value = count_c(n, max_n=n, ceiling=ceiling)
     else:
-        value = count_a(n, threads=threads, ceiling=ceiling)
+        value = count_a(n, ceiling=ceiling)
     return TableRow(n, value, growth_ratio(n, value))
 
 
 def table_rows(
-    which: str, max_n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
+    which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> list[TableRow]:
-    """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite n)."""
+    """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite n).
+
+    A table with no row n <= max_n raises ``ValueError``.
+    """
     if which == "t1":
         ns = range(1, max_n + 1)
     elif which == "t2":
@@ -288,11 +274,16 @@ def table_rows(
         ns = [n for n in range(4, max_n + 1) if not is_prime(n, sieve)]
     else:
         raise ValueError(f"unknown table {which!r}")
-    return [_table_row(which, n, threads=threads, ceiling=ceiling) for n in ns]
+    if not ns:
+        first = 4 if which == "t3" else 1
+        raise ValueError(
+            f"table {which} has no row n <= {max_n}; its first row is n={first}"
+        )
+    return [_table_row(which, n, ceiling=ceiling) for n in ns]
 
 
 def check_table(
-    which: str, max_n: int, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
+    which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> list[tuple[TableRow, bool]]:
     """Recompute the reference rows n <= max_n of a table; flag each match.
 
@@ -304,7 +295,7 @@ def check_table(
     checks = []
     for n, (want, want_ratio) in _REFERENCE[which].items():
         if n <= max_n:
-            row = _table_row(which, n, threads=threads, ceiling=ceiling)
+            row = _table_row(which, n, ceiling=ceiling)
             passed = row.value == want and format_ratio(row.ratio) == want_ratio
             checks.append((row, passed))
     return checks
@@ -394,7 +385,6 @@ def compute(
     aux: int | None = None,
     *,
     method: str = "auto",
-    threads: int = 1,
     max_n: int = DEFAULT_MAX_N,
     ceiling: int = DEFAULT_CEILING,
 ) -> CountResult:
@@ -411,33 +401,32 @@ def compute(
     A pair outside the table, an ``aux`` on a kind other than ck, or a
     ck without one raises ``ValueError``.
     """
-    kw = {"threads": threads, "ceiling": ceiling}
-    permanent = lambda: permanent_ryser(matrix_for(kind, n, aux), **kw)
+    permanent = lambda: permanent_ryser(matrix_for(kind, n, aux), ceiling=ceiling)
     table = {
         "c": {
-            "auto": lambda: count_c(n, max_n=max_n, **kw),
+            "auto": lambda: count_c(n, max_n=max_n, ceiling=ceiling),
             "permanent": permanent,
             "brute": lambda: brute_constrained_count(n, "coprime"),
         },
         "c0": {
-            "auto": lambda: count_c0(n, **kw),
+            "auto": lambda: count_c0(n, ceiling=ceiling),
             "permanent": permanent,
             "brute": lambda: permanent_brute(matrix_for(kind, n, aux)),
         },
         "c1": {
-            "auto": lambda: count_c1(n, **kw),
+            "auto": lambda: count_c1(n, ceiling=ceiling),
             "brute": lambda: sum(
                 permanent_brute(build_odd_plus_excluding(n, a))
                 for a in range(1, 2 * n + 2, 2)
             ),
         },
         "a": {
-            "auto": lambda: count_a(n, **kw),
+            "auto": lambda: count_a(n, ceiling=ceiling),
             "permanent": permanent,
             "brute": lambda: brute_constrained_count(n, "anti"),
         },
         "ck": {
-            "auto": lambda: count_ck(n, aux, **kw),
+            "auto": lambda: count_ck(n, aux, ceiling=ceiling),
             "permanent": permanent,
             "brute": lambda: brute_constrained_count(n, "gcd_k", k=aux),
         },

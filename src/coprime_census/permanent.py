@@ -3,8 +3,8 @@
 Two routes, both returning exact Python integers:
 
 * :func:`permanent_ryser` -- Ryser's inclusion-exclusion with a Gray-code
-  subset walk, optionally split across process lanes.  The engine behind
-  every count.
+  subset walk, split across one process lane per CPU from dimension 16
+  up.  The engine behind every count; no caller sets the lane count.
 * :func:`permanent_brute` -- direct sum over all n! permutations, the
   small-n oracle.
 
@@ -15,6 +15,7 @@ fixed-width fast path, so no overflow is possible.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
@@ -77,15 +78,15 @@ def _ryser_lane(cols_rows: list[list[int]], n: int, lo: int, hi: int) -> int:
     return total
 
 
-def _ryser_masks(rows: tuple[int, ...], n: int, threads: int) -> int:
+def _ryser_masks(rows: tuple[int, ...], n: int, lanes: int) -> int:
+    """Ryser's sum over the 2^n column subsets, split into ``lanes`` ranges."""
     if n == 0:
         return 1
     if any(r == 0 for r in rows):
         return 0
     cols_rows = _column_rows(rows, n)
     size = 1 << n
-    lanes = max(1, int(threads))
-    if lanes == 1 or n < _PARALLEL_MIN_DIM:
+    if lanes == 1:
         total = _ryser_lane(cols_rows, n, 0, size)
     else:
         bounds = [size * i // lanes for i in range(lanes + 1)]
@@ -99,20 +100,20 @@ def _ryser_masks(rows: tuple[int, ...], n: int, threads: int) -> int:
     return total if n % 2 == 0 else -total
 
 
-def permanent_ryser(
-    matrix: BitMatrix, *, threads: int = 1, ceiling: int = DEFAULT_CEILING
-) -> int:
+def permanent_ryser(matrix: BitMatrix, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Exact permanent via Ryser's formula with Gray-code updates.
 
     Cost is Theta(2^n * n); dimensions above ``ceiling`` are refused so
-    the exponential cost is always an explicit caller decision.
+    the exponential cost is always an explicit caller decision.  The walk
+    runs on one lane per CPU from dimension ``_PARALLEL_MIN_DIM`` up.
     """
     n = matrix.n
     if n > ceiling:
         raise CapacityError(
             f"permanent dimension {n} exceeds ceiling {ceiling} (cost 2^n)"
         )
-    return _ryser_masks(matrix.rows, n, threads)
+    lanes = (os.cpu_count() or 1) if n >= _PARALLEL_MIN_DIM else 1
+    return _ryser_masks(matrix.rows, n, lanes)
 
 
 def permanent_brute(matrix: BitMatrix) -> int:

@@ -6,10 +6,6 @@ import pytest
 import coprime_census
 from coprime_census.arith import build_sieve
 
-# worker lanes for the heavy permanents; results are thread-count
-# independent (asserted by the determinism tests)
-THREADS = min(os.cpu_count() or 1, 4)
-
 
 @pytest.fixture(scope="session", autouse=True)
 def cli_subprocess_path():

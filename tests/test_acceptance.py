@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import THREADS
 from coprime_census import bounds, counts, dist, reference
 from coprime_census.arith import build_sieve, coprime_count, euler_phi, omega, omega_array
 from coprime_census.graph import build_full_coprime
@@ -35,17 +34,17 @@ def criterion(num: int, desc: str):
 
 @pytest.fixture(scope="module")
 def c0_values():
-    return {n: counts.count_c0(n, threads=THREADS) for n in range(1, 26)}
+    return {n: counts.count_c0(n) for n in range(1, 26)}
 
 
 @pytest.fixture(scope="module")
 def c_odd_values():
-    return {n: counts.count_c(n, threads=THREADS) for n in range(1, 26, 2)}
+    return {n: counts.count_c(n) for n in range(1, 26, 2)}
 
 
 @pytest.fixture(scope="module")
 def a_values():
-    return {n: counts.count_a(n, threads=THREADS) for n in sorted(reference.TABLE_A)}
+    return {n: counts.count_a(n) for n in sorted(reference.TABLE_A)}
 
 
 def check_ratio(n: int, value: int, printed: str, sym: str):
@@ -95,7 +94,7 @@ def test_criterion_2_extended_table2_to_49():
     with criterion(2, "Table 2 extended tier: odd n <= 49"):
         for n in range(27, 50, 2):
             want, want_r = reference.TABLE_C_ODD[n]
-            got = counts.count_c(n, threads=THREADS)
+            got = counts.count_c(n)
             assert got == want, f"C({n})"
             check_ratio(n, got, want_r, "r")
 
@@ -114,8 +113,8 @@ def test_criterion_3_table3(a_values):
 
 def test_criterion_4_c24_two_paths(c0_values):
     with criterion(4, "C(24) via reduction and via the direct 24x24 permanent"):
-        via_reduction = counts.count_c(24, threads=THREADS)
-        direct = permanent_ryser(build_full_coprime(24), threads=THREADS)
+        via_reduction = counts.count_c(24)
+        direct = permanent_ryser(build_full_coprime(24))
         assert via_reduction == direct == 1142807773593600
         assert str(via_reduction) == str(direct) == "1142807773593600"
         assert via_reduction == c0_values[12] ** 2
@@ -139,10 +138,10 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_lemma_identities(c0_values):
     with criterion(6, "reduction-lemma identities at scale"):
         for n in range(2, 21):
-            assert counts.count_c(2 * n, threads=THREADS) == c0_values[n] ** 2
-            c_odd = counts.count_c(2 * n + 1, threads=THREADS)
+            assert counts.count_c(2 * n) == c0_values[n] ** 2
+            c_odd = counts.count_c(2 * n + 1)
             lo = 2 * c0_values[n - 1] ** 2
-            hi = counts.count_c1(n, threads=THREADS) ** 2
+            hi = counts.count_c1(n) ** 2
             assert lo <= c_odd <= hi, f"sandwich at n={n}"
         for n in range(1, 9):
             assert counts.count_ck(2 * n, 2) == math.factorial(n) ** 2
@@ -150,9 +149,7 @@ def test_criterion_6_lemma_identities(c0_values):
         assert counts.count_ck(6, 3) == 16
         assert counts.count_ck(12, 3) == 82944
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            assert counts.count_a(p, threads=THREADS) == counts.count_a(
-                p - 1, threads=THREADS
-            ), f"A({p}) = A({p - 1})"
+            assert counts.count_a(p) == counts.count_a(p - 1), f"A({p}) = A({p - 1})"
 
 
 def test_criterion_7_constants():
@@ -245,12 +242,13 @@ def test_criterion_9_distribution_suite(c0_values, a_values):
 
 
 def test_criterion_10_determinism(tmp_path):
-    with criterion(10, "thread-count independence and cache round-trip"):
+    with criterion(10, "lane-count independence and cache round-trip"):
         from coprime_census.graph import build_odd_half
+        from coprime_census.permanent import _ryser_masks
 
         m = build_odd_half(17)
-        vals = {permanent_ryser(m, threads=t) for t in (1, 2, 8)}
-        assert vals == {counts.count_c0(17, threads=THREADS)}
+        vals = {_ryser_masks(m.rows, m.n, lanes) for lanes in (1, 2, 4, 8)}
+        assert vals == {counts.count_c0(17)}
 
         import json
         import subprocess
@@ -265,14 +263,12 @@ def test_criterion_10_determinism(tmp_path):
             )
 
         payloads = []
-        for t in ("1", "2", "8"):
-            res = run(
-                "count", "--kind", "a", "--n", "15", "--threads", t, "--no-cache"
-            )
+        for _ in range(2):
+            res = run("count", "--kind", "a", "--n", "15", "--no-cache")
             assert res.returncode == 0, res.stderr
             rec = json.loads(res.stdout)
             payloads.append({k: v for k, v in rec.items() if k != "timestamp"})
-        assert payloads[0] == payloads[1] == payloads[2]
+        assert payloads[0] == payloads[1]
 
         first = run("count", "--kind", "c0", "--n", "12")
         assert first.returncode == 0, first.stderr

@@ -139,6 +139,9 @@ class TestCount:
             ["table", "--which", "t1", "--max", "3", "--verify-cache"],
             ["dist", "--n", "100", "--ceiling", "3"],
             ["dist", "--n", "100", "--threads", "0"],
+            ["count", "--kind", "c0", "--n", "5", "--threads", "2", "--no-cache"],
+            ["table", "--which", "t1", "--max", "3", "--threads", "2"],
+            ["verify", "--suite", "constants", "--threads", "2"],
         ],
         ids=[
             "count-aux-on-c",
@@ -149,6 +152,9 @@ class TestCount:
             "table-verify-cache",
             "dist-ceiling",
             "dist-threads",
+            "count-threads",
+            "table-threads",
+            "verify-threads",
         ],
     )
     def test_input_the_command_does_not_read_is_refused(self, tmp_path, argv):
@@ -288,6 +294,20 @@ class TestTable:
         assert len(csv_rows) == 6
         assert csv_rows == json_rows
 
+    @pytest.mark.parametrize(
+        "which, max_n, first",
+        [("t1", "0", 1), ("t3", "3", 4)],
+        ids=["t1-max-0", "t3-max-3"],
+    )
+    def test_table_with_no_row_is_refused(self, tmp_path, which, max_n, first):
+        res = run_cli(
+            "table", "--which", which, "--max", max_n, "--no-cache", cwd=tmp_path
+        )
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert f"table {which} has no row n <= {max_n}" in res.stderr
+        assert f"its first row is n={first}" in res.stderr
+        assert res.stdout == ""
+
 
 class TestDist:
     def test_density_row(self, tmp_path):
@@ -356,6 +376,24 @@ class TestVerify:
         assert res.returncode == 0, res.stdout
         assert "verification PASSED" in res.stdout
 
+    @pytest.mark.parametrize("suite", ["tables", "all"])
+    def test_tables_suite_that_compares_nothing_is_refused(self, tmp_path, suite):
+        res = run_cli(
+            "verify", "--suite", suite, "--max", "0", "--no-cache", cwd=tmp_path
+        )
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "verification PASSED" not in res.stdout
+        assert "compared no reference row" in res.stderr
+
+    def test_tables_suite_passes_with_one_table_empty(self, tmp_path):
+        # t3 starts at n = 4; t1 and t2 still compare rows at --max 3
+        res = run_cli(
+            "verify", "--suite", "tables", "--max", "3", "--no-cache", cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "PASS t1 n=3" in res.stdout and "PASS t2 n=3" in res.stdout
+        assert "t3 n=" not in res.stdout
+        assert "verification PASSED" in res.stdout
 
     def test_lemmas_respect_the_ceiling(self, tmp_path):
         # the C_2(2n+1) parity checks reach dimension 13
@@ -368,20 +406,13 @@ class TestVerify:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_payload(self, tmp_path):
+    def test_repeated_runs_give_the_same_payload(self, tmp_path):
+        # dimension 16 is walked on one lane per CPU
         outs = []
-        for t in ("1", "2", "8"):
+        for _ in range(2):
             res = run_cli(
-                "count",
-                "--kind",
-                "c0",
-                "--n",
-                "16",
-                "--threads",
-                t,
-                "--no-cache",
-                cwd=tmp_path,
+                "count", "--kind", "c0", "--n", "16", "--no-cache", cwd=tmp_path
             )
             assert res.returncode == 0, res.stderr
             outs.append(payload(json.loads(res.stdout)))
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]

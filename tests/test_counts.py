@@ -3,7 +3,6 @@ from math import gcd
 
 import pytest
 
-from conftest import THREADS
 from coprime_census.counts import (
     CapacityError,
     CountResult,
@@ -26,7 +25,7 @@ class TestC0:
     def test_published(self):
         assert count_c0(1) == 1
         assert count_c0(4) == 18
-        assert count_c0(18, threads=THREADS) == 79772814777600
+        assert count_c0(18) == 79772814777600
 
 
 class TestCa:
@@ -86,7 +85,7 @@ class TestC:
 class TestA:
     def test_published(self):
         assert count_a(8) == 30
-        assert count_a(25, threads=THREADS) == 1775480841216
+        assert count_a(25) == 1775480841216
 
     def test_prime_equals_predecessor(self):
         for p in (2, 3, 5, 7, 11, 13):
@@ -127,7 +126,7 @@ class TestAntiLower:
 class TestRatios:
     def test_r_examples(self):
         assert format_ratio(ratio_r(3)) == "1.2599"
-        assert format_ratio(ratio_r(36, threads=THREADS)) == "2.4122"
+        assert format_ratio(ratio_r(36)) == "2.4122"
 
     def test_r_at_one(self):
         assert ratio_r(1) == 1.0

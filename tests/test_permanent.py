@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import THREADS
 from coprime_census.graph import BitMatrix, build_full_coprime, build_odd_half
-from coprime_census.permanent import CapacityError, permanent_brute, permanent_ryser
+from coprime_census.permanent import (
+    CapacityError,
+    _ryser_masks,
+    permanent_brute,
+    permanent_ryser,
+)
 
 
 def matrix_from_rows(rows: list[int], n: int) -> BitMatrix:
@@ -39,7 +43,7 @@ class TestRyser:
         assert permanent_ryser(m) == 1
 
     def test_published_c0_18(self):
-        assert permanent_ryser(build_odd_half(18), threads=THREADS) == 79772814777600
+        assert permanent_ryser(build_odd_half(18)) == 79772814777600
 
     def test_ceiling_refusal(self):
         with pytest.raises(CapacityError):
@@ -47,7 +51,7 @@ class TestRyser:
 
     def test_lane_counts_agree(self):
         m = build_odd_half(16)
-        values = {permanent_ryser(m, threads=t) for t in (1, 2, 4, 8)}
+        values = {_ryser_masks(m.rows, m.n, lanes) for lanes in (1, 2, 4, 8)}
         assert len(values) == 1
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))

@@ -20,7 +20,7 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 def run_script(args, tmp_path, *, cut_reference=False):
     launch = ["-c", _CUT_REFERENCE] if cut_reference else [str(REPRODUCE)]
     return subprocess.run(
-        [sys.executable, *launch, *args, "--threads", "1"],
+        [sys.executable, *launch, *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
