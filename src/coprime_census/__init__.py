@@ -1,6 +1,6 @@
 """Exact enumeration and verification toolkit for coprime permutations."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .arith import (
     FactorSieve,

@@ -69,8 +69,8 @@ __all__ = [
     "clear_cache",
 ]
 
-# default cap on n for count_c; keeps the 2^(n/2) cost inside the range
-# the tables actually cover (raise explicitly for more)
+# default cap on n for count_c: the range the tables actually cover
+# (raise explicitly for more)
 DEFAULT_MAX_N = 50
 _BRUTE_XCHECK_MAX = 12
 
@@ -101,9 +101,7 @@ def _memoized(key: tuple, dim: int, ceiling: int, count, oracle=None) -> int:
     ``oracle()`` (a backtracking count) cross-checks the value once per key.
     """
     if dim > ceiling:
-        raise CapacityError(
-            f"permanent dimension {dim} exceeds ceiling {ceiling} (cost 2^n)"
-        )
+        raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
     if key not in _memo:
         value = count()
         if oracle is not None and key[1] <= _BRUTE_XCHECK_MAX:
@@ -143,7 +141,7 @@ def count_c(
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > max_n:
-        raise CapacityError(f"count_c limited to n <= {max_n} (cost 2^(n/2))")
+        raise CapacityError(f"count_c limited to n <= {max_n}")
 
     def reduce() -> int:
         m = n // 2
@@ -162,8 +160,8 @@ def count_c(
 def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j)) > 1 for j >= 2.
 
-    n = 1 is the trivial identity case; otherwise the Gray-code Ryser
-    permanent of the reduced matrix (forced fixed points removed).
+    n = 1 is the trivial identity case; otherwise the Ryser permanent of
+    the reduced matrix (forced fixed points removed).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -41,6 +41,9 @@ __all__ = [
 # so bracket comparisons warn rather than fail (see BracketTable users)
 BRACKET_DIAGNOSTIC_TOL = 0.004
 
+# odd m per chunk of the exact second-moment sum
+_MOMENT_CHUNK = 1 << 15
+
 _phi_cache: dict[str, np.ndarray | int] = {"limit": 0}
 
 
@@ -177,12 +180,18 @@ def second_moment(n: int, *, phi: np.ndarray | None = None) -> float:
 
     Each term is accumulated as an exact scaled integer
     floor(m^2 * 2^80 / phi(m)^2); the total truncation error is below
-    n / 2^80, far under float64 resolution of the result.
+    n / 2^80, far under float64 resolution of the result.  The integers
+    are formed in chunks of _MOMENT_CHUNK odd m, which bounds the memory
+    of the object arrays without changing the exact sum.
     """
     m, ph = _odd_terms(n, phi)
-    num = (m * m).astype(object)
-    den = (ph * ph).astype(object)
-    acc = int(((num << 80) // den).sum())
+    acc = 0
+    for lo in range(0, len(m), _MOMENT_CHUNK):
+        mc = m[lo : lo + _MOMENT_CHUNK]
+        pc = ph[lo : lo + _MOMENT_CHUNK]
+        num = (mc * mc).astype(object)
+        den = (pc * pc).astype(object)
+        acc += int(((num << 80) // den).sum())
     return acc / 2**80
 
 

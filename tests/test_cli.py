@@ -407,7 +407,6 @@ class TestVerify:
 
 class TestDeterminism:
     def test_repeated_runs_give_the_same_payload(self, tmp_path):
-        # dimension 16 is walked on one lane per CPU
         outs = []
         for _ in range(2):
             res = run_cli(

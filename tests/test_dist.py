@@ -106,6 +106,15 @@ class TestSecondMoment:
         assert second_moment(1) == 1.0
         assert second_moment(2) == 3.25
 
+    def test_chunks_sum_to_the_exact_scaled_total(self):
+        # 40,000 odd m span two chunks of the numpy sum
+        n = 40_000
+        sieve = build_sieve(2 * n)
+        acc = sum(
+            (m * m << 80) // euler_phi(m, sieve) ** 2 for m in range(1, 2 * n, 2)
+        )
+        assert second_moment(n) == acc / 2**80
+
     def test_bound_at_1e5(self):
         n = 10**5
         val = second_moment(n)

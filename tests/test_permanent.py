@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprime_census.graph import BitMatrix, build_full_coprime, build_odd_half
+from coprime_census.graph import (
+    BitMatrix,
+    build_anti,
+    build_full_coprime,
+    build_gcd_k,
+    build_odd_half,
+    build_odd_plus_excluding,
+)
 from coprime_census.permanent import (
     CapacityError,
+    _ryser_classes,
     _ryser_masks,
+    _transpose,
     permanent_brute,
     permanent_ryser,
 )
@@ -49,10 +58,9 @@ class TestRyser:
         with pytest.raises(CapacityError):
             permanent_ryser(build_full_coprime(9), ceiling=8)
 
-    def test_lane_counts_agree(self):
+    def test_subset_walk_equals_class_walk(self):
         m = build_odd_half(16)
-        values = {_ryser_masks(m.rows, m.n, lanes) for lanes in (1, 2, 4, 8)}
-        assert len(values) == 1
+        assert _ryser_masks(m.rows, m.n) == permanent_ryser(m)
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -104,3 +112,42 @@ class TestThreeWayAgreement:
                 assert permanent_ryser(m) == b
                 checked += 1
         assert checked >= 500
+
+
+# every builder's matrices up to dimension 16, by family
+BUILDER_FAMILIES = {
+    "odd_half": lambda: [build_odd_half(n) for n in range(1, 17)],
+    "full_coprime": lambda: [build_full_coprime(n) for n in range(1, 17)],
+    "anti": lambda: [m for m in map(build_anti, range(2, 22)) if m.n <= 16],
+    "gcd_2": lambda: [build_gcd_k(n, 2) for n in range(1, 17)],
+    "gcd_3": lambda: [build_gcd_k(n, 3) for n in range(1, 17)],
+    "gcd_5": lambda: [build_gcd_k(n, 5) for n in range(1, 17)],
+    "odd_plus_excluding": lambda: [
+        build_odd_plus_excluding(n, a)
+        for n in range(1, 13)
+        for a in range(1, 2 * n + 2, 2)
+    ],
+}
+
+
+class TestClassWalk:
+    @pytest.mark.parametrize("family", sorted(BUILDER_FAMILIES))
+    def test_both_sides_equal_the_subset_walk(self, family):
+        for m in BUILDER_FAMILIES[family]():
+            want = _ryser_masks(m.rows, m.n)
+            assert _ryser_classes(m.rows, m.n) == want, m.to_text()
+            assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want, m.to_text()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0b10111, 0b00101, 0b11011, 0b10001, 0b01111],  # column 3 all zero
+            [0b111101] * 6,  # all rows identical, column 1 zero
+            [0b1111111] * 7,  # all rows identical, all ones
+        ],
+    )
+    def test_degenerate_classes_equal_brute(self, rows):
+        m = matrix_from_rows(rows, len(rows))
+        want = permanent_brute(m)
+        assert _ryser_classes(m.rows, m.n) == want
+        assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want
