@@ -15,7 +15,10 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, bounds, counts, dist
+# arith, bounds and dist load numpy, which costs most of the start-up
+# time; only cmd_dist and the lemmas/bounds/constants suites read them,
+# so those import them where they run and a count or table never does
+from . import __version__, counts
 from .counts import CapacityError
 from .permanent import DEFAULT_CEILING
 
@@ -163,6 +166,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    from . import dist
+
     if 2 * args.n > args.sieve_limit:
         print(
             f"n={args.n} needs phi up to {2 * args.n} > --sieve-limit {args.sieve_limit}",
@@ -210,6 +215,8 @@ _TABLE_DETAIL = {"t1": "C0={} r={:.4f}", "t2": "C={} r={:.4f}", "t3": "A={} u={:
 
 
 def _verify_lemmas(max_n: int, ceiling: int) -> bool:
+    from . import dist
+
     ok = True
     kw = {"ceiling": ceiling}
     top = min(max_n // 2, 12)
@@ -277,6 +284,8 @@ def _verify_lemmas(max_n: int, ceiling: int) -> bool:
 
 
 def _verify_bounds() -> bool:
+    from . import bounds
+
     ok = True
     dy = bounds.esum_dyadic()
     mid = bounds.esum_middle()
@@ -297,6 +306,8 @@ def _verify_bounds() -> bool:
 
 
 def _verify_constants() -> bool:
+    from . import bounds
+
     ok = True
     c3 = bounds.ck_closed(3)
     c5 = bounds.ck_closed(5)

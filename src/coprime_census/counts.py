@@ -29,7 +29,6 @@ from fractions import Fraction
 from math import gcd
 
 from . import reference
-from .arith import build_sieve, is_prime
 from .graph import (
     BitMatrix,
     build_anti,
@@ -37,6 +36,7 @@ from .graph import (
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
+    smallest_factor,
 )
 from .permanent import (
     DEFAULT_CEILING,
@@ -190,10 +190,9 @@ def anti_lower(n: int) -> int:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    sieve = build_sieve(n)
     sizes: dict[int, int] = {}
     for m in range(2, n + 1):
-        p = int(sieve.spf[m])
+        p = smallest_factor(m)
         sizes[p] = sizes.get(p, 0) + 1
     result = 1
     for c in sizes.values():
@@ -268,8 +267,7 @@ def table_rows(
     elif which == "t2":
         ns = range(1, max_n + 1, 2)
     elif which == "t3":
-        sieve = build_sieve(max(max_n, 4))
-        ns = [n for n in range(4, max_n + 1) if not is_prime(n, sieve)]
+        ns = [n for n in range(4, max_n + 1) if smallest_factor(n) != n]
     else:
         raise ValueError(f"unknown table {which!r}")
     if not ns:
@@ -394,7 +392,7 @@ def compute(
     * "permanent" (c, c0, a, ck): the Ryser permanent of ``matrix_for``;
     * "brute" (every kind): the backtracking oracle for c, a and ck
       (n <= 12), permanent_brute of the defining matrices for c0 and c1
-      (n <= 10).
+      (n <= 10); n past ``ceiling`` raises ``CapacityError``.
 
     A pair outside the table, an ``aux`` on a kind other than ck, or a
     ck without one raises ``ValueError``.
@@ -434,6 +432,9 @@ def compute(
     check_aux(kind, aux)
     if method not in table[kind]:
         raise ValueError(f"kind {kind!r} has no method {method!r}")
+    # the oracle and permanent_brute both walk n positions
+    if method == "brute" and n > ceiling:
+        raise CapacityError(f"brute dimension {n} exceeds ceiling {ceiling}")
     value = table[kind][method]()
     if value < 0:
         raise AssertionError("counts are nonnegative")

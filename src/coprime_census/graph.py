@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import build_sieve, is_prime
-
 __all__ = [
+    "smallest_factor",
     "BitMatrix",
     "build_full_coprime",
     "build_odd_half",
@@ -21,6 +20,24 @@ __all__ = [
     "build_anti",
     "build_gcd_k",
 ]
+
+
+def smallest_factor(m: int) -> int:
+    """Smallest prime factor of ``m >= 2``, by trial division.
+
+    Builders and table lists only see numbers up to a few hundred, where
+    trial division beats building a sieve and keeps numpy unloaded.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    if m % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += 2
+    return m
 
 
 @dataclass(frozen=True)
@@ -48,9 +65,6 @@ class BitMatrix:
 
     def bit(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def row_popcounts(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
 
     def to_text(self) -> str:
         """Canonical textual dump (stable format, used by --dump-matrix).
@@ -123,9 +137,8 @@ def build_anti(n: int) -> BitMatrix:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    sieve = build_sieve(n)
     labels = [
-        m for m in range(2, n + 1) if not (is_prime(m, sieve) and 2 * m > n)
+        m for m in range(2, n + 1) if not (smallest_factor(m) == m and 2 * m > n)
     ]
     return _from_predicate(labels, labels, lambda x, y: gcd(x, y) > 1)
 
@@ -140,7 +153,7 @@ def build_gcd_k(n: int, k: int) -> BitMatrix:
         raise ValueError("n must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    small_primes = [p for p in range(2, k + 1) if all(p % q for q in range(2, p))]
+    small_primes = [p for p in range(2, k + 1) if smallest_factor(p) == p]
 
     def pred(a: int, b: int) -> bool:
         g = gcd(a, b)

@@ -36,6 +36,33 @@ def test_subprocess_imports_same_package(tmp_path):
     assert child == Path(coprime_census.__file__).resolve()
 
 
+def test_count_and_table_never_load_numpy(tmp_path):
+    """count and table run on the pure-Python stack; numpy stays unloaded."""
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+import coprime_census.cli as cli
+runs = [
+    ["count", "--kind", "c0", "--n", "10", "--no-cache"],
+    ["count", "--kind", "c", "--n", "11", "--no-cache"],
+    ["count", "--kind", "a", "--n", "12", "--no-cache"],
+    ["count", "--kind", "ck", "--n", "8", "--aux", "3", "--no-cache"],
+    ["table", "--which", "t1", "--max", "8"],
+    ["table", "--which", "t2", "--max", "9"],
+    ["table", "--which", "t3", "--max", "12"],
+]
+for argv in runs:
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 class TestCount:
     def test_c24(self, tmp_path):
         res = run_cli("count", "--kind", "c", "--n", "24", "--no-cache", cwd=tmp_path)
@@ -97,6 +124,16 @@ class TestCount:
         )
         assert res.returncode == 3, res.stderr
         assert "ceiling" in res.stderr
+
+    def test_brute_refuses_past_the_ceiling(self, tmp_path):
+        # every kind's brute path is covered in test_counts
+        res = run_cli(
+            "count", "--kind", "c0", "--n", "5", "--method", "brute", "--ceiling", "2",
+            "--no-cache", cwd=tmp_path,
+        )
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert "exceeds ceiling 2" in res.stderr
+        assert res.stdout == ""
 
     def test_dump_matrix(self, tmp_path):
         res = run_cli(

@@ -173,6 +173,14 @@ class TestCompute:
         assert isinstance(res, CountResult)
         assert res.value >= 1
 
+    @pytest.mark.parametrize(
+        "kind, n, aux", [("c0", 5, None), ("c1", 4, None), ("c", 6, None), ("a", 6, None), ("ck", 6, 3)]
+    )
+    def test_brute_refuses_past_the_ceiling(self, kind, n, aux):
+        with pytest.raises(CapacityError, match="exceeds ceiling 2"):
+            compute(kind, n, aux, method="brute", ceiling=2)
+        assert compute(kind, n, aux, method="brute", ceiling=n).value >= 1
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             compute("zz", 5)

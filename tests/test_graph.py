@@ -1,9 +1,12 @@
+import math
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coprime_census import counts
 from coprime_census.arith import build_sieve, is_prime
 from coprime_census.graph import (
     BitMatrix,
@@ -12,6 +15,7 @@ from coprime_census.graph import (
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
+    smallest_factor,
 )
 from coprime_census.permanent import permanent_brute, permanent_ryser
 
@@ -160,6 +164,27 @@ class TestBitMatrix:
         with pytest.raises(ValueError):
             BitMatrix(n=1, rows=(2,), labels_row=(1,), labels_col=(1,))
 
-    def test_row_popcounts(self):
-        m = build_odd_half(3)
-        assert m.row_popcounts() == [3, 2, 3]
+
+class TestSmallestFactor:
+    """The trial-division helper against the numpy sieve as oracle."""
+
+    def test_equals_the_sieve(self, sieve_small):
+        for m in range(2, sieve_small.limit + 1):
+            assert smallest_factor(m) == sieve_small.spf[m], m
+
+    def test_rejects_below_two(self):
+        with pytest.raises(ValueError):
+            smallest_factor(1)
+
+    def test_builders_and_tables_equal_the_sieve_versions(self, monkeypatch):
+        sieve = build_sieve(200)
+        # table_rows with the row count stubbed out yields its n list
+        monkeypatch.setattr(counts, "_table_row", lambda which, n, ceiling: n)
+        t3 = [n for n in range(4, 201) if not is_prime(n, sieve)]
+        assert counts.table_rows("t3", 200) == t3
+        for n in range(2, 201):
+            want = [m for m in range(2, n + 1) if not (is_prime(m, sieve) and 2 * m > n)]
+            assert list(build_anti(n).labels_row) == want, n
+            sizes = Counter(int(sieve.spf[m]) for m in range(2, n + 1))
+            lower = math.prod(math.factorial(c) for c in sizes.values())
+            assert counts.anti_lower(n) == lower, n
