@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from coprime_census import dist
+from coprime_census.reference import BRACKETS
 
 
 def main() -> int:
@@ -20,7 +21,7 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=20, help="grid resolution")
     args = ap.parse_args()
 
-    brackets = {row.alpha: row for row in dist.bracket_table().rows}
+    brackets = {alpha: f"({lower};{upper})" for alpha, lower, upper in BRACKETS}
     print("alpha,count,density,bracket")
     grid = sorted(
         {Fraction(k, args.points) for k in range(1, args.points + 1)}
@@ -28,9 +29,7 @@ def main() -> int:
     )
     for alpha in grid:
         est = dist.d_count(alpha, args.n)
-        row = brackets.get(alpha)
-        note = f"({row.lower};{row.upper})" if row else ""
-        print(f"{alpha},{est.count},{est.density:.6f},{note}")
+        print(f"{alpha},{est.count},{est.density:.6f},{brackets.get(alpha, '')}")
 
     sm = dist.second_moment(args.n)
     print(

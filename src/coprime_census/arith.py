@@ -1,10 +1,10 @@
 """Elementary and analytic number-theory primitives.
 
-Sieves, totients, prime enumeration, Mertens-type products and
-prime-reciprocal sums.  Everything integer-valued is exact; real-valued
-products and sums are accumulated with compensated summation
-(``math.fsum`` over float64 terms), which keeps the relative error of
-every documented quantity below ~1e-13 -- far inside the 1e-12 contract.
+Sieves, totients, prime enumeration and the odd Mertens product.
+Everything integer-valued is exact; real-valued products are accumulated
+as compensated sums of logs (``math.fsum`` over float64 terms), which
+keeps the relative error of every documented quantity below ~1e-13 --
+far inside the 1e-12 contract.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ __all__ = [
     "is_prime",
     "coprime_count",
     "mertens_product",
-    "prime_recip_sum",
     "primes_upto",
-    "primes_in_range",
     "phi_array",
     "omega_array",
 ]
@@ -170,35 +168,6 @@ def primes_upto(limit: int) -> np.ndarray:
     return out
 
 
-_SEGMENT = 1 << 24
-
-
-def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes p with lo < p <= hi, segmented so memory stays bounded."""
-    if hi <= lo or hi < 2:
-        return np.empty(0, dtype=np.int64)
-    if hi <= _SEGMENT:
-        ps = primes_upto(int(hi))
-        return ps[ps > lo]
-    base = primes_upto(math.isqrt(int(hi)))
-    chunks = []
-    start = max(int(lo) + 1, 2)
-    while start <= hi:
-        stop = min(start + _SEGMENT - 1, int(hi))
-        seg = np.ones(stop - start + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first > stop:
-                continue
-            seg[first - start :: p] = False
-        if start == 1:
-            seg[0] = False
-        chunks.append(np.nonzero(seg)[0].astype(np.int64) + start)
-        start = stop + 1
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-
 def mertens_product(x: float) -> float:
     """prod over odd primes 3 <= p <= x of (1 - 1/p).
 
@@ -210,16 +179,6 @@ def mertens_product(x: float) -> float:
     ps = primes_upto(int(math.floor(x)))
     logs = [math.log1p(-1.0 / p) for p in ps[1:]]  # skip p = 2
     return math.exp(math.fsum(logs))
-
-
-def prime_recip_sum(a: float, b: float) -> float:
-    """sum of 1/p over primes a < p <= b, compensated summation."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    ps = primes_in_range(int(math.floor(a)), int(math.floor(b)))
-    # floor can admit a prime equal to floor(a) when a is integral
-    ps = ps[(ps > a) & (ps <= b)]
-    return math.fsum(1.0 / p for p in ps)
 
 
 def phi_array(limit: int) -> np.ndarray:

@@ -17,7 +17,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .reference import BRACKETS
 __all__ = [
     "EULER_GAMMA",
     "BoundReport",
-    "PartitionScheme",
     "ck_closed",
     "mcnew_factor",
     "mcnew_product",
@@ -36,8 +34,6 @@ __all__ = [
     "esum_tail",
     "assemble_lower_bound",
     "rs_bracket_check",
-    "eq_need_core",
-    "partition_scheme",
     "f_xlogx",
 ]
 
@@ -91,26 +87,6 @@ class BoundReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-@dataclass(frozen=True)
-class PartitionScheme:
-    """The split points of (0, 1] and the density upper bound used at each."""
-
-    alphas: tuple[Fraction, ...]
-    density_bounds: tuple[float, ...]
-    j0: int
-    j1: int
-
-    def __post_init__(self):
-        if len(self.alphas) != len(self.density_bounds):
-            raise ValueError("one density bound per split point")
-        if not all(a < b for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError("split points must be strictly increasing")
-        if self.alphas[-1] != 1:
-            raise ValueError("partition must end at 1")
-        if any(not 0.0 <= b <= 1.0 for b in self.density_bounds):
-            raise ValueError("density bounds live in [0, 1]")
 
 
 def f_xlogx(x: float) -> float:
@@ -238,13 +214,6 @@ def _tail_g(i: np.ndarray | float) -> np.ndarray | float:
     # Mertens-product estimate
     L = math.log(2.0) + i * math.log(10.0)
     return 2.0 / (_E_GAMMA * L) * (1.0 - 7.0 / (4.0 * L * L))
-
-
-def eq_need_core(i: int) -> bool:
-    """Room-to-assign feasibility at tail index i: 10^(1-i) < g(i)."""
-    if i < 4:
-        raise ValueError("tail indices start at 4")
-    return 10.0 ** (-(i - 1)) < _tail_g(float(i))
 
 
 # the first tail term starts from the last literature bracket
@@ -375,31 +344,3 @@ def rs_bracket_check(x_grid=(300.0, 1e4, 1e6)) -> list[BoundReport]:
             )
         )
     return reports
-
-
-def partition_scheme(j0: int = 12, j1: int = 10) -> PartitionScheme:
-    """The full split of (0, 1] used by the three contribution sums.
-
-    Dyadic points 1/2^j0 .. 1/4, the fixed middle points, tail points
-    1 - 10^-i for 4 <= i <= j1, then 1.  Descriptive companion to the
-    esum_* routines: it records which density upper bound each split
-    point contributes.
-    """
-    if j0 < 3 or j1 < 5:
-        raise ValueError("need j0 >= 3 and j1 >= 5")
-    alphas: list[Fraction] = []
-    bounds: list[float] = []
-    for j in range(j0, 1, -1):
-        alphas.append(Fraction(1, 2**j))
-        bounds.append(_dyadic_density_bound(j))
-    for alpha, _, upper in BRACKETS:
-        alphas.append(alpha)
-        bounds.append(upper)
-    for i in range(4, j1 + 1):
-        alphas.append(1 - Fraction(1, 10**i))
-        bounds.append(1.0 - _tail_g(float(i)))
-    alphas.append(Fraction(1))
-    bounds.append(1.0)
-    return PartitionScheme(
-        alphas=tuple(alphas), density_bounds=tuple(bounds), j0=j0, j1=j1
-    )

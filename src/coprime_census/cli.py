@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__, counts
 from .counts import CapacityError
 from .permanent import DEFAULT_CEILING
+from .reference import BRACKETS
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -36,12 +37,16 @@ class ResultCache:
     Duplicate (kind, n, aux) keys resolve last-writer-wins with a warning
     on load; contention on the advisory lock fails fast.  A line that is
     not a record (a truncated append, say) is refused with its path and
-    line number, and the file is left as it is.
+    line number, and the file is left as it is.  A path that cannot be
+    opened (a missing directory, a directory) is a usage error.
     """
 
     def __init__(self, path: Path):
         self.path = path
-        self._fh = open(path, "a+", encoding="utf-8")
+        try:
+            self._fh = open(path, "a+", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot open cache {path}: {exc.strerror}") from None
         try:
             fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -267,17 +272,17 @@ def _verify_lemmas(max_n: int, ceiling: int) -> bool:
         "top interval",
         f"set characterization at n={n}",
     )
-    for row in dist.bracket_table().rows:
-        est = dist.d_count(row.alpha, n)
+    for alpha, lower, upper in BRACKETS:
+        est = dist.d_count(alpha, n)
         inside = (
-            row.lower - dist.BRACKET_DIAGNOSTIC_TOL
+            lower - dist.BRACKET_DIAGNOSTIC_TOL
             <= est.density
-            <= row.upper + dist.BRACKET_DIAGNOSTIC_TOL
+            <= upper + dist.BRACKET_DIAGNOSTIC_TOL
         )
         _print_check(
             inside,
-            f"bracket alpha={row.alpha}",
-            f"density {est.density:.5f} vs ({row.lower}, {row.upper}) [diagnostic]",
+            f"bracket alpha={alpha}",
+            f"density {est.density:.5f} vs ({lower}, {upper}) [diagnostic]",
             warn=True,
         )
     return ok
@@ -396,10 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max", required=True, type=int)
 
     p_dist = add("dist", cmd_dist, "distribution scans", "--format", "--sieve-limit")
-    p_dist.add_argument("--alpha", action="append", help="cutoff (repeatable)")
     p_dist.add_argument("--n", required=True, type=int)
-    p_dist.add_argument("--second-moment", action="store_true")
-    p_dist.add_argument("--top-set", action="store_true")
+    # one scan per run: the cutoff counts, the second moment or the top set
+    mode = p_dist.add_mutually_exclusive_group()
+    mode.add_argument("--alpha", action="append", help="cutoff (repeatable)")
+    mode.add_argument("--second-moment", action="store_true")
+    mode.add_argument("--top-set", action="store_true")
 
     p_verify = add("verify", cmd_verify, "verification suites", "--ceiling")
     p_verify.add_argument(

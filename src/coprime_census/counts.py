@@ -56,8 +56,6 @@ __all__ = [
     "count_ck",
     "anti_lower",
     "growth_ratio",
-    "ratio_r",
-    "ratio_u",
     "TableRow",
     "table_rows",
     "check_table",
@@ -205,18 +203,6 @@ def growth_ratio(n: int, value: int) -> float:
     return float(Fraction(math.factorial(n), value)) ** (1.0 / n)
 
 
-def ratio_r(
-    n: int, *, max_n: int = DEFAULT_MAX_N, ceiling: int = DEFAULT_CEILING
-) -> float:
-    """(n!/C(n))^(1/n); the normalized decay rate of the coprime count."""
-    return growth_ratio(n, count_c(n, max_n=max_n, ceiling=ceiling))
-
-
-def ratio_u(n: int, *, ceiling: int = DEFAULT_CEILING) -> float:
-    """(n!/A(n))^(1/n); the anti-coprime analogue of ratio_r."""
-    return growth_ratio(n, count_a(n, ceiling=ceiling))
-
-
 def format_ratio(x: float) -> str:
     """Render a ratio at 4 decimals, ties half-even (table convention)."""
     return str(Decimal(repr(x)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
@@ -305,7 +291,9 @@ def _allowed_masks(n: int, constraint: str, k: int | None) -> list[int]:
     elif constraint == "gcd_k":
         if k is None or k < 2:
             raise ValueError("gcd_k constraint needs k >= 2")
-        kp = [p for p in range(2, k + 1) if all(p % q for q in range(2, p))]
+        # a prime above n divides no j <= n, so the list stops at min(k, n)
+        top = min(k, n)
+        kp = [p for p in range(2, top + 1) if all(p % q for q in range(2, p))]
         pred = lambda j, v: all(gcd(j, v) % p for p in kp)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")

@@ -15,30 +15,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import mertens_product, phi_array, prime_recip_sum, primes_upto
+from .arith import mertens_product, phi_array, primes_upto
 from .bounds import BoundReport
-from .reference import BRACKETS
 
 __all__ = [
     "DistEstimate",
-    "BracketRow",
-    "BracketTable",
-    "bracket_table",
     "d_count",
-    "delta_phi",
-    "check_dist_relation",
     "second_moment",
     "second_moment_constant",
     "top_interval_set",
     "top_interval_characterization",
     "ep_upper_check",
-    "ep_lower_value",
     "as_fraction",
 ]
 
 # diagnostic tolerance when comparing finite-n densities against the
-# literature brackets for the limit; the convergence rate is not known,
-# so bracket comparisons warn rather than fail (see BracketTable users)
+# literature brackets for the limit (reference.BRACKETS); the convergence
+# rate is not known, so bracket comparisons warn rather than fail
 BRACKET_DIAGNOSTIC_TOL = 0.004
 
 # odd m per chunk of the exact second-moment sum
@@ -66,45 +59,20 @@ def as_fraction(alpha) -> Fraction:
         return Fraction(alpha)
     if isinstance(alpha, float):
         return Fraction(str(alpha))
-    return Fraction(alpha)
+    try:
+        return Fraction(alpha)
+    except ZeroDivisionError:
+        raise ValueError(f"cutoff {alpha!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
 class DistEstimate:
-    """A pair (alpha, D(alpha, n)/n) and where it came from."""
+    """A pair (alpha, D(alpha, n)/n) with the exact count behind it."""
 
     alpha: Fraction
     n: int
     count: int
     density: float
-    source: str = "empirical"
-
-
-@dataclass(frozen=True)
-class BracketRow:
-    alpha: Fraction
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class BracketTable:
-    rows: tuple[BracketRow, ...]
-
-    def for_alpha(self, alpha) -> BracketRow:
-        a = as_fraction(alpha)
-        for row in self.rows:
-            if row.alpha == a:
-                return row
-        raise KeyError(f"no bracket row for alpha={a}")
-
-
-_BRACKETS = BracketTable(rows=tuple(BracketRow(*row) for row in BRACKETS))
-
-
-def bracket_table() -> BracketTable:
-    """The seven literature rows bracketing delta(alpha)."""
-    return _BRACKETS
 
 
 def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:
@@ -133,46 +101,6 @@ def d_count(alpha, n: int, *, phi: np.ndarray | None = None) -> DistEstimate:
         raise ValueError("alpha must lie in [0, 1]")
     count = _count_le(a, *_odd_terms(n, phi))
     return DistEstimate(alpha=a, n=n, count=count, density=count / n)
-
-
-def delta_phi(alpha, N: int, *, phi: np.ndarray | None = None) -> float:
-    """Empirical distribution of phi(m)/m over all m <= N."""
-    a = as_fraction(alpha)
-    if not 0 <= a <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if phi is None:
-        phi = _ensure_phi(N)
-    elif len(phi) < N + 1:
-        raise ValueError(f"phi table too small for N={N}")
-    m = np.arange(1, N + 1, dtype=np.int64)
-    ph = phi[1 : N + 1]
-    return _count_le(a, m, ph) / N
-
-
-def check_dist_relation(
-    alpha, n: int, *, tol: float = 0.01, phi: np.ndarray | None = None
-) -> BoundReport:
-    """Finite-n check of delta_phi(alpha) = (delta(alpha) + delta(2*alpha))/2.
-
-    Compares the all-integers density at scale 2n against the odd-only
-    densities at scale n and reports the discrepancy.
-    """
-    a = as_fraction(alpha)
-    lhs = delta_phi(a, 2 * n, phi=phi)
-    rhs = 0.5 * (
-        d_count(a, n, phi=phi).density
-        + d_count(min(2 * a, Fraction(1)), n, phi=phi).density
-    )
-    disc = abs(lhs - rhs)
-    return BoundReport.make(
-        name=f"dist-relation(alpha={a}, n={n})",
-        computed=disc,
-        relation="<",
-        claimed=tol,
-        notes="|delta_phi - (delta(a)+delta(2a))/2| at finite n",
-    )
 
 
 def second_moment(n: int, *, phi: np.ndarray | None = None) -> float:
@@ -249,25 +177,3 @@ def ep_upper_check(x, n: int, *, phi: np.ndarray | None = None) -> BoundReport:
         claimed=rhs,
         notes="1 - delta(1-1/x, n) vs M(x) - 1/sqrt(n)",
     )
-
-
-def ep_lower_value(x: float, *, term_tol: float = 1e-15) -> float:
-    """Main term of the tail lower bound: M(2x)(1 - sum_j s_j^(j+1)/(j+1)!).
-
-    s_j sums 1/p over primes in (4^(j-1)*2x, 4^j*2x]; the j-sum is
-    truncated once a term falls below ``term_tol`` (terms decay
-    superexponentially since s_j = O(1/j)).
-    """
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    base = 2.0 * x
-    terms = []
-    j = 1
-    while True:
-        s = prime_recip_sum(4 ** (j - 1) * base, 4**j * base)
-        term = s ** (j + 1) / math.factorial(j + 1)
-        terms.append(term)
-        if term < term_tol:
-            break
-        j += 1
-    return mertens_product(base) * (1.0 - math.fsum(terms))

@@ -63,9 +63,6 @@ class BitMatrix:
             if r & ~mask:
                 raise ValueError("row has bits outside the matrix width")
 
-    def bit(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def to_text(self) -> str:
         """Canonical textual dump (stable format, used by --dump-matrix).
 
@@ -147,13 +144,14 @@ def build_gcd_k(n: int, k: int) -> BitMatrix:
     """n x n matrix with bit (i, j) iff gcd(i, j, k!) = 1.
 
     Evaluated as "no prime p <= k divides both i and j", which avoids
-    forming k! at all.
+    forming k! at all.  A prime above n divides no label, so only primes
+    up to min(k, n) are listed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    small_primes = [p for p in range(2, k + 1) if smallest_factor(p) == p]
+    small_primes = [p for p in range(2, min(k, n) + 1) if smallest_factor(p) == p]
 
     def pred(a: int, b: int) -> bool:
         g = gcd(a, b)

@@ -3,8 +3,12 @@ and the literature brackets for the density of phi(m)/m.
 
 Sources: OEIS A005326 (coprime permutations of [n]) and A009679
 (partitions of [2n] into coprime pairs), plus the published table of
-anti-coprime counts.  The verify suites and the test bench compare
-recomputed values against these digit-for-digit.
+anti-coprime counts.  ``counts.check_table`` is the one comparison
+against these tables: a recomputed row matches when its count equals the
+value here and its ratio, printed by ``counts.format_ratio``, equals the
+4-decimal string here.  ``BRACKETS`` is the one copy of the literature
+brackets; the lower-bound assembly, ``verify --suite lemmas`` and
+``scripts/distribution_scan.py`` read it directly.
 
 Five published entries fail verification and are recorded in the errata
 maps below; everywhere the toolkit checks tables it asserts the
@@ -132,11 +136,3 @@ BRACKETS: tuple[tuple[Fraction, float, float], ...] = (
     (Fraction(999, 1000), 0.8380, 0.8539),
 )
 
-
-def ratio_matches(computed: float, printed: str, *, slack: float = 1e-9) -> bool:
-    """True when ``printed`` is a correct 4-decimal rounding of ``computed``.
-
-    Allows half-ulp slack so a printed value produced under a different
-    tie-breaking mode still matches.
-    """
-    return abs(computed - float(printed)) <= 5e-5 + slack

@@ -2,7 +2,8 @@
 
 Heavy counts are shared through module fixtures (and the library's
 in-process memo), so the whole gate runs in a few minutes on two cores.
-Criteria touching the published tables check digit-for-digit agreement
+Criteria touching the published tables assert the records of
+``counts.check_table`` (exact value, ratio as printed at 4 decimals)
 except at the five recorded errata entries, where the independently
 proven corrections are asserted instead (see reference.py and the test
 for the errata themselves).
@@ -47,42 +48,39 @@ def a_values():
     return {n: counts.count_a(n) for n in sorted(reference.TABLE_A)}
 
 
-def check_ratio(n: int, value: int, printed: str, sym: str):
-    r = float(Fraction(math.factorial(n), value)) ** (1.0 / n)
-    erratum = reference.ERRATA_RATIOS.get((sym, n))
-    if erratum is not None:
-        published, corrected = erratum
-        assert printed == corrected
-        assert not reference.ratio_matches(
-            r, published
-        ), f"{sym}_{n}: published {published} unexpectedly verified"
-    assert reference.ratio_matches(r, printed), (sym, n, r, printed)
+def assert_table(which: str, max_n: int) -> dict[int, counts.TableRow]:
+    """Every reference row n <= max_n of a table passes ``check_table``."""
+    checks = counts.check_table(which, max_n)
+    failed = [row.printed() for row, passed in checks if not passed]
+    assert checks and not failed, f"{which} rows differ from reference: {failed}"
+    return {row.n: row for row, _ in checks}
 
 
-def test_criterion_1_table1(c0_values):
+def assert_ratio_erratum(row: counts.TableRow, sym: str, index: int):
+    """The row prints the correction, which differs from the published entry."""
+    published, corrected = reference.ERRATA_RATIOS[(sym, index)]
+    assert counts.format_ratio(row.ratio) == corrected != published, (sym, index)
+
+
+def test_criterion_1_table1():
     with criterion(1, "Table 1: C0(n) and r_2n for n = 1..25"):
-        for n, (want, want_r) in reference.TABLE_C0.items():
-            assert c0_values[n] == want, f"C0({n})"
-            check_ratio(2 * n, want * want, want_r, "r")
+        rows = assert_table("t1", 25)
+        assert rows.keys() == reference.TABLE_C0.keys()
+        for n in (15, 20):
+            assert_ratio_erratum(rows[n], "r", 2 * n)
         print(
             "  note: r_30 and r_40 use the corrected roundings 2.3851/2.4021 "
             "(published 2.3850/2.4029 are inconsistent with the published counts)"
         )
 
 
-def test_criterion_2_table2(c_odd_values):
+def test_criterion_2_table2():
     with criterion(2, "Table 2: C(n) and r_n for odd n <= 25 via the double sum"):
-        for n in range(1, 26, 2):
-            want, want_r = reference.TABLE_C_ODD[n]
-            erratum = reference.ERRATA_COUNTS.get(("c", n))
-            if erratum is not None:
-                published, corrected = erratum
-                assert want == corrected
-                assert c_odd_values[n] == corrected
-                assert c_odd_values[n] != published
-            else:
-                assert c_odd_values[n] == want, f"C({n})"
-            check_ratio(n, c_odd_values[n], want_r, "r")
+        rows = assert_table("t2", 25)
+        assert list(rows) == list(range(1, 26, 2))
+        published, corrected = reference.ERRATA_COUNTS[("c", 11)]
+        assert rows[11].value == corrected != published
+        assert_ratio_erratum(rows[13], "r", 13)
         print(
             "  note: C(11) uses the proven 129744 (published 129,774 fails "
             "direct enumeration); r_13 uses 1.7775 per the published C(13)"
@@ -92,19 +90,15 @@ def test_criterion_2_table2(c_odd_values):
 @pytest.mark.extended
 def test_criterion_2_extended_table2_to_49():
     with criterion(2, "Table 2 extended tier: odd n <= 49"):
-        for n in range(27, 50, 2):
-            want, want_r = reference.TABLE_C_ODD[n]
-            got = counts.count_c(n)
-            assert got == want, f"C({n})"
-            check_ratio(n, got, want_r, "r")
+        rows = assert_table("t2", 49)
+        assert list(rows) == list(range(1, 50, 2))
 
 
-def test_criterion_3_table3(a_values):
+def test_criterion_3_table3():
     with criterion(3, "Table 3: A(n) and u_n for composite n <= 30"):
-        assert len(reference.TABLE_A) == 19
-        for n, (want, want_r) in reference.TABLE_A.items():
-            assert a_values[n] == want, f"A({n})"
-            check_ratio(n, want, want_r, "u")
+        rows = assert_table("t3", 30)
+        assert len(rows) == len(reference.TABLE_A) == 19
+        assert_ratio_erratum(rows[6], "u", 6)
         print(
             "  note: u_6 uses the corrected rounding 2.1169 "
             "(published 2.1170 is inconsistent with A(6) = 8)"
@@ -232,9 +226,7 @@ def test_criterion_9_distribution_suite(c0_values, a_values):
 
         # observational trend stand-ins for the asymptotic statements
         for n in range(12, 26):
-            r = float(
-                Fraction(math.factorial(2 * n), c0_values[n] ** 2)
-            ) ** (1.0 / (2 * n))
+            r = counts.growth_ratio(2 * n, c0_values[n] ** 2)
             if 2 * n >= 24:
                 assert 2.0 < r < 2.51
         for n, a_val in a_values.items():
@@ -289,13 +281,13 @@ def test_published_errata_remain_disproven(c0_values, a_values, c_odd_values):
     assert counts.brute_constrained_count(11, "coprime") == corrected_c11
     assert published_c11 != corrected_c11
 
-    r13 = float(Fraction(math.factorial(13), c_odd_values[13])) ** (1 / 13)
+    r13 = counts.growth_ratio(13, c_odd_values[13])
     assert counts.format_ratio(r13) == reference.ERRATA_RATIOS[("r", 13)][1]
-    r30 = float(Fraction(math.factorial(30), c0_values[15] ** 2)) ** (1 / 30)
+    r30 = counts.growth_ratio(30, c0_values[15] ** 2)
     assert counts.format_ratio(r30) == reference.ERRATA_RATIOS[("r", 30)][1]
-    r40 = float(Fraction(math.factorial(40), c0_values[20] ** 2)) ** (1 / 40)
+    r40 = counts.growth_ratio(40, c0_values[20] ** 2)
     assert counts.format_ratio(r40) == reference.ERRATA_RATIOS[("r", 40)][1]
-    u6 = float(Fraction(math.factorial(6), a_values[6])) ** (1 / 6)
+    u6 = counts.growth_ratio(6, a_values[6])
     assert counts.format_ratio(u6) == reference.ERRATA_RATIOS[("u", 6)][1]
     for (sym, nn), (published, corrected) in reference.ERRATA_RATIOS.items():
         assert published != corrected

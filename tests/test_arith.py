@@ -18,8 +18,6 @@ from coprime_census.arith import (
     omega,
     omega_array,
     phi_array,
-    prime_recip_sum,
-    primes_in_range,
     primes_upto,
 )
 
@@ -173,33 +171,6 @@ class TestMertensProduct:
     def test_strictly_decreasing_across_primes(self):
         values = [mertens_product(int(p)) for p in primes_upto(200)[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-
-class TestPrimeRecipSum:
-    def test_single_prime(self):
-        assert math.isclose(prime_recip_sum(2, 3), 1 / 3, rel_tol=1e-15)
-
-    def test_small_interval(self):
-        want = 1 / 2 + 1 / 3 + 1 / 5 + 1 / 7
-        assert math.isclose(prime_recip_sum(1, 10), want, rel_tol=1e-15)
-
-    def test_against_trial_division(self):
-        want = math.fsum(
-            1 / p for p in range(301, 1201) if trial_spf(p) == p
-        )
-        assert math.isclose(prime_recip_sum(300, 1200), want, rel_tol=1e-13)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            prime_recip_sum(10, 10)
-
-    def test_segmented_matches_direct(self):
-        # force the segmented path by spanning past the segment size
-        lo, hi = 2**24 - 1000, 2**24 + 1000
-        ps = primes_in_range(lo, hi)
-        assert all(trial_spf(int(p)) == int(p) for p in ps)
-        direct = [p for p in range(lo + 1, hi + 1) if trial_spf(p) == p]
-        assert list(ps) == direct
 
 
 class TestBulkTables:

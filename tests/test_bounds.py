@@ -1,22 +1,18 @@
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
 from coprime_census.bounds import (
     BoundReport,
-    PartitionScheme,
     assemble_lower_bound,
     ck_closed,
-    eq_need_core,
     esum_dyadic,
     esum_middle,
     esum_tail,
     f_xlogx,
     mcnew_factor,
     mcnew_product,
-    partition_scheme,
     rs_bracket_check,
 )
 
@@ -113,13 +109,6 @@ class TestEsums:
         fine = esum_tail(term_tol=1e-10).computed
         assert fine < coarse < 0.0
 
-    def test_eq_need_core(self):
-        assert eq_need_core(4)
-        assert all(eq_need_core(i) for i in range(4, 60))
-        with pytest.raises(ValueError):
-            eq_need_core(3)
-
-
 class TestAssembly:
     def test_passes(self):
         rep = assemble_lower_bound()
@@ -167,33 +156,6 @@ class TestBoundReport:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             BoundReport.make("x", 1.0, "!=", 2.0)
-
-
-class TestPartitionScheme:
-    def test_invariants(self):
-        scheme = partition_scheme()
-        assert scheme.alphas[-1] == 1
-        assert all(a < b for a, b in zip(scheme.alphas, scheme.alphas[1:]))
-        assert all(0.0 <= b <= 1.0 for b in scheme.density_bounds)
-
-    def test_tail_points_are_exact_rationals(self):
-        scheme = partition_scheme(j1=6)
-        assert Fraction(9999, 10000) in scheme.alphas
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            PartitionScheme(
-                alphas=(Fraction(1, 2), Fraction(1, 4), Fraction(1)),
-                density_bounds=(0.1, 0.2, 1.0),
-                j0=3,
-                j1=5,
-            )
-
-    def test_rejects_not_ending_at_one(self):
-        with pytest.raises(ValueError):
-            PartitionScheme(
-                alphas=(Fraction(1, 2),), density_bounds=(0.5,), j0=3, j1=5
-            )
 
 
 def test_f_xlogx_continuity_at_zero():

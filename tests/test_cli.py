@@ -277,6 +277,17 @@ class TestCache:
         assert cache_file.name in res.stderr
         assert cache_file.read_text() == text + bad
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing-directory", "No such file or directory"), ("directory", "Is a directory")],
+    )
+    def test_unopenable_path_is_a_usage_error(self, tmp_path, where, reason):
+        path = tmp_path / "absent" / "x.jsonl" if where == "missing-directory" else tmp_path
+        res = run_cli("count", "--kind", "c0", "--n", "5", "--cache", str(path), cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert str(path) in res.stderr and reason in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestTable:
     def test_t1_csv(self, tmp_path):
@@ -392,6 +403,28 @@ class TestDist:
             cwd=tmp_path,
         )
         assert res.returncode == 3
+
+
+    def test_zero_denominator_is_a_usage_error(self, tmp_path):
+        res = run_cli("dist", "--n", "10", "--alpha", "1/0", cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "zero denominator" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            ["--second-moment", "--top-set"],
+            ["--alpha", "0.5", "--second-moment"],
+            ["--alpha", "0.5", "--top-set"],
+        ],
+        ids=["moment-top", "alpha-moment", "alpha-top"],
+    )
+    def test_modes_are_exclusive(self, tmp_path, modes):
+        res = run_cli("dist", "--n", "1000", *modes, cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "not allowed with" in res.stderr
+        assert res.stdout == ""
 
 
 class TestVerify:

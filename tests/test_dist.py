@@ -8,19 +8,14 @@ from coprime_census.arith import build_sieve, euler_phi
 from coprime_census.dist import (
     BRACKET_DIAGNOSTIC_TOL,
     as_fraction,
-    bracket_table,
-    check_dist_relation,
     d_count,
-    delta_phi,
-    ep_lower_value,
     ep_upper_check,
     second_moment,
     second_moment_constant,
     top_interval_characterization,
     top_interval_set,
 )
-
-EULER_GAMMA = 0.5772156649015328606
+from coprime_census.reference import BRACKETS
 
 
 def brute_d_count(alpha: Fraction, n: int, sieve) -> int:
@@ -62,8 +57,9 @@ class TestDCount:
 
     def test_density_near_bracket_at_1e6(self):
         est = d_count(Fraction(1, 2), 10**6)
-        row = bracket_table().for_alpha(Fraction(1, 2))
-        assert row.lower - 0.004 <= est.density <= row.upper + 0.004
+        alpha, lower, upper = BRACKETS[0]
+        assert alpha == Fraction(1, 2)
+        assert lower - 0.004 <= est.density <= upper + 0.004
 
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError):
@@ -74,31 +70,6 @@ class TestDCount:
 
         with pytest.raises(ValueError):
             d_count(Fraction(1, 2), 100, phi=np.arange(10))
-
-
-class TestDeltaPhi:
-    def test_alpha_one(self):
-        assert delta_phi(1, 200) == 1.0
-
-    def test_example_corrected(self, sieve_small):
-        # qualifying m <= 30: {6, 10, 12, 18, 20, 24, 30} -> 7/30
-        got = delta_phi("0.4", 30)
-        brute = sum(
-            1
-            for m in range(1, 31)
-            if euler_phi(m, sieve_small) * 5 <= 2 * m
-        )
-        assert brute == 7
-        assert math.isclose(got, 7 / 30, rel_tol=1e-15)
-
-    def test_relation_to_odd_density(self):
-        for alpha in ("0.25", "0.6", "1"):
-            rep = check_dist_relation(alpha, 10**5)
-            assert rep.passed, rep
-
-    def test_relation_alpha_one_exact(self):
-        rep = check_dist_relation(1, 1000)
-        assert rep.computed == 0.0
 
 
 class TestSecondMoment:
@@ -151,29 +122,17 @@ class TestEpBounds:
         with pytest.raises(ValueError):
             ep_upper_check(13, 1000)  # 13 > log(1000)
 
-    def test_lower_value_at_150(self):
-        v = ep_lower_value(150)
-        assert v <= 1.0
-        lx = math.log(300)
-        floor = 2 / (math.exp(EULER_GAMMA) * lx) * (1 - 7 / (4 * lx * lx))
-        assert v >= floor
-
-    def test_lower_value_monotone(self):
-        assert ep_lower_value(1000) < ep_lower_value(150)
-
 
 class TestBracketTable:
     def test_rows(self):
-        table = bracket_table()
-        assert len(table.rows) == 7
-        assert table.for_alpha("0.7") == table.rows[2]
-        assert (table.rows[2].lower, table.rows[2].upper) == (0.3556, 0.3794)
-        assert (table.rows[4].lower, table.rows[4].upper) == (0.5644, 0.6310)
-        assert (table.rows[5].lower, table.rows[5].upper) == (0.7593, 0.7949)
+        assert len(BRACKETS) == 7
+        assert BRACKETS[2] == (as_fraction("0.7"), 0.3556, 0.3794)
+        assert BRACKETS[4] == (Fraction(9, 10), 0.5644, 0.6310)
+        assert BRACKETS[5] == (Fraction(99, 100), 0.7593, 0.7949)
 
     def test_brackets_are_ordered(self):
-        for row in bracket_table().rows:
-            assert row.lower < row.upper
+        for _, lower, upper in BRACKETS:
+            assert lower < upper
 
     def test_diagnostic_tolerance_is_flagged(self):
         assert BRACKET_DIAGNOSTIC_TOL == 0.004
@@ -187,3 +146,7 @@ class TestAsFraction:
     def test_string_forms(self):
         assert as_fraction("2/3") == Fraction(2, 3)
         assert as_fraction("0.999") == Fraction(999, 1000)
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction("1/0")

@@ -20,8 +20,12 @@ from coprime_census.graph import (
 from coprime_census.permanent import permanent_brute, permanent_ryser
 
 
+def bit(m: BitMatrix, i: int, j: int) -> int:
+    return (m.rows[i] >> j) & 1
+
+
 def as_lists(m: BitMatrix) -> list[list[int]]:
-    return [[m.bit(i, j) for j in range(m.n)] for i in range(m.n)]
+    return [[bit(m, i, j) for j in range(m.n)] for i in range(m.n)]
 
 
 class TestFullCoprime:
@@ -37,9 +41,9 @@ class TestFullCoprime:
         m = build_full_coprime(n)
         assert m.labels_row == m.labels_col == tuple(range(1, n + 1))
         for i in range(n):
-            assert m.bit(i, 0) == 1 and m.bit(0, i) == 1
+            assert bit(m, i, 0) == 1 and bit(m, 0, i) == 1
             for j in range(i):
-                assert m.bit(i, j) == m.bit(j, i)
+                assert bit(m, i, j) == bit(m, j, i)
 
     @given(st.integers(1, 30))
     @settings(max_examples=25)
@@ -47,7 +51,7 @@ class TestFullCoprime:
         m = build_full_coprime(n)
         for i in range(n):
             for j in range(n):
-                assert m.bit(i, j) == (gcd(i + 1, j + 1) == 1)
+                assert bit(m, i, j) == (gcd(i + 1, j + 1) == 1)
 
 
 class TestOddHalf:
@@ -123,7 +127,7 @@ class TestAnti:
         }
         for i, a in enumerate(m.labels_row):
             for j, b in enumerate(m.labels_col):
-                assert m.bit(i, j) == (gcd(a, b) > 1)
+                assert bit(m, i, j) == (gcd(a, b) > 1)
 
 
 class TestGcdK:
@@ -136,6 +140,8 @@ class TestGcdK:
         assert permanent_brute(build_gcd_k(4, 7)) == permanent_brute(
             build_full_coprime(4)
         )
+        # primes above n are never listed, so k = 10^8 costs no more than k = n
+        assert build_gcd_k(12, 10**8).rows == build_full_coprime(12).rows
 
     @given(st.integers(1, 20), st.integers(2, 8))
     @settings(max_examples=40)
