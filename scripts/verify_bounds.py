@@ -1,24 +1,15 @@
 #!/usr/bin/env python3
-"""Run every bound report and print them as JSON lines plus a summary."""
+"""Run the bounds suite and print its records as JSON lines plus a summary."""
 
 import sys
 import time
 
-from coprime_census import bounds
+from coprime_census import checks
 
 
 def main() -> int:
     t0 = time.perf_counter()
-    dyadic = bounds.esum_dyadic()
-    middle = bounds.esum_middle()
-    tail = bounds.esum_tail()
-    reports = [
-        dyadic,
-        middle,
-        tail,
-        bounds.assemble_lower_bound(dyadic, middle, tail),
-        *bounds.rs_bracket_check(),
-    ]
+    reports = checks.bounds()
     for rep in reports:
         print(rep.to_json())
     ok = all(r.passed for r in reports)

@@ -12,20 +12,18 @@ truncation and rounding error, which sits orders of magnitude below the
 
 from __future__ import annotations
 
-import json
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
 
 from .arith import mertens_product, primes_upto
+from .checks import BoundReport
 from .reference import BRACKETS
 
 __all__ = [
     "EULER_GAMMA",
-    "BoundReport",
     "ck_closed",
     "mcnew_factor",
     "mcnew_product",
@@ -39,55 +37,6 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 _E_GAMMA = math.exp(EULER_GAMMA)
-
-_RELATIONS = {
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One re-verified inequality: computed value vs claimed bound."""
-
-    name: str
-    computed: float
-    claimed: float
-    relation: str
-    passed: bool
-    notes: str = ""
-
-    @classmethod
-    def make(
-        cls, name: str, computed: float, relation: str, claimed: float, notes: str = ""
-    ) -> "BoundReport":
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        ok = _RELATIONS[relation](computed, claimed)
-        return cls(
-            name=name,
-            computed=computed,
-            claimed=claimed,
-            relation=relation,
-            passed=ok,
-            notes=notes,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "claimed": self.claimed,
-            "relation": self.relation,
-            "pass": self.passed,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def f_xlogx(x: float) -> float:
     """f(x) = x*log(x), extended by continuity with f(0) = 0."""
@@ -219,8 +168,10 @@ def _tail_g(i: np.ndarray | float) -> np.ndarray | float:
 # the first tail term starts from the last literature bracket
 _TAIL_SEED = float(BRACKETS[-1][0]) - BRACKETS[-1][2]
 
+_TAIL_CHUNK = 1 << 19  # tail indices per vectorized chunk
 
-def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
+
+def esum_tail(*, term_tol: float = 1e-12) -> BoundReport:
     """Contribution of the split points 1 - 10^-i for i >= 4.
 
     The density bound at 0.999 is the upper end of the last literature
@@ -235,7 +186,7 @@ def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
     need_ok = True
     last_term = math.inf
     while True:
-        i = np.arange(lo, lo + chunk, dtype=np.float64)
+        i = np.arange(lo, lo + _TAIL_CHUNK, dtype=np.float64)
         g = _tail_g(i)
         g_prev = _tail_g(i - 1.0)
         eps_prev = 10.0 ** (-(i - 1.0))
@@ -254,7 +205,7 @@ def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
             last_term = float(abs(terms[stop]))
             break
         total_chunks.append(float(np.sum(terms)))
-        lo += chunk
+        lo += _TAIL_CHUNK
     value = math.fsum(total_chunks)
     # analytic remainder past the truncation point: |term_i| ~ c*log(i)/i^2
     tail_bound = 0.49 * (math.log(last_i) + 1.0) / last_i
@@ -270,9 +221,7 @@ def esum_tail(*, term_tol: float = 1e-12, chunk: int = 1 << 19) -> BoundReport:
 
 
 def assemble_lower_bound(
-    dyadic: BoundReport | None = None,
-    middle: BoundReport | None = None,
-    tail: BoundReport | None = None,
+    dyadic: BoundReport, middle: BoundReport, tail: BoundReport
 ) -> BoundReport:
     """Combine the three interval contributions into the final constant.
 
@@ -282,9 +231,6 @@ def assemble_lower_bound(
     constant 1.864 and, after squaring and doubling, the 3.73 of the
     permutation bound.
     """
-    dyadic = dyadic or esum_dyadic()
-    middle = middle or esum_middle()
-    tail = tail or esum_tail()
     for rep in (dyadic, middle, tail):
         if not rep.passed:
             raise RuntimeError(f"sub-report failed: {rep.name}")
@@ -309,38 +255,27 @@ def assemble_lower_bound(
     )
 
 
-def rs_bracket_check(x_grid=(300.0, 1e4, 1e6)) -> list[BoundReport]:
+_RS_GRID = (300.0, 1e4, 1e6)  # the lower bracket is cited for x >= 285 only
+
+
+def rs_bracket_check() -> list[BoundReport]:
     """Verify the odd Mertens product sits inside the classical brackets.
 
-    2/(e^gamma log x) * (1 -+ 1/(2 log^2 x)); the lower bracket is cited
-    for x >= 285, so smaller grid points are refused.
+    2/(e^gamma log x) * (1 -+ 1/(2 log^2 x)) at each x of ``_RS_GRID``.
     """
     reports = []
-    for x in x_grid:
-        x = float(x)
-        if x < 285:
-            raise ValueError("lower bracket is only cited for x >= 285")
+    for x in _RS_GRID:
         m = mertens_product(x)
         lx = math.log(x)
         main = 2.0 / (_E_GAMMA * lx)
-        lower = main * (1.0 - 1.0 / (2.0 * lx * lx))
-        upper = main * (1.0 + 1.0 / (2.0 * lx * lx))
-        reports.append(
-            BoundReport.make(
-                name=f"mertens-lower(x={x:g})",
-                computed=m,
-                relation=">",
-                claimed=lower,
-                notes="odd Mertens product vs classical lower bracket",
+        for side, relation, sign in (("lower", ">", -1.0), ("upper", "<", 1.0)):
+            reports.append(
+                BoundReport.make(
+                    name=f"mertens-{side}(x={x:g})",
+                    computed=m,
+                    relation=relation,
+                    claimed=main * (1.0 + sign / (2.0 * lx * lx)),
+                    notes=f"odd Mertens product vs classical {side} bracket",
+                )
             )
-        )
-        reports.append(
-            BoundReport.make(
-                name=f"mertens-upper(x={x:g})",
-                computed=m,
-                relation="<",
-                claimed=upper,
-                notes="odd Mertens product vs classical upper bracket",
-            )
-        )
     return reports

@@ -11,17 +11,15 @@ import csv
 import datetime
 import fcntl
 import json
-import math
 import sys
 from pathlib import Path
 
 # arith, bounds and dist load numpy, which costs most of the start-up
-# time; only cmd_dist and the lemmas/bounds/constants suites read them,
-# so those import them where they run and a count or table never does
-from . import __version__, counts
+# time; only cmd_dist and the lemmas/bounds/constants suites of checks
+# read them, so those import them where they run; count and table never do
+from . import __version__, checks, counts
 from .counts import CapacityError
 from .permanent import DEFAULT_CEILING
-from .reference import BRACKETS
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -209,150 +207,19 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _print_check(ok: bool, name: str, detail: str, warn: bool = False) -> bool:
-    tag = "PASS" if ok else ("warn" if warn else "FAIL")
-    print(f"{tag} {name}: {detail}")
-    return ok or warn
-
-
-# table -> the detail of its verify line: the count, then the ratio
-_TABLE_DETAIL = {"t1": "C0={} r={:.4f}", "t2": "C={} r={:.4f}", "t3": "A={} u={:.4f}"}
-
-
-def _verify_lemmas(max_n: int, ceiling: int) -> bool:
-    from . import dist
-
-    ok = True
-    kw = {"ceiling": ceiling}
-    top = min(max_n // 2, 12)
-    for n in range(2, top + 1):
-        c_even = counts.count_c(2 * n, **kw)
-        c0 = counts.count_c0(n, **kw)
-        ok &= _print_check(c_even == c0 * c0, f"square n={n}", "C(2n)=C0(n)^2")
-        c_odd = counts.count_c(2 * n + 1, **kw)
-        lo = 2 * counts.count_c0(n - 1, **kw) ** 2
-        hi = counts.count_c1(n, **kw) ** 2
-        ok &= _print_check(
-            lo <= c_odd <= hi, f"sandwich n={n}", f"{lo} <= C(2n+1)={c_odd} <= {hi}"
-        )
-    for n in range(1, 7):
-        ok &= _print_check(
-            counts.count_ck(2 * n, 2, **kw) == math.factorial(n) ** 2,
-            f"parity even n={n}",
-            "C_2(2n) = n!^2",
-        )
-        ok &= _print_check(
-            counts.count_ck(2 * n + 1, 2, **kw) == math.factorial(n + 1) ** 2,
-            f"parity odd n={n}",
-            "C_2(2n+1) = (n+1)!^2",
-        )
-    ok &= _print_check(counts.count_ck(6, 3, **kw) == 16, "threes n=6", "C_3(6) = 16")
-    ok &= _print_check(
-        counts.count_ck(12, 3, **kw) == 82944, "threes n=12", "C_3(12) = 82944"
-    )
-    for p in (3, 5, 7, 11, 13):
-        ok &= _print_check(
-            counts.count_a(p, **kw) == counts.count_a(p - 1, **kw),
-            f"anti prime p={p}",
-            "A(p) = A(p-1)",
-        )
-    for n in (10, 15, 20):
-        ok &= _print_check(
-            counts.anti_lower(n) <= counts.count_a(n, **kw),
-            f"anti gluing n={n}",
-            "anti_lower(n) <= A(n)",
-        )
-    # distribution spot checks at a scale that stays quick
-    n = 10**5
-    ok &= _print_check(
-        dist.second_moment(n) < 1.78 * n, "second moment", f"sum < 1.78n at n={n}"
-    )
-    ok &= _print_check(
-        dist.top_interval_set(n) == dist.top_interval_characterization(n),
-        "top interval",
-        f"set characterization at n={n}",
-    )
-    for alpha, lower, upper in BRACKETS:
-        est = dist.d_count(alpha, n)
-        inside = (
-            lower - dist.BRACKET_DIAGNOSTIC_TOL
-            <= est.density
-            <= upper + dist.BRACKET_DIAGNOSTIC_TOL
-        )
-        _print_check(
-            inside,
-            f"bracket alpha={alpha}",
-            f"density {est.density:.5f} vs ({lower}, {upper}) [diagnostic]",
-            warn=True,
-        )
-    return ok
-
-
-def _verify_bounds() -> bool:
-    from . import bounds
-
-    ok = True
-    dy = bounds.esum_dyadic()
-    mid = bounds.esum_middle()
-    tail = bounds.esum_tail()
-    for rep in (dy, mid, tail, bounds.assemble_lower_bound(dy, mid, tail)):
-        ok &= _print_check(
-            rep.passed,
-            rep.name,
-            f"computed {rep.computed:.6f} {rep.relation} {rep.claimed}",
-        )
-    for rep in bounds.rs_bracket_check():
-        ok &= _print_check(
-            rep.passed,
-            rep.name,
-            f"computed {rep.computed:.8f} {rep.relation} {rep.claimed:.8f}",
-        )
-    return ok
-
-
-def _verify_constants() -> bool:
-    from . import bounds
-
-    ok = True
-    c3 = bounds.ck_closed(3)
-    c5 = bounds.ck_closed(5)
-    ok &= _print_check(int(c3 * 10**6) == 2381101, "c3", f"{c3:.9f} (prefix 2.381101)")
-    ok &= _print_check(int(c5 * 10**6) == 2504521, "c5", f"{c5:.9f} (prefix 2.504521)")
-    ok &= _print_check(
-        abs(bounds.mcnew_product(5) - c5) < 1e-12 * c5,
-        "product small",
-        "mcnew_product(5) = c5 to 12 digits",
-    )
-    m = bounds.mcnew_product(10**7)
-    ok &= _print_check(
-        abs(m - 2.65044) < 1e-4, "product limit", f"mcnew_product(1e7) = {m:.6f}"
-    )
-    return ok
-
-
 def cmd_verify(args) -> int:
-    suite = args.suite
+    suites = {
+        "tables": lambda: checks.tables(args.max, args.ceiling),
+        "lemmas": lambda: checks.lemmas(args.max, args.ceiling),
+        "bounds": checks.bounds,
+        "constants": checks.constants,
+    }
     ok = True
-    if suite in ("tables", "all"):
-        compared = 0
-        for which, detail in _TABLE_DETAIL.items():
-            checks = counts.check_table(which, args.max, ceiling=args.ceiling)
-            for row, passed in checks:
-                compared += 1
-                ok &= _print_check(
-                    passed, f"{which} n={row.n}", detail.format(row.value, row.ratio)
-                )
-        if not compared:
-            # a suite that checked nothing must not report PASSED
-            raise ValueError(
-                f"the tables suite compared no reference row: none has n <= {args.max}"
-            )
-    if suite in ("lemmas", "all"):
-        ok &= _verify_lemmas(args.max, args.ceiling)
-    if suite in ("bounds", "all"):
-        ok &= _verify_bounds()
-    if suite in ("constants", "all"):
-        ok &= _verify_constants()
+    for suite in suites if args.suite == "all" else [args.suite]:
+        for rec in suites[suite]():
+            ok &= rec.passed or rec.diagnostic
+            tag = "PASS" if rec.passed else ("warn" if rec.diagnostic else "FAIL")
+            print(f"{tag} {rec.name}: {rec.computed} {rec.relation} {rec.claimed}")
     print("verification " + ("PASSED" if ok else "FAILED"))
     return 0 if ok else 1
 

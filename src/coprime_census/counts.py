@@ -31,6 +31,7 @@ from math import gcd
 from . import reference
 from .graph import (
     BitMatrix,
+    anti_labels,
     build_anti,
     build_full_coprime,
     build_gcd_k,
@@ -47,7 +48,6 @@ from .permanent import (
 
 __all__ = [
     "CountResult",
-    "DEFAULT_MAX_N",
     "count_c0",
     "count_c_a",
     "count_c1",
@@ -67,9 +67,6 @@ __all__ = [
     "clear_cache",
 ]
 
-# default cap on n for count_c: the range the tables actually cover
-# (raise explicitly for more)
-DEFAULT_MAX_N = 50
 _BRUTE_XCHECK_MAX = 12
 
 _memo: dict[tuple, int] = {}
@@ -127,9 +124,7 @@ def count_c1(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     return sum(count_c_a(n, a, ceiling=ceiling) for a in range(1, 2 * n + 2, 2))
 
 
-def count_c(
-    n: int, *, max_n: int = DEFAULT_MAX_N, ceiling: int = DEFAULT_CEILING
-) -> int:
+def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime permutations of [n].
 
     Even n: count_c0(n/2) squared.  Odd n = 2m+1: the coprime double sum
@@ -138,8 +133,6 @@ def count_c(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise CapacityError(f"count_c limited to n <= {max_n}")
 
     def reduce() -> int:
         m = n // 2
@@ -159,16 +152,16 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j)) > 1 for j >= 2.
 
     n = 1 is the trivial identity case; otherwise the Ryser permanent of
-    the reduced matrix (forced fixed points removed).
+    the reduced matrix (forced fixed points removed), whose dimension is
+    read from its labels before it is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1
-    matrix = build_anti(n)
-    count = lambda: permanent_ryser(matrix, ceiling=ceiling)
+    count = lambda: permanent_ryser(build_anti(n), ceiling=ceiling)
     oracle = lambda: brute_constrained_count(n, "anti")
-    return _memoized(("a", n), matrix.n, ceiling, count, oracle)
+    return _memoized(("a", n), len(anti_labels(n)), ceiling, count, oracle)
 
 
 def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
@@ -233,9 +226,7 @@ def _table_row(which: str, n: int, *, ceiling: int) -> TableRow:
         value = count_c0(n, ceiling=ceiling)
         return TableRow(n, value, growth_ratio(2 * n, value * value))
     if which == "t2":
-        # the table's --max is the explicit size decision, so count_c's
-        # default cap does not apply
-        value = count_c(n, max_n=n, ceiling=ceiling)
+        value = count_c(n, ceiling=ceiling)
     else:
         value = count_a(n, ceiling=ceiling)
     return TableRow(n, value, growth_ratio(n, value))
@@ -369,7 +360,6 @@ def compute(
     aux: int | None = None,
     *,
     method: str = "auto",
-    max_n: int = DEFAULT_MAX_N,
     ceiling: int = DEFAULT_CEILING,
 ) -> CountResult:
     """Dispatch a named count; the CLI's single entry point.
@@ -377,7 +367,8 @@ def compute(
     ``method`` selects the computation path:
 
     * "auto" (every kind): the memoized count_* reductions;
-    * "permanent" (c, c0, a, ck): the Ryser permanent of ``matrix_for``;
+    * "permanent" (c, c0, a, ck): the Ryser permanent of ``matrix_for``,
+      refused past ``ceiling`` before the matrix is built;
     * "brute" (every kind): the backtracking oracle for c, a and ck
       (n <= 12), permanent_brute of the defining matrices for c0 and c1
       (n <= 10); n past ``ceiling`` raises ``CapacityError``.
@@ -385,10 +376,16 @@ def compute(
     A pair outside the table, an ``aux`` on a kind other than ck, or a
     ck without one raises ``ValueError``.
     """
-    permanent = lambda: permanent_ryser(matrix_for(kind, n, aux), ceiling=ceiling)
+
+    def permanent() -> int:
+        dim = len(anti_labels(n)) if kind == "a" else n
+        if dim > ceiling:
+            raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
+        return permanent_ryser(matrix_for(kind, n, aux), ceiling=ceiling)
+
     table = {
         "c": {
-            "auto": lambda: count_c(n, max_n=max_n, ceiling=ceiling),
+            "auto": lambda: count_c(n, ceiling=ceiling),
             "permanent": permanent,
             "brute": lambda: brute_constrained_count(n, "coprime"),
         },

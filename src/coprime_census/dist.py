@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import mertens_product, phi_array, primes_upto
-from .bounds import BoundReport
+from .checks import BoundReport
 
 __all__ = [
     "DistEstimate",
@@ -83,27 +83,23 @@ def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:
     return sum(1 for a, b in zip(ph.tolist(), m.tolist()) if q * a <= p * b)
 
 
-def _odd_terms(n: int, phi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Odd m < 2n and phi(m), read from ``phi`` or the shared table."""
+def _odd_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd m < 2n and phi(m), read from the shared table."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if phi is None:
-        phi = _ensure_phi(2 * n)
-    elif len(phi) < 2 * n:
-        raise ValueError(f"phi table too small for n={n}")
-    return np.arange(1, 2 * n, 2, dtype=np.int64), phi[1 : 2 * n : 2]
+    return np.arange(1, 2 * n, 2, dtype=np.int64), _ensure_phi(2 * n)[1 : 2 * n : 2]
 
 
-def d_count(alpha, n: int, *, phi: np.ndarray | None = None) -> DistEstimate:
+def d_count(alpha, n: int) -> DistEstimate:
     """Exact D(alpha, n): odd m < 2n with phi(m)/m <= alpha."""
     a = as_fraction(alpha)
     if not 0 <= a <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    count = _count_le(a, *_odd_terms(n, phi))
+    count = _count_le(a, *_odd_terms(n))
     return DistEstimate(alpha=a, n=n, count=count, density=count / n)
 
 
-def second_moment(n: int, *, phi: np.ndarray | None = None) -> float:
+def second_moment(n: int) -> float:
     """sum over odd m < 2n of (m/phi(m))^2.
 
     Each term is accumulated as an exact scaled integer
@@ -112,7 +108,7 @@ def second_moment(n: int, *, phi: np.ndarray | None = None) -> float:
     are formed in chunks of _MOMENT_CHUNK odd m, which bounds the memory
     of the object arrays without changing the exact sum.
     """
-    m, ph = _odd_terms(n, phi)
+    m, ph = _odd_terms(n)
     acc = 0
     for lo in range(0, len(m), _MOMENT_CHUNK):
         mc = m[lo : lo + _MOMENT_CHUNK]
@@ -135,7 +131,7 @@ def second_moment_constant(P: int) -> float:
     return math.exp(math.fsum(logs))
 
 
-def top_interval_set(n: int, *, phi: np.ndarray | None = None) -> set[int]:
+def top_interval_set(n: int) -> set[int]:
     """Odd m < 2n with phi(m)/m > 1 - 1/sqrt(2n).
 
     The comparison is exact: phi/m > 1 - 1/sqrt(2n) iff
@@ -143,7 +139,7 @@ def top_interval_set(n: int, *, phi: np.ndarray | None = None) -> set[int]:
     :func:`top_interval_characterization`, the closed form
     {1} union {primes in (sqrt(2n), 2n)}.
     """
-    m, ph = _odd_terms(n, phi)
+    m, ph = _odd_terms(n)
     if (2 * n) ** 3 < 2**63:
         d = m - ph
         mask = 2 * n * d * d < m * m
@@ -161,13 +157,13 @@ def top_interval_characterization(n: int) -> set[int]:
     return {1} | {int(p) for p in ps if int(p) ** 2 > 2 * n}
 
 
-def ep_upper_check(x, n: int, *, phi: np.ndarray | None = None) -> BoundReport:
+def ep_upper_check(x, n: int) -> BoundReport:
     """Check 1 - delta(1 - 1/x, n) <= M(x) - 1/sqrt(n) at finite n."""
     xf = as_fraction(x)
     if not 2 <= xf <= math.log(n):
         raise ValueError(f"x={x} outside the valid range [2, log n]")
     alpha = 1 - 1 / xf
-    lhs = 1.0 - d_count(alpha, n, phi=phi).density
+    lhs = 1.0 - d_count(alpha, n).density
     mprod = 1.0 if xf < 3 else mertens_product(float(xf))
     rhs = mprod - 1.0 / math.sqrt(n)
     return BoundReport.make(

@@ -17,6 +17,7 @@ __all__ = [
     "build_full_coprime",
     "build_odd_half",
     "build_odd_plus_excluding",
+    "anti_labels",
     "build_anti",
     "build_gcd_k",
 ]
@@ -125,18 +126,20 @@ def build_odd_plus_excluding(n: int, a: int) -> BitMatrix:
     return _from_predicate(range(1, n + 1), cols, lambda x, y: gcd(x, y) == 1)
 
 
-def build_anti(n: int) -> BitMatrix:
-    """Reduced matrix whose permanent counts anti-coprime permutations.
+def anti_labels(n: int) -> list[int]:
+    """2..n with the primes in (n/2, n] removed.
 
-    Index set is 2..n with the primes in (n/2, n] removed (each such prime
-    is a forced fixed point: its only multiple up to n is itself).  Bit
-    (i, j) iff gcd(label_i, label_j) > 1.
+    Each such prime is a forced fixed point: its only multiple up to n
+    is itself.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    labels = [
-        m for m in range(2, n + 1) if not (smallest_factor(m) == m and 2 * m > n)
-    ]
+    return [m for m in range(2, n + 1) if not (2 * m > n and smallest_factor(m) == m)]
+
+
+def build_anti(n: int) -> BitMatrix:
+    """Reduced anti-coprime matrix on :func:`anti_labels`: bit iff gcd > 1."""
+    labels = anti_labels(n)
     return _from_predicate(labels, labels, lambda x, y: gcd(x, y) > 1)
 
 

@@ -6,7 +6,8 @@ Criteria touching the published tables assert the records of
 ``counts.check_table`` (exact value, ratio as printed at 4 decimals)
 except at the five recorded errata entries, where the independently
 proven corrections are asserted instead (see reference.py and the test
-for the errata themselves).
+for the errata themselves).  Criteria 7 and 8 assert the records of the
+``verify`` constants and bounds suites and pin each claimed threshold.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from coprime_census import bounds, counts, dist, reference
+from coprime_census import checks, counts, dist, reference
 from coprime_census.arith import build_sieve, coprime_count, euler_phi, omega, omega_array
 from coprime_census.graph import build_full_coprime
 from coprime_census.permanent import permanent_ryser
@@ -146,28 +147,51 @@ def test_criterion_6_lemma_identities(c0_values):
             assert counts.count_a(p) == counts.count_a(p - 1), f"A({p}) = A({p - 1})"
 
 
+def assert_records(records, pinned: list[tuple]) -> None:
+    """Every record passes, and the first ones carry the pinned
+    (name, relation, claimed) in order."""
+    failed = [r.name for r in records if not r.passed]
+    assert not failed, f"failed checks: {failed}"
+    got = [(r.name, r.relation, r.claimed) for r in records[: len(pinned)]]
+    assert got == pinned
+
+
 def test_criterion_7_constants():
     with criterion(7, "closed-form constants and the prime-product limit"):
-        c3 = bounds.ck_closed(3)
-        c5 = bounds.ck_closed(5)
-        assert int(c3 * 10**6) == 2381101
-        assert int(c5 * 10**6) == 2504521
-        assert abs(bounds.mcnew_product(5) - c5) <= 1e-12 * c5
-        assert abs(bounds.mcnew_product(10**7) - 2.65044) < 1e-4
+        records = checks.constants()
+        assert_records(
+            records,
+            [
+                ("c3", "==", 2381101),
+                ("c5", "==", 2504521),
+                ("product small", "<", 1e-12),
+                ("product limit lower", ">", 2.65044 - 1e-4),
+                ("product limit upper", "<", 2.65044 + 1e-4),
+            ],
+        )
+        assert len(records) == 5
 
 
 def test_criterion_8_bound_reports():
-    with criterion(8, "the four lower-bound assembly reports"):
+    with criterion(8, "the lower-bound assembly reports and the Mertens brackets"):
         t0 = time.perf_counter()
-        dyadic = bounds.esum_dyadic()
-        middle = bounds.esum_middle()
-        tail = bounds.esum_tail()
-        assembly = bounds.assemble_lower_bound(dyadic, middle, tail)
+        records = checks.bounds()
         elapsed = time.perf_counter() - t0
-        assert dyadic.passed and dyadic.computed > -0.0538
-        assert middle.passed and middle.computed > -0.2873
-        assert tail.passed and tail.computed > -0.2814
-        assert assembly.passed and assembly.computed > 1.8637
+        assert_records(
+            records,
+            [
+                ("esum-dyadic", ">", -0.0538),
+                ("esum-middle", ">", -0.2873),
+                ("esum-tail", ">", -0.2814),
+                ("assembly-e^0.6226", ">", 1.8637),
+            ],
+        )
+        mertens = [(r.name, r.relation) for r in records[4:]]
+        assert mertens == [
+            (f"mertens-{side}(x={x})", rel)
+            for x in ("300", "10000", "1e+06")
+            for side, rel in (("lower", ">"), ("upper", "<"))
+        ]
         print(f"  bound reports computed in {elapsed:.2f}s (target < 1s)")
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from coprime_census.bounds import (
-    BoundReport,
+    _RS_GRID,
     assemble_lower_bound,
     ck_closed,
     esum_dyadic,
@@ -15,6 +15,7 @@ from coprime_census.bounds import (
     mcnew_product,
     rs_bracket_check,
 )
+from coprime_census.checks import BoundReport
 
 
 class TestCkClosed:
@@ -111,7 +112,7 @@ class TestEsums:
 
 class TestAssembly:
     def test_passes(self):
-        rep = assemble_lower_bound()
+        rep = assemble_lower_bound(esum_dyadic(), esum_middle(), esum_tail())
         assert rep.passed
         assert math.isclose(rep.computed, math.exp(0.6226), rel_tol=1e-15)
         assert rep.computed > 1.8637
@@ -127,7 +128,7 @@ class TestAssembly:
         bad = BoundReport.make("stub", computed=-1.0, relation=">", claimed=0.0)
         assert not bad.passed
         with pytest.raises(RuntimeError):
-            assemble_lower_bound(dyadic=bad)
+            assemble_lower_bound(bad, esum_middle(), esum_tail())
 
 
 class TestRsBrackets:
@@ -137,8 +138,8 @@ class TestRsBrackets:
         assert all(r.passed for r in reports)
 
     def test_rejects_small_x(self):
-        with pytest.raises(ValueError):
-            rs_bracket_check([100.0])
+        # the lower bracket is cited for x >= 285 only
+        assert min(_RS_GRID) >= 285
 
 
 class TestBoundReport:
@@ -146,6 +147,8 @@ class TestBoundReport:
         assert BoundReport.make("x", 1.0, "<", 2.0).passed
         assert not BoundReport.make("x", 3.0, "<", 2.0).passed
         assert BoundReport.make("x", 2.0, "<=", 2.0).passed
+        assert BoundReport.make("x", 10**20 + 1, "==", 10**20 + 1).passed
+        assert not BoundReport.make("x", 10**20 + 1, "==", 10**20).passed
 
     def test_json_fields(self):
         rep = BoundReport.make("x", 1.0, "<", 2.0, notes="n")

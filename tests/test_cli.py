@@ -37,7 +37,8 @@ def test_subprocess_imports_same_package(tmp_path):
 
 
 def test_count_and_table_never_load_numpy(tmp_path):
-    """count and table run on the pure-Python stack; numpy stays unloaded."""
+    """count, table and the verify tables suite run on the pure-Python stack;
+    numpy stays unloaded."""
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -50,6 +51,7 @@ runs = [
     ["table", "--which", "t1", "--max", "8"],
     ["table", "--which", "t2", "--max", "9"],
     ["table", "--which", "t3", "--max", "12"],
+    ["verify", "--suite", "tables", "--max", "12"],
 ]
 for argv in runs:
     with redirect_stdout(io.StringIO()):
@@ -464,6 +466,26 @@ class TestVerify:
         assert "PASS t1 n=3" in res.stdout and "PASS t2 n=3" in res.stdout
         assert "t3 n=" not in res.stdout
         assert "verification PASSED" in res.stdout
+
+    def test_a_diagnostic_miss_warns_and_a_check_miss_fails(self, monkeypatch, capsys):
+        from coprime_census import checks, cli
+
+        make = checks.BoundReport.make
+        records = [
+            make("held", 1, "==", 1),
+            make("drift", 0.82183, ">=", 0.834, diagnostic=True),
+        ]
+        monkeypatch.setattr(checks, "constants", lambda: records)
+        assert cli.main(["verify", "--suite", "constants"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS held: 1 == 1",
+            "warn drift: 0.82183 >= 0.834",
+            "verification PASSED",
+        ]
+        records.append(make("missed", 2, "<", 1))
+        assert cli.main(["verify", "--suite", "constants"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["FAIL missed: 2 < 1", "verification FAILED"]
 
     def test_lemmas_respect_the_ceiling(self, tmp_path):
         # the C_2(2n+1) parity checks reach dimension 13

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from coprime_census import counts
 from coprime_census.counts import (
     CapacityError,
     CountResult,
@@ -63,8 +64,9 @@ class TestC:
         assert count_c(11) == 129744
 
     def test_capacity(self):
+        # C(83) reduces to permanents of dimension 41, past the ceiling 40
         with pytest.raises(CapacityError):
-            count_c(51)
+            count_c(83)
 
     def test_monotone_same_parity(self):
         values = {n: count_c(n) for n in range(1, 17)}
@@ -168,6 +170,20 @@ class TestCompute:
         with pytest.raises(CapacityError, match="exceeds ceiling 2"):
             compute(kind, n, aux, method="brute", ceiling=2)
         assert compute(kind, n, aux, method="brute", ceiling=n).value >= 1
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: count_a(10**5), lambda: compute("c", 10**5, method="permanent")],
+        ids=["count_a", "compute-permanent"],
+    )
+    def test_oversized_count_is_refused_before_its_matrix(self, monkeypatch, run):
+        def unbuilt(*args):
+            raise AssertionError("the matrix was built")
+
+        for builder in ("build_anti", "build_full_coprime"):
+            monkeypatch.setattr(counts, builder, unbuilt)
+        with pytest.raises(CapacityError, match="exceeds ceiling 40"):
+            run()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -65,12 +65,6 @@ class TestDCount:
         with pytest.raises(ValueError):
             d_count(Fraction(11, 10), 10)
 
-    def test_explicit_small_table_rejected(self):
-        import numpy as np
-
-        with pytest.raises(ValueError):
-            d_count(Fraction(1, 2), 100, phi=np.arange(10))
-
 
 class TestSecondMoment:
     def test_tiny(self):
