@@ -177,8 +177,30 @@ def mertens_product(x: float) -> float:
     if x < 3:
         raise ValueError("mertens_product requires x >= 3")
     ps = primes_upto(int(math.floor(x)))
-    logs = [math.log1p(-1.0 / p) for p in ps[1:]]  # skip p = 2
-    return math.exp(math.fsum(logs))
+    return math.exp(math.fsum(np.log1p(-1.0 / ps[1:])))  # skip p = 2
+
+
+def _prime_multiples(limit: int):
+    """Yield (index, p) pairs that visit each m <= limit once per prime p | m.
+
+    A prime p <= sqrt(limit) comes as the slice [p::p] with p an int.  A
+    larger prime q divides each of its multiples q*k (k < q) exactly once,
+    and no m <= limit has two such primes, so those multiples are grouped
+    by cofactor k: index q*k and p = q over the large primes q <= limit//k,
+    one array pair per k.  No index repeats within a pair, so fancy-index
+    updates are safe, and updates by different primes commute.
+    """
+    ps = primes_upto(limit)
+    root = math.isqrt(limit)
+    split = int(np.searchsorted(ps, root, side="right"))
+    for p in ps[:split].tolist():
+        yield slice(p, None, p), p
+    large = ps[split:]
+    for k in range(1, limit // (root + 1) + 1):
+        qs = large[: int(np.searchsorted(large, limit // k, side="right"))]
+        if not qs.size:
+            break
+        yield qs * k, qs
 
 
 def phi_array(limit: int) -> np.ndarray:
@@ -189,9 +211,8 @@ def phi_array(limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_upto(limit):
-        p = int(p)
-        phi[p::p] -= phi[p::p] // p
+    for idx, p in _prime_multiples(limit):
+        phi[idx] -= phi[idx] // p
     phi[0] = 0
     return phi
 
@@ -201,6 +222,6 @@ def omega_array(limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     w = np.zeros(limit + 1, dtype=np.int8)
-    for p in primes_upto(limit):
-        w[int(p) :: int(p)] += 1
+    for idx, _ in _prime_multiples(limit):
+        w[idx] += 1
     return w

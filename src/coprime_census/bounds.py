@@ -59,12 +59,13 @@ def ck_closed(k: int) -> float:
     raise ValueError("closed forms are available for k in {2, 3, 5}")
 
 
-def _mcnew_log_factor(p: int) -> float:
-    # log of p*(p-2)^(1-2/p) / (p-1)^(2*(1-1/p))
+def _mcnew_log_factor(p: np.ndarray | float) -> np.ndarray | float:
+    # log of p*(p-2)^(1-2/p) / (p-1)^(2*(1-1/p)), for one prime or a
+    # float64 array of them
     return (
-        math.log(p)
-        + (1.0 - 2.0 / p) * math.log(p - 2)
-        - 2.0 * (1.0 - 1.0 / p) * math.log(p - 1)
+        np.log(p)
+        + (1.0 - 2.0 / p) * np.log(p - 2.0)
+        - 2.0 * (1.0 - 1.0 / p) * np.log(p - 1.0)
     )
 
 
@@ -81,22 +82,22 @@ def mcnew_factor(p: int) -> float:
         raise ValueError(f"p={p} is not prime")
     if p == 2:
         return 2.0
-    return math.exp(_mcnew_log_factor(p))
+    return math.exp(_mcnew_log_factor(float(p)))
 
 
 def mcnew_product(P: int) -> float:
     """Product of mcnew_factor(p) over primes p <= P.
 
-    Accumulated as a compensated sum of log factors.  The truncation
-    tail beyond P is of order (log P)/P (each log factor is
-    O(log(p)/p^2)), so P = 1e7 pins the limit well below 1e-4.
+    The odd factors are accumulated as a compensated sum of their logs,
+    evaluated over one float64 prime array; the factor 2 at p = 2 scales
+    the result exactly.  The truncation tail beyond P is of order
+    (log P)/P (each log factor is O(log(p)/p^2)), so P = 1e7 pins the
+    limit well below 1e-4.
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    logs = [math.log(2.0)]
-    for p in primes_upto(int(P))[1:]:
-        logs.append(_mcnew_log_factor(int(p)))
-    return math.exp(math.fsum(logs))
+    odd = primes_upto(int(P))[1:].astype(np.float64)
+    return 2.0 * math.exp(math.fsum(_mcnew_log_factor(odd)))
 
 
 # the literature upper bound at 1/2 caps every dyadic density bound
@@ -168,7 +169,7 @@ def _tail_g(i: np.ndarray | float) -> np.ndarray | float:
 # the first tail term starts from the last literature bracket
 _TAIL_SEED = float(BRACKETS[-1][0]) - BRACKETS[-1][2]
 
-_TAIL_CHUNK = 1 << 19  # tail indices per vectorized chunk
+_TAIL_CHUNK = 1 << 16  # tail indices per vectorized chunk
 
 
 def esum_tail(*, term_tol: float = 1e-12) -> BoundReport:
@@ -178,18 +179,20 @@ def esum_tail(*, term_tol: float = 1e-12) -> BoundReport:
     bracket; at 1 - 10^-i for i >= 4 it is 1 - g(i) with g from the
     Mertens tail estimate.
     Terms decay like log(i)/i^2, so convergence to ``term_tol`` needs a
-    few million terms; they are evaluated vectorized.  The feasibility
-    inequality 10^(1-i) < g(i) is checked for every index along the way.
+    few million terms; they are evaluated vectorized, g once per chunk.
+    The feasibility inequality 10^(1-i) < g(i) is checked for every
+    index along the way.
     """
     total_chunks = []
     lo = 4
     need_ok = True
     last_term = math.inf
     while True:
-        i = np.arange(lo, lo + _TAIL_CHUNK, dtype=np.float64)
-        g = _tail_g(i)
-        g_prev = _tail_g(i - 1.0)
-        eps_prev = 10.0 ** (-(i - 1.0))
+        # indices lo-1 .. lo+_TAIL_CHUNK-1: g at i-1 and at i are one shift apart
+        j = np.arange(lo - 1, lo + _TAIL_CHUNK, dtype=np.float64)
+        g_all = _tail_g(j)
+        g_prev, g = g_all[:-1], g_all[1:]
+        eps_prev = 10.0 ** -j[:-1]
         x = g_prev - eps_prev
         if lo == 4:
             x[0] = _TAIL_SEED

@@ -64,16 +64,11 @@ __all__ = [
     "check_aux",
     "matrix_for",
     "compute",
-    "clear_cache",
 ]
 
 _BRUTE_XCHECK_MAX = 12
 
 _memo: dict[tuple, int] = {}
-
-
-def clear_cache() -> None:
-    _memo.clear()
 
 
 @dataclass(frozen=True)
@@ -304,28 +299,31 @@ def brute_constrained_count(
 ) -> int:
     """Count permutations satisfying a positional constraint by backtracking.
 
-    Independent oracle: no permanents involved, just a DFS over positions
-    with a used-value bitmask.  Limited to n <= 12.
+    Independent oracle: no permanents involved, just a walk over positions
+    with a used-value bitmask.  Position j is always popcount(used) + 1, so
+    the mask alone fixes the number of completions; memoizing on it makes
+    the walk an O(n * 2^n) subset recursion.  Limited to n <= 12.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _BRUTE_XCHECK_MAX:
         raise CapacityError(f"brute enumeration limited to n <= {_BRUTE_XCHECK_MAX}")
     masks = _allowed_masks(n, constraint, k)
-    full = (1 << n) - 1
+    completions = {(1 << n) - 1: 1}  # used-value mask -> completions
 
-    def walk(j: int, used: int) -> int:
-        if j > n:
-            return 1
-        avail = masks[j] & ~used & full
+    def walk(used: int) -> int:
+        if used in completions:
+            return completions[used]
+        avail = masks[used.bit_count() + 1] & ~used
         total = 0
         while avail:
             low = avail & -avail
-            total += walk(j + 1, used | low)
+            total += walk(used | low)
             avail ^= low
+        completions[used] = total
         return total
 
-    return walk(1, 0)
+    return walk(0)
 
 
 def check_aux(kind: str, aux: int | None) -> None:

@@ -123,12 +123,9 @@ def second_moment_constant(P: int) -> float:
     """prod over odd primes p <= P of (1 + (2p-1)/((p-1)^2 p))."""
     if P < 3:
         raise ValueError("P must be >= 3")
-    # int(p) promotion: (p-1)^2 * p exceeds int64 once p passes ~2e6
-    logs = [
-        math.log1p((2 * p - 1) / ((p - 1) ** 2 * p))
-        for p in (int(q) for q in primes_upto(P)[1:])
-    ]
-    return math.exp(math.fsum(logs))
+    # float64 primes: (p-1)^2 * p overflows int64 once p passes ~2e6
+    p = primes_upto(P)[1:].astype(np.float64)
+    return math.exp(math.fsum(np.log1p((2.0 * p - 1.0) / ((p - 1.0) ** 2 * p))))
 
 
 def top_interval_set(n: int) -> set[int]:

@@ -172,6 +172,11 @@ class TestMertensProduct:
         values = [mertens_product(int(p)) for p in primes_upto(200)[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("x", [7, 1009, 10**5])
+    def test_matches_scalar_fsum(self, x):
+        logs = [math.log1p(-1.0 / p) for p in primes_upto(x)[1:].tolist()]
+        assert math.isclose(mertens_product(x), math.exp(math.fsum(logs)), rel_tol=1e-13)
+
 
 class TestBulkTables:
     def test_phi_array_matches_pointwise(self, sieve_small):
@@ -183,6 +188,20 @@ class TestBulkTables:
         w = omega_array(3000)
         for m in range(1, 3001):
             assert int(w[m]) == omega(m, sieve_small)
+
+    # limits on both sides of prime squares, where a prime moves between
+    # the slice pass (p <= sqrt(limit)) and the cofactor-grouped pass
+    @pytest.mark.parametrize(
+        "limit",
+        [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 10**5 + 3],
+    )
+    def test_tables_match_pointwise_around_prime_squares(self, limit, sieve_1m):
+        phi = phi_array(limit)
+        w = omega_array(limit)
+        assert len(phi) == len(w) == limit + 1
+        assert int(phi[0]) == 0 and int(w[0]) == 0
+        assert phi[1:].tolist() == [euler_phi(m, sieve_1m) for m in range(1, limit + 1)]
+        assert w[1:].tolist() == [omega(m, sieve_1m) for m in range(1, limit + 1)]
 
     def test_is_prime(self, sieve_small):
         ps = set(int(p) for p in primes_upto(10**4))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from coprime_census.arith import primes_upto
 from coprime_census.bounds import (
     _RS_GRID,
     assemble_lower_bound,
@@ -60,6 +61,16 @@ class TestMcNew:
     def test_product_monotone_in_cutoff(self):
         values = [mcnew_product(p) for p in (2, 3, 5, 7, 11, 101, 1009)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("P", [7, 1009, 10**5])
+    def test_product_matches_scalar_fsum(self, P):
+        logs = [math.log(2.0)] + [
+            math.log(p)
+            + (1.0 - 2.0 / p) * math.log(p - 2)
+            - 2.0 * (1.0 - 1.0 / p) * math.log(p - 1)
+            for p in primes_upto(P)[1:].tolist()
+        ]
+        assert math.isclose(mcnew_product(P), math.exp(math.fsum(logs)), rel_tol=1e-13)
 
     def test_factors_exceed_one_and_converge(self):
         for p in (3, 5, 7, 11, 13, 101, 997):

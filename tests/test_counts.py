@@ -17,7 +17,9 @@ from coprime_census.counts import (
     count_c_a,
     count_ck,
     format_ratio,
+    matrix_for,
 )
+from coprime_census.permanent import permanent_ryser
 
 
 class TestC0:
@@ -136,6 +138,18 @@ class TestBruteConstrained:
         assert brute_constrained_count(5, "coprime") == 28
         assert brute_constrained_count(6, "anti") == 8
         assert brute_constrained_count(3, "coprime") == 3
+
+    # A(1) has no reduced matrix (count_a returns 1 directly), so kind a
+    # starts at n = 2
+    @pytest.mark.parametrize(
+        "kind,aux,constraint,n",
+        [("c", None, "coprime", n) for n in range(1, 13)]
+        + [("a", None, "anti", n) for n in range(2, 13)]
+        + [("ck", k, "gcd_k", n) for k in (2, 3) for n in range(1, 13)],
+    )
+    def test_matches_ryser(self, kind, aux, constraint, n):
+        want = permanent_ryser(matrix_for(kind, n, aux))
+        assert brute_constrained_count(n, constraint, k=aux) == want
 
     def test_refusals(self):
         with pytest.raises(CapacityError):

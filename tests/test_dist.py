@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from coprime_census.arith import build_sieve, euler_phi
+from coprime_census.arith import build_sieve, euler_phi, primes_upto
 from coprime_census.dist import (
     BRACKET_DIAGNOSTIC_TOL,
     as_fraction,
@@ -90,6 +90,17 @@ class TestSecondMoment:
 
     def test_constant_below_limit(self):
         assert second_moment_constant(10**5) < 1.7725
+
+    @pytest.mark.parametrize("P", [7, 1009, 10**5])
+    def test_constant_matches_scalar_fsum(self, P):
+        # exact integer ratio per prime, rounded once by the division
+        logs = [
+            math.log1p((2 * p - 1) / ((p - 1) ** 2 * p))
+            for p in primes_upto(P)[1:].tolist()
+        ]
+        assert math.isclose(
+            second_moment_constant(P), math.exp(math.fsum(logs)), rel_tol=1e-13
+        )
 
 
 class TestTopInterval:
