@@ -10,7 +10,7 @@ far inside the 1e-12 contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -30,22 +30,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FactorSieve:
+class FactorSieve(namedtuple("FactorSieve", "limit spf")):
     """Smallest-prime-factor table up to ``limit``.
 
     ``spf[m]`` is the smallest prime factor of ``m`` for ``2 <= m <= limit``,
-    with the convention ``spf[1] = 1``.  Immutable after construction and
-    safe to share across threads/processes.
+    with the convention ``spf[1] = 1`` (an int32 array of length limit+1).
+    Immutable after construction and safe to share across threads/processes.
     """
 
-    limit: int
-    spf: np.ndarray  # int32, length limit+1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.limit < 1:
+    def __new__(cls, limit: int, spf: np.ndarray):
+        if limit < 1:
             raise ValueError("sieve limit must be >= 1")
-        self.spf.setflags(write=False)
+        spf.setflags(write=False)
+        return super().__new__(cls, limit, spf)
 
 
 def build_sieve(limit: int) -> FactorSieve:

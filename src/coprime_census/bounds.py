@@ -13,7 +13,6 @@ truncation and rounding error, which sits orders of magnitude below the
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -220,7 +219,7 @@ def esum_tail(*, term_tol: float = 1e-12) -> BoundReport:
     report = BoundReport.make(
         name="esum-tail", computed=value, relation=">", claimed=-0.2814, notes=notes
     )
-    return report if need_ok else replace(report, passed=False)
+    return report if need_ok else report._replace(passed=False)
 
 
 def assemble_lower_bound(

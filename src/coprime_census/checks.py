@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import counts, reference
 
@@ -24,21 +24,20 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(
+    namedtuple(
+        "BoundReport",
+        "name computed claimed relation passed notes diagnostic",
+        defaults=("", False),
+    )
+):
     """One check: a computed value against a claimed one under a relation.
 
     A diagnostic check sets a finite-n value against the limit, whose
     convergence rate is not known: a miss is reported but fails no run.
     """
 
-    name: str
-    computed: float | int | str
-    claimed: float | int | str
-    relation: str
-    passed: bool
-    notes: str = ""
-    diagnostic: bool = False
+    __slots__ = ()
 
     @classmethod
     def make(cls, name, computed, relation, claimed, notes="", *, diagnostic=False):

@@ -7,25 +7,27 @@ corrupt cache), 2 usage error, 3 capacity refusal.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import fcntl
 import json
 import sys
 from pathlib import Path
 
-# arith, bounds and dist load numpy, which costs most of the start-up
-# time; only cmd_dist and the lemmas/bounds/constants suites of checks
-# read them, so those import them where they run; count and table never do
-from . import __version__, checks, counts
-from .counts import CapacityError
-from .permanent import DEFAULT_CEILING
+# Without bytecode files each process compiles every package module it
+# imports, so a command imports the layers it runs where it runs them: a
+# cache-hit count loads graph and permanent but not counts or checks, and
+# numpy (arith, bounds, dist) loads only for dist and the lemmas, bounds
+# and constants suites.
+from . import __version__
+from .graph import check_aux
+from .permanent import DEFAULT_CEILING, CapacityError
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
 
 
 def _now() -> str:
+    import datetime
+
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
@@ -98,6 +100,8 @@ def _record(kind: str, n: int, aux: int | None, value: int, ratio: str | None) -
 
 
 def _ratio_for(kind: str, n: int, value: int) -> str | None:
+    from . import counts
+
     if kind in ("c", "a"):
         return counts.format_ratio(counts.growth_ratio(n, value))
     if kind == "c0":
@@ -110,6 +114,8 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
         for row in rows:
             out.write(json.dumps(row, sort_keys=True) + "\n")
     else:
+        import csv
+
         writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
@@ -119,8 +125,10 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
 def cmd_count(args) -> int:
     kind = args.kind
     # before the cache, so no record is ever served under an --aux it ignores
-    counts.check_aux(kind, args.aux)
+    check_aux(kind, args.aux)
     if args.dump_matrix:
+        from . import counts
+
         print(counts.matrix_for(kind, args.n, args.aux).to_text())
 
     cache = None
@@ -138,6 +146,8 @@ def cmd_count(args) -> int:
         ):
             print(json.dumps(cached, sort_keys=True))
             return 0
+        from . import counts
+
         result = counts.compute(
             kind,
             args.n,
@@ -163,6 +173,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import counts
+
     rows = counts.table_rows(args.which, args.max, ceiling=args.ceiling)
     _emit_rows([row.printed() for row in rows], args.format, sys.stdout)
     return 0
@@ -208,6 +220,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     suites = {
         "tables": lambda: checks.tables(args.max, args.ceiling),
         "lemmas": lambda: checks.lemmas(args.max, args.ceiling),

@@ -23,12 +23,9 @@ ceiling.  The persistent cache lives in the CLI layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
-from fractions import Fraction
+from collections import namedtuple
 from math import gcd
 
-from . import reference
 from .graph import (
     BitMatrix,
     anti_labels,
@@ -37,6 +34,7 @@ from .graph import (
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
+    check_aux,
     smallest_factor,
 )
 from .permanent import (
@@ -71,15 +69,11 @@ _BRUTE_XCHECK_MAX = 12
 _memo: dict[tuple, int] = {}
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """One computed count: which function, at which argument, via which path."""
+class CountResult(namedtuple("CountResult", "kind n aux value method")):
+    """One computed count: which function (c | c0 | c1 | ca | a | ck |
+    anti-lower), at which argument, via which path."""
 
-    kind: str  # c | c0 | c1 | ca | a | ck | anti-lower
-    n: int
-    aux: int | None
-    value: int
-    method: str
+    __slots__ = ()
 
 
 def _memoized(key: tuple, dim: int, ceiling: int, count, oracle=None) -> int:
@@ -146,14 +140,12 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
 def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j)) > 1 for j >= 2.
 
-    n = 1 is the trivial identity case; otherwise the Ryser permanent of
-    the reduced matrix (forced fixed points removed), whose dimension is
-    read from its labels before it is built.
+    The Ryser permanent of the reduced matrix (forced fixed points
+    removed; 0 x 0 at n = 1), whose dimension is read from its labels
+    before it is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
     count = lambda: permanent_ryser(build_anti(n), ceiling=ceiling)
     oracle = lambda: brute_constrained_count(n, "anti")
     return _memoized(("a", n), len(anti_labels(n)), ceiling, count, oracle)
@@ -187,33 +179,33 @@ def anti_lower(n: int) -> int:
 
 
 def growth_ratio(n: int, value: int) -> float:
-    """(n!/value)^(1/n), with n!/value formed exactly before rounding."""
-    return float(Fraction(math.factorial(n), value)) ** (1.0 / n)
+    """(n!/value)^(1/n) as exp((log n! - log value) / n).
+
+    ``math.log`` takes the exact integers at any size, so no quotient is
+    formed and nothing overflows (the quotient of n! by a small count
+    passes the float range near n = 171).  Each log is within a few units
+    in the last place, so the ratio's relative error is of order
+    log(n!) * 2^-52 / n.
+    """
+    return math.exp((math.log(math.factorial(n)) - math.log(value)) / n)
 
 
 def format_ratio(x: float) -> str:
     """Render a ratio at 4 decimals, ties half-even (table convention)."""
+    from decimal import ROUND_HALF_EVEN, Decimal  # loaded only to print a ratio
+
     return str(Decimal(repr(x)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One row of a published table: n, its count and the ratio column."""
+class TableRow(namedtuple("TableRow", "n value ratio")):
+    """One row of a published table: n, its count and the ratio column
+    (r_2n for t1, r_n for t2, u_n for t3)."""
 
-    n: int
-    value: int
-    ratio: float  # r_2n for t1, r_n for t2, u_n for t3
+    __slots__ = ()
 
     def printed(self) -> dict:
         """The row as the table prints it: exact value, 4-decimal ratio."""
         return {"n": self.n, "value": str(self.value), "ratio": format_ratio(self.ratio)}
-
-
-_REFERENCE = {
-    "t1": reference.TABLE_C0,
-    "t2": reference.TABLE_C_ODD,
-    "t3": reference.TABLE_A,
-}
 
 
 def _table_row(which: str, n: int, *, ceiling: int) -> TableRow:
@@ -260,8 +252,11 @@ def check_table(
     reference holds the corrected entry, so the check asserts the
     correction rather than the published typo.
     """
+    from . import reference  # only this check reads the published rows
+
+    published = {"t1": reference.TABLE_C0, "t2": reference.TABLE_C_ODD, "t3": reference.TABLE_A}
     checks = []
-    for n, (want, want_ratio) in _REFERENCE[which].items():
+    for n, (want, want_ratio) in published[which].items():
         if n <= max_n:
             row = _table_row(which, n, ceiling=ceiling)
             passed = row.value == want and format_ratio(row.ratio) == want_ratio
@@ -324,14 +319,6 @@ def brute_constrained_count(
         return total
 
     return walk(0)
-
-
-def check_aux(kind: str, aux: int | None) -> None:
-    """Refuse an ``aux`` the count does not read: k is for kind 'ck' only."""
-    if kind == "ck" and aux is None:
-        raise ValueError("kind 'ck' needs --aux K")
-    if kind != "ck" and aux is not None:
-        raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
 
 
 def matrix_for(kind: str, n: int, aux: int | None = None) -> BitMatrix:

@@ -10,7 +10,7 @@ numpy phi tables that grow on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -65,14 +65,10 @@ def as_fraction(alpha) -> Fraction:
         raise ValueError(f"cutoff {alpha!r} has a zero denominator") from None
 
 
-@dataclass(frozen=True)
-class DistEstimate:
+class DistEstimate(namedtuple("DistEstimate", "alpha n count density")):
     """A pair (alpha, D(alpha, n)/n) with the exact count behind it."""
 
-    alpha: Fraction
-    n: int
-    count: int
-    density: float
+    __slots__ = ()
 
 
 def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:

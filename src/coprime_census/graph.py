@@ -8,11 +8,12 @@ sets bit (i, j) exactly when the builder's arithmetic predicate holds on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 __all__ = [
     "smallest_factor",
+    "check_aux",
     "BitMatrix",
     "build_full_coprime",
     "build_odd_half",
@@ -41,28 +42,40 @@ def smallest_factor(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+def check_aux(kind: str, aux: int | None) -> None:
+    """Refuse an ``aux`` the count does not read: k is for kind 'ck' only,
+    whose matrix :func:`build_gcd_k` is the one builder that reads it."""
+    if kind == "ck" and aux is None:
+        raise ValueError("kind 'ck' needs --aux K")
+    if kind != "ck" and aux is not None:
+        raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
+
+
+class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
     """Square 0/1 matrix with rows stored as integer bit-vectors.
 
     Bit j of ``rows[i]`` is entry (i, j).  ``labels_row[i]`` and
     ``labels_col[j]`` record which integer each index stands for.
     """
 
-    n: int
-    rows: tuple[int, ...]
-    labels_row: tuple[int, ...]
-    labels_col: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != self.n:
+    def __new__(
+        cls,
+        n: int,
+        rows: tuple[int, ...],
+        labels_row: tuple[int, ...],
+        labels_col: tuple[int, ...],
+    ):
+        if len(rows) != n:
             raise ValueError("row count does not match dimension")
-        if len(self.labels_row) != self.n or len(self.labels_col) != self.n:
+        if len(labels_row) != n or len(labels_col) != n:
             raise ValueError("label count does not match dimension")
-        mask = (1 << self.n) - 1
-        for r in self.rows:
+        mask = (1 << n) - 1
+        for r in rows:
             if r & ~mask:
                 raise ValueError("row has bits outside the matrix width")
+        return super().__new__(cls, n, rows, labels_row, labels_col)
 
     def to_text(self) -> str:
         """Canonical textual dump (stable format, used by --dump-matrix).
@@ -130,10 +143,11 @@ def anti_labels(n: int) -> list[int]:
     """2..n with the primes in (n/2, n] removed.
 
     Each such prime is a forced fixed point: its only multiple up to n
-    is itself.
+    is itself.  So is 1, which is why the labels start at 2; n = 1 has
+    none, the 0 x 0 matrix, whose permanent is 1.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return [m for m in range(2, n + 1) if not (2 * m > n and smallest_factor(m) == m)]
 
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import permutations
+from typing import TYPE_CHECKING
 
-from .graph import BitMatrix
+if TYPE_CHECKING:  # only an annotation here; the CLI reads the ceiling alone
+    from .graph import BitMatrix
 
 __all__ = [
     "CapacityError",

@@ -36,33 +36,47 @@ def test_subprocess_imports_same_package(tmp_path):
     assert child == Path(coprime_census.__file__).resolve()
 
 
-def test_count_and_table_never_load_numpy(tmp_path):
-    """count, table and the verify tables suite run on the pure-Python stack;
-    numpy stays unloaded."""
-    script = """
-import io, sys
+# runs one command in a fresh interpreter; prints its exit code and which
+# of the watched modules it loaded
+_LOADED = """
+import io, json, sys
 from contextlib import redirect_stdout
 import coprime_census.cli as cli
-runs = [
-    ["count", "--kind", "c0", "--n", "10", "--no-cache"],
-    ["count", "--kind", "c", "--n", "11", "--no-cache"],
-    ["count", "--kind", "a", "--n", "12", "--no-cache"],
-    ["count", "--kind", "ck", "--n", "8", "--aux", "3", "--no-cache"],
-    ["table", "--which", "t1", "--max", "8"],
-    ["table", "--which", "t2", "--max", "9"],
-    ["table", "--which", "t3", "--max", "12"],
-    ["verify", "--suite", "tables", "--max", "12"],
-]
-for argv in runs:
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-print("numpy" in sys.modules)
+with redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+watched = ("coprime_census.counts", "coprime_census.checks", "dataclasses", "numpy")
+print(json.dumps([rc, [m for m in watched if m in sys.modules]]))
 """
+
+
+def loaded_by(argv: list[str], cwd) -> set[str]:
     res = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path
+        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, cwd=cwd
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    rc, loaded = json.loads(res.stdout)
+    assert rc == 0, argv
+    return set(loaded)
+
+
+def test_count_and_table_never_load_numpy(tmp_path):
+    """count, table and the verify tables suite run on the pure-Python stack
+    without dataclasses or numpy; a cache hit loads neither counts nor checks."""
+    runs = [
+        ["count", "--kind", "c0", "--n", "10", "--no-cache"],
+        ["count", "--kind", "c", "--n", "11", "--no-cache"],
+        ["count", "--kind", "a", "--n", "12", "--no-cache"],
+        ["count", "--kind", "ck", "--n", "8", "--aux", "3", "--no-cache"],
+        ["table", "--which", "t1", "--max", "8"],
+        ["table", "--which", "t2", "--max", "9"],
+        ["table", "--which", "t3", "--max", "12"],
+        ["verify", "--suite", "tables", "--max", "12"],
+    ]
+    for argv in runs:
+        assert not loaded_by(argv, tmp_path) & {"dataclasses", "numpy"}, argv
+    hit = ["count", "--kind", "c0", "--n", "12", "--cache", str(tmp_path / "c.jsonl")]
+    assert "coprime_census.counts" in loaded_by(hit, tmp_path)  # the miss fills it
+    assert loaded_by(hit, tmp_path) == set()
 
 
 class TestCount:
@@ -154,6 +168,16 @@ class TestCount:
         assert lines[1] == "cols: 1 2 3"
         assert lines[2:5] == ["111", "110", "111"]
         json.loads(lines[5])  # record still emitted
+
+    def test_dump_matrix_for_a1(self, tmp_path):
+        # 1 is a forced fixed point, so the reduced matrix is 0 x 0
+        res = run_cli(
+            "count", "--kind", "a", "--n", "1", "--dump-matrix", "--no-cache", cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[:2] == ["rows: ", "cols: "]
+        assert json.loads(lines[2])["value"] == "1" and len(lines) == 3
 
     def test_dump_matrix_for_ck(self, tmp_path):
         res = run_cli(
@@ -260,6 +284,24 @@ class TestCache:
         assert res.returncode == 1, res.stdout + res.stderr
         assert "mismatch" in res.stderr
         assert cache_file.read_text() == stale
+
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            (("c", 9, 3), ["--kind", "c", "--n", "9", "--aux", "3"]),
+            (("ck", 6, None), ["--kind", "ck", "--n", "6"]),
+        ],
+        ids=["aux-on-c", "ck-without-aux"],
+    )
+    def test_unread_aux_is_refused_before_a_stored_record(self, tmp_path, key, argv):
+        kind, n, aux = key
+        rec = {"kind": kind, "n": n, "aux": aux, "value": "1", "ratio": None,
+               "timestamp": "", "engine_version": coprime_census.__version__}
+        cache_file = tmp_path / "seeded.jsonl"
+        cache_file.write_text(json.dumps(rec, sort_keys=True) + "\n")
+        res = run_cli("count", *argv, "--cache", str(cache_file), cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("damage", ["truncated", "no-value"])
     def test_corrupt_line_names_the_file_and_line(self, tmp_path, damage):

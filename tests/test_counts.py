@@ -17,6 +17,7 @@ from coprime_census.counts import (
     count_c_a,
     count_ck,
     format_ratio,
+    growth_ratio,
     matrix_for,
 )
 from coprime_census.permanent import permanent_ryser
@@ -93,6 +94,11 @@ class TestA:
         for p in (2, 3, 5, 7, 11, 13):
             assert count_a(p) == count_a(p - 1)
 
+    @pytest.mark.parametrize("method", ["auto", "permanent", "brute"])
+    def test_one_from_every_method(self, method):
+        # A(1) is the permanent of the 0 x 0 reduced matrix
+        assert compute("a", 1, method=method).value == 1
+
 
 class TestCk:
     def test_published(self):
@@ -132,6 +138,11 @@ class TestRatios:
         assert format_ratio(2.00015) == "2.0002"
         assert format_ratio(1.0) == "1.0000"
 
+    def test_growth_ratio_past_the_float_range(self):
+        # 200!/1 is past the largest float, so the quotient cannot be formed
+        assert growth_ratio(200, 1) == pytest.approx(math.exp(math.lgamma(201) / 200), rel=1e-14)
+        assert format_ratio(growth_ratio(1000, 1)) == "369.4917"
+
 
 class TestBruteConstrained:
     def test_examples(self):
@@ -139,12 +150,10 @@ class TestBruteConstrained:
         assert brute_constrained_count(6, "anti") == 8
         assert brute_constrained_count(3, "coprime") == 3
 
-    # A(1) has no reduced matrix (count_a returns 1 directly), so kind a
-    # starts at n = 2
     @pytest.mark.parametrize(
         "kind,aux,constraint,n",
         [("c", None, "coprime", n) for n in range(1, 13)]
-        + [("a", None, "anti", n) for n in range(2, 13)]
+        + [("a", None, "anti", n) for n in range(1, 13)]
         + [("ck", k, "gcd_k", n) for k in (2, 3) for n in range(1, 13)],
     )
     def test_matches_ryser(self, kind, aux, constraint, n):

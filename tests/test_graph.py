@@ -114,7 +114,10 @@ class TestAnti:
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
-            build_anti(1)
+            build_anti(0)
+        # n = 1: 1 is a forced fixed point, leaving the 0 x 0 matrix
+        m = build_anti(1)
+        assert m.n == 0 and m.labels_row == () and permanent_ryser(m) == 1
 
     @given(st.integers(2, 40))
     @settings(max_examples=25)
