@@ -152,17 +152,26 @@ def coprime_count(m: int, n: int) -> int:
 
 @lru_cache(maxsize=64)
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as a read-only int64 array."""
+    """All primes <= limit as a read-only int64 array.
+
+    The sieve holds odd numbers only: entry i stands for 2i+1.  Entry 0
+    (the number 1) is left set so that the prime 2 takes its slot when
+    the indices are mapped back to 2i+1, and the output array is the
+    index array itself.
+    """
     if limit < 2:
         out = np.empty(0, dtype=np.int64)
         out.setflags(write=False)
         return out
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    out = np.nonzero(~composite)[0].astype(np.int64)
+    sieve = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = False
+    out = np.flatnonzero(sieve)
+    del sieve
+    out *= 2
+    out += 1
+    out[0] = 2
     out.setflags(write=False)
     return out
 
@@ -179,40 +188,44 @@ def mertens_product(x: float) -> float:
     return math.exp(math.fsum(np.log1p(-1.0 / ps[1:])))  # skip p = 2
 
 
-def _prime_multiples(limit: int):
-    """Yield (index, p) pairs that visit each m <= limit once per prime p | m.
+def _prime_multiples(limit: int, step: int):
+    """Yield (index, p) pairs that visit each table entry once per prime p | m.
 
-    A prime p <= sqrt(limit) comes as the slice [p::p] with p an int.  A
-    larger prime q divides each of its multiples q*k (k < q) exactly once,
-    and no m <= limit has two such primes, so those multiples are grouped
-    by cofactor k: index q*k and p = q over the large primes q <= limit//k,
-    one array pair per k.  No index repeats within a pair, so fancy-index
-    updates are safe, and updates by different primes commute.
+    With ``step`` 1 the table holds every m <= limit at index m; with
+    ``step`` 2 it holds the odd m <= limit at index (m - 1) // 2.  Either
+    way consecutive multiples of p in the table are p entries apart.  A
+    prime p <= sqrt(limit) comes as the slice starting at p's own entry,
+    with p an int.  A larger prime q divides each of its multiples q*k
+    (k < q) exactly once, and no m <= limit has two such primes, so those
+    multiples are grouped by cofactor k (odd k when ``step`` is 2): the
+    entries of q*k and p = q over the large primes q <= limit//k, one array
+    pair per k.  No index repeats within a pair, so fancy-index updates are
+    safe, and updates by different primes commute.
     """
-    ps = primes_upto(limit)
+    ps = primes_upto(limit)[step - 1 :]  # the odd table skips p = 2
     root = math.isqrt(limit)
     split = int(np.searchsorted(ps, root, side="right"))
     for p in ps[:split].tolist():
-        yield slice(p, None, p), p
+        yield slice(p // step, None, p), p
     large = ps[split:]
-    for k in range(1, limit // (root + 1) + 1):
+    for k in range(1, limit // (root + 1) + 1, step):
         qs = large[: int(np.searchsorted(large, limit // k, side="right"))]
         if not qs.size:
             break
-        yield qs * k, qs
+        yield qs * k // step, qs
 
 
-def phi_array(limit: int) -> np.ndarray:
-    """phi(m) for m = 0..limit as an int64 array (phi[0] = 0).
+def phi_array(n: int) -> np.ndarray:
+    """phi(2i+1) for i = 0..n-1, the odd m < 2n, as an int64 array.
 
-    Bulk companion to :func:`euler_phi` for distribution scans.
+    Every distribution scan reads odd m only, so the table stores no even
+    entry.  Bulk companion to :func:`euler_phi`.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for idx, p in _prime_multiples(limit):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    phi = np.arange(1, 2 * n, 2, dtype=np.int64)
+    for idx, p in _prime_multiples(2 * n - 1, 2):
         phi[idx] -= phi[idx] // p
-    phi[0] = 0
     return phi
 
 
@@ -221,6 +234,6 @@ def omega_array(limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     w = np.zeros(limit + 1, dtype=np.int8)
-    for idx, _ in _prime_multiples(limit):
+    for idx, _ in _prime_multiples(limit, 1):
         w[idx] += 1
     return w

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
+from itertools import chain
 
 import numpy as np
 
@@ -84,19 +85,27 @@ def mcnew_factor(p: int) -> float:
     return math.exp(_mcnew_log_factor(float(p)))
 
 
+_MCNEW_CHUNK = 1 << 16  # primes per float64 chunk of log factors
+
+
 def mcnew_product(P: int) -> float:
     """Product of mcnew_factor(p) over primes p <= P.
 
-    The odd factors are accumulated as a compensated sum of their logs,
-    evaluated over one float64 prime array; the factor 2 at p = 2 scales
-    the result exactly.  The truncation tail beyond P is of order
-    (log P)/P (each log factor is O(log(p)/p^2)), so P = 1e7 pins the
-    limit well below 1e-4.
+    The odd factors are accumulated as one compensated sum of their logs,
+    evaluated over float64 chunks of the prime array (``math.fsum`` is
+    correctly rounded, so the chunking cannot change the result); the
+    factor 2 at p = 2 scales the result exactly.  The truncation tail
+    beyond P is of order (log P)/P (each log factor is O(log(p)/p^2)), so
+    P = 1e7 pins the limit well below 1e-4.
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    odd = primes_upto(int(P))[1:].astype(np.float64)
-    return 2.0 * math.exp(math.fsum(_mcnew_log_factor(odd)))
+    odd = primes_upto(int(P))[1:]
+    logs = (
+        _mcnew_log_factor(odd[lo : lo + _MCNEW_CHUNK].astype(np.float64)).tolist()
+        for lo in range(0, len(odd), _MCNEW_CHUNK)
+    )
+    return 2.0 * math.exp(math.fsum(chain.from_iterable(logs)))
 
 
 # the literature upper bound at 1/2 caps every dyadic density bound
@@ -158,7 +167,7 @@ def esum_middle() -> BoundReport:
     )
 
 
-def _tail_g(i: np.ndarray | float) -> np.ndarray | float:
+def _tail_g(i: float) -> float:
     # lower bound for the tail mass 1 - delta(1 - 10^-i) from the
     # Mertens-product estimate
     L = math.log(2.0) + i * math.log(10.0)
@@ -168,52 +177,45 @@ def _tail_g(i: np.ndarray | float) -> np.ndarray | float:
 # the first tail term starts from the last literature bracket
 _TAIL_SEED = float(BRACKETS[-1][0]) - BRACKETS[-1][2]
 
-_TAIL_CHUNK = 1 << 16  # tail indices per vectorized chunk
+# the tail terms are summed directly for i = 4.._TAIL_DIRECT, where
+# 10^(1-i) = 1e-39 sits 36 orders of magnitude below g(i) ~ 0.012
+_TAIL_DIRECT = 40
 
 
-def esum_tail(*, term_tol: float = 1e-12) -> BoundReport:
-    """Contribution of the split points 1 - 10^-i for i >= 4.
+def esum_tail() -> BoundReport:
+    """Contribution of the split points 1 - 10^-i for i >= 4, all of them.
 
     The density bound at 0.999 is the upper end of the last literature
     bracket; at 1 - 10^-i for i >= 4 it is 1 - g(i) with g from the
-    Mertens tail estimate.
-    Terms decay like log(i)/i^2, so convergence to ``term_tol`` needs a
-    few million terms; they are evaluated vectorized, g once per chunk.
-    The feasibility inequality 10^(1-i) < g(i) is checked for every
-    index along the way.
+    Mertens tail estimate, so term i is f(g(i-1) - 10^(1-i)) -
+    f(g(i) - 10^(1-i)), with f(x) = x log x.  Terms i = 4..K are summed
+    directly (K = _TAIL_DIRECT).  Past K the shift 10^(1-i) is below the
+    float resolution of g(i), so each term is exactly f(g(i-1)) - f(g(i))
+    in float64, and their sum over i > K telescopes to f(g(K)): g -> 0
+    and f(0) = 0.  In real arithmetic the shifts past K move that sum by
+    at most sum over i > K of 2 * 10^(1-i) * (|log g(i)| + 1), below
+    1e-30.
+
+    The feasibility inequality 10^(1-i) < g(i) is checked for i = 4..K.
+    Past K it follows by induction from g(i+1)/g(i) > L/(L + log 10) > 1/10,
+    with L = log 2 + i log 10, checked at K (the bound grows with i).
     """
-    total_chunks = []
-    lo = 4
+    f = f_xlogx
+    terms = []
     need_ok = True
-    last_term = math.inf
-    while True:
-        # indices lo-1 .. lo+_TAIL_CHUNK-1: g at i-1 and at i are one shift apart
-        j = np.arange(lo - 1, lo + _TAIL_CHUNK, dtype=np.float64)
-        g_all = _tail_g(j)
-        g_prev, g = g_all[:-1], g_all[1:]
-        eps_prev = 10.0 ** -j[:-1]
-        x = g_prev - eps_prev
-        if lo == 4:
-            x[0] = _TAIL_SEED
-        y = g - eps_prev
-        terms = x * np.log(x) - y * np.log(y)
-        need_ok = need_ok and bool(np.all(eps_prev < g))
-        # terms shrink monotonically past the first few indices
-        cut = np.nonzero(np.abs(terms) < term_tol)[0]
-        if cut.size:
-            stop = int(cut[0])
-            total_chunks.append(float(np.sum(terms[: stop + 1])))
-            last_i = lo + stop
-            last_term = float(abs(terms[stop]))
-            break
-        total_chunks.append(float(np.sum(terms)))
-        lo += _TAIL_CHUNK
-    value = math.fsum(total_chunks)
-    # analytic remainder past the truncation point: |term_i| ~ c*log(i)/i^2
-    tail_bound = 0.49 * (math.log(last_i) + 1.0) / last_i
+    for i in range(4, _TAIL_DIRECT + 1):
+        eps = 10.0 ** (1 - i)
+        x = _TAIL_SEED if i == 4 else _tail_g(i - 1) - eps
+        y = _tail_g(i) - eps
+        terms.append(f(x) - f(y))
+        need_ok = need_ok and eps < _tail_g(i)
+    L = math.log(2.0) + _TAIL_DIRECT * math.log(10.0)
+    need_ok = need_ok and L / (L + math.log(10.0)) > 0.1
+    terms.append(f(_tail_g(_TAIL_DIRECT)))
+    value = math.fsum(terms)
     notes = (
-        f"indices 4..{last_i}; last |term| {last_term:.2e}; "
-        f"remainder below {tail_bound:.2e}; "
+        f"indices 4..{_TAIL_DIRECT} summed, i > {_TAIL_DIRECT} telescoped to "
+        f"f(g({_TAIL_DIRECT})); shifts past {_TAIL_DIRECT} below 1e-30; "
         f"feasibility 10^(1-i) < g(i) holds for all i: {need_ok}"
     )
     report = BoundReport.make(

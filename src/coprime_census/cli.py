@@ -18,8 +18,8 @@ from pathlib import Path
 # numpy (arith, bounds, dist) loads only for dist and the lemmas, bounds
 # and constants suites.
 from . import __version__
-from .graph import check_aux
-from .permanent import DEFAULT_CEILING, CapacityError
+from .graph import check_aux, count_dimension
+from .permanent import DEFAULT_CEILING, CapacityError, check_ceiling
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -144,6 +144,8 @@ def cmd_count(args) -> int:
             and args.method == "auto"
             and cached.get("engine_version") == __version__
         ):
+            # the ceiling a computed count would be refused under
+            check_ceiling(count_dimension(kind, args.n), args.ceiling)
             print(json.dumps(cached, sort_keys=True))
             return 0
         from . import counts

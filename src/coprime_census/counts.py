@@ -28,18 +28,19 @@ from math import gcd
 
 from .graph import (
     BitMatrix,
-    anti_labels,
     build_anti,
     build_full_coprime,
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
     check_aux,
+    count_dimension,
     smallest_factor,
 )
 from .permanent import (
     DEFAULT_CEILING,
     CapacityError,
+    check_ceiling,
     permanent_brute,
     permanent_ryser,
 )
@@ -76,16 +77,17 @@ class CountResult(namedtuple("CountResult", "kind n aux value method")):
     __slots__ = ()
 
 
-def _memoized(key: tuple, dim: int, ceiling: int, count, oracle=None) -> int:
-    """``count()`` memoized under ``key``, refused past the ceiling.
+def _memoized(key: tuple, ceiling: int, count, oracle=None) -> int:
+    """``count()`` memoized under ``key = (kind, n, ...)``, refused past the
+    ceiling.
 
-    ``dim`` is the largest permanent dimension behind the value.  It is
-    checked on hits as well as misses, so a value memoized under one
-    ceiling is never returned past a smaller one.  For n = key[1] <= 12,
-    ``oracle()`` (a backtracking count) cross-checks the value once per key.
+    The largest permanent dimension behind the value,
+    ``count_dimension(kind, n)``, is checked on hits as well as misses, so
+    a value memoized under one ceiling is never returned past a smaller
+    one.  For n <= 12, ``oracle()`` (a backtracking count) cross-checks the
+    value once per key.
     """
-    if dim > ceiling:
-        raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
+    check_ceiling(count_dimension(key[0], key[1]), ceiling)
     if key not in _memo:
         value = count()
         if oracle is not None and key[1] <= _BRUTE_XCHECK_MAX:
@@ -99,13 +101,13 @@ def _memoized(key: tuple, dim: int, ceiling: int, count, oracle=None) -> int:
 def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime matchings from the first n odd numbers into [n]."""
     count = lambda: permanent_ryser(build_odd_half(n), ceiling=ceiling)
-    return _memoized(("c0", n), n, ceiling, count)
+    return _memoized(("c0", n), ceiling, count)
 
 
 def count_c_a(n: int, a: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Coprime matchings between [n] and the first n+1 odd numbers minus {a}."""
     count = lambda: permanent_ryser(build_odd_plus_excluding(n, a), ceiling=ceiling)
-    return _memoized(("ca", n, a), n, ceiling, count)
+    return _memoized(("ca", n, a), ceiling, count)
 
 
 def count_c1(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
@@ -134,7 +136,7 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
         return sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
 
     oracle = lambda: brute_constrained_count(n, "coprime")
-    return _memoized(("c", n), n // 2, ceiling, reduce, oracle)
+    return _memoized(("c", n), ceiling, reduce, oracle)
 
 
 def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
@@ -148,14 +150,14 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
         raise ValueError("n must be >= 1")
     count = lambda: permanent_ryser(build_anti(n), ceiling=ceiling)
     oracle = lambda: brute_constrained_count(n, "anti")
-    return _memoized(("a", n), len(anti_labels(n)), ceiling, count, oracle)
+    return _memoized(("a", n), ceiling, count, oracle)
 
 
 def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1."""
     count = lambda: permanent_ryser(build_gcd_k(n, k), ceiling=ceiling)
     oracle = lambda: brute_constrained_count(n, "gcd_k", k=k)
-    return _memoized(("ck", n, k), n, ceiling, count, oracle)
+    return _memoized(("ck", n, k), ceiling, count, oracle)
 
 
 def anti_lower(n: int) -> int:
@@ -363,9 +365,8 @@ def compute(
     """
 
     def permanent() -> int:
-        dim = len(anti_labels(n)) if kind == "a" else n
-        if dim > ceiling:
-            raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
+        # the direct route builds the full C(n) matrix, not its reduction
+        check_ceiling(n if kind == "c" else count_dimension(kind, n), ceiling)
         return permanent_ryser(matrix_for(kind, n, aux), ceiling=ceiling)
 
     table = {

@@ -3,8 +3,9 @@
 All threshold comparisons are exact: a cutoff alpha is carried as a
 rational and "phi(m)/m <= alpha" is decided by integer cross-
 multiplication, so boundary ratios (phi(3)/3 = 2/3 at alpha = 2/3, say)
-can never flip on floating-point noise.  The bulk scans run on shared
-numpy phi tables that grow on demand.
+can never flip on floating-point noise.  The bulk scans share one numpy
+table of phi over the odd numbers, grown on demand; the second moment is
+summed exactly by int64 long division.
 """
 
 from __future__ import annotations
@@ -37,14 +38,20 @@ BRACKET_DIAGNOSTIC_TOL = 0.004
 # odd m per chunk of the exact second-moment sum
 _MOMENT_CHUNK = 1 << 15
 
-_phi_cache: dict[str, np.ndarray | int] = {"limit": 0}
+# fixed-point scale of the second-moment terms
+_MOMENT_BITS = 80
+
+# phi(2i+1) for i < _phi_cache["n"]
+_phi_cache: dict[str, np.ndarray | int] = {"n": 0}
 
 
-def _ensure_phi(limit: int) -> np.ndarray:
-    if _phi_cache["limit"] < limit:
-        _phi_cache["phi"] = phi_array(limit)
-        _phi_cache["limit"] = limit
-    return _phi_cache["phi"]
+def _ensure_phi(n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if _phi_cache["n"] < n:
+        _phi_cache["phi"] = phi_array(n)
+        _phi_cache["n"] = n
+    return _phi_cache["phi"][:n]
 
 
 def as_fraction(alpha) -> Fraction:
@@ -81,9 +88,7 @@ def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:
 
 def _odd_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Odd m < 2n and phi(m), read from the shared table."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.arange(1, 2 * n, 2, dtype=np.int64), _ensure_phi(2 * n)[1 : 2 * n : 2]
+    return np.arange(1, 2 * n, 2, dtype=np.int64), _ensure_phi(n)
 
 
 def d_count(alpha, n: int) -> DistEstimate:
@@ -95,24 +100,54 @@ def d_count(alpha, n: int) -> DistEstimate:
     return DistEstimate(alpha=a, n=n, count=count, density=count / n)
 
 
+def _scaled_sum(m: np.ndarray, ph: np.ndarray, w: int) -> int:
+    """sum of floor(m^2 * 2^80 / ph^2), exact, for int64 arrays m >= ph > 0.
+
+    Long division in base 2^w: the integer quotient first, then each
+    remainder shifted up w bits (fewer for the last digit) and divided
+    again.  Every remainder is below ph^2, so a shifted one stays below
+    2^62 when ph^2 < 2^(62-w), and each digit position is summed in int64.
+    With no room for a digit (w < 1) the terms are formed as Python ints.
+    """
+    if w < 1:
+        m, ph = m.astype(object), ph.astype(object)
+        return int(((m * m << _MOMENT_BITS) // (ph * ph)).sum())
+    m2, p2 = m * m, ph * ph
+    q = m2 // p2
+    r = m2 - q * p2
+    total = int(q.sum()) << _MOMENT_BITS
+    done = 0
+    while done < _MOMENT_BITS:
+        step = min(w, _MOMENT_BITS - done)
+        r <<= step
+        d = r // p2
+        r -= d * p2
+        done += step
+        total += int(d.sum()) << (_MOMENT_BITS - done)
+    return total
+
+
 def second_moment(n: int) -> float:
     """sum over odd m < 2n of (m/phi(m))^2.
 
     Each term is accumulated as an exact scaled integer
     floor(m^2 * 2^80 / phi(m)^2); the total truncation error is below
-    n / 2^80, far under float64 resolution of the result.  The integers
-    are formed in chunks of _MOMENT_CHUNK odd m, which bounds the memory
-    of the object arrays without changing the exact sum.
+    n / 2^80, far under float64 resolution of the result.  The terms are
+    summed in chunks of _MOMENT_CHUNK odd m by int64 long division with
+    digits of w = 62 - bitlen(max phi^2) bits (20 at n = 10^6), which
+    gives the same integer as dividing Python ints.  Everything fits in
+    int64 once w >= 1: some prime p in (n, 2n) has phi(p) >= n, so
+    m^2 < 4n^2 <= 4 max phi^2 < 2^63, and a digit sum over at most n
+    terms stays below n * 2^w < n * 2^62 / n^2.
     """
-    m, ph = _odd_terms(n)
+    ph = _ensure_phi(n)
+    w = 62 - (int(ph.max()) ** 2).bit_length()
     acc = 0
-    for lo in range(0, len(m), _MOMENT_CHUNK):
-        mc = m[lo : lo + _MOMENT_CHUNK]
+    for lo in range(0, n, _MOMENT_CHUNK):
         pc = ph[lo : lo + _MOMENT_CHUNK]
-        num = (mc * mc).astype(object)
-        den = (pc * pc).astype(object)
-        acc += int(((num << 80) // den).sum())
-    return acc / 2**80
+        mc = np.arange(2 * lo + 1, 2 * (lo + len(pc)), 2, dtype=np.int64)
+        acc += _scaled_sum(mc, pc, w)
+    return acc / 2**_MOMENT_BITS
 
 
 def second_moment_constant(P: int) -> float:

@@ -14,6 +14,7 @@ from math import gcd
 __all__ = [
     "smallest_factor",
     "check_aux",
+    "count_dimension",
     "BitMatrix",
     "build_full_coprime",
     "build_odd_half",
@@ -49,6 +50,18 @@ def check_aux(kind: str, aux: int | None) -> None:
         raise ValueError("kind 'ck' needs --aux K")
     if kind != "ck" and aux is not None:
         raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
+
+
+def count_dimension(kind: str, n: int) -> int:
+    """Largest permanent dimension behind the count ``kind`` at n, the
+    size that ``--ceiling`` caps: C(n) reduces to permanents of dimension
+    n // 2, A(n) to its reduced matrix on :func:`anti_labels`, and every
+    other kind is an n-square permanent."""
+    if kind == "c":
+        return n // 2
+    if kind == "a":
+        return len(anti_labels(n))
+    return n
 
 
 class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # only an annotation here; the CLI reads the ceiling alone
 __all__ = [
     "CapacityError",
     "DEFAULT_CEILING",
+    "check_ceiling",
     "permanent_ryser",
     "permanent_brute",
 ]
@@ -37,6 +38,12 @@ _BRUTE_LIMIT = 10
 
 class CapacityError(ValueError):
     """Raised when a computation would exceed an explicit size ceiling."""
+
+
+def check_ceiling(dim: int, ceiling: int) -> None:
+    """Refuse a permanent of dimension ``dim`` past ``ceiling``."""
+    if dim > ceiling:
+        raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
 
 
 def _transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -156,8 +163,7 @@ def permanent_ryser(matrix: BitMatrix, *, ceiling: int = DEFAULT_CEILING) -> int
     are refused.
     """
     n = matrix.n
-    if n > ceiling:
-        raise CapacityError(f"permanent dimension {n} exceeds ceiling {ceiling}")
+    check_ceiling(n, ceiling)
     rows = matrix.rows
     cols = _transpose(rows, n)
     # walking the column classes of ``rows`` costs _class_terms(cols)

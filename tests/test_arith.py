@@ -180,9 +180,14 @@ class TestMertensProduct:
 
 class TestBulkTables:
     def test_phi_array_matches_pointwise(self, sieve_small):
-        phi = phi_array(3000)
-        for m in range(1, 3001):
-            assert int(phi[m]) == euler_phi(m, sieve_small)
+        phi = phi_array(1500)
+        assert len(phi) == 1500
+        for i, m in enumerate(range(1, 3000, 2)):
+            assert int(phi[i]) == euler_phi(m, sieve_small)
+
+    def test_phi_array_rejects_empty(self):
+        with pytest.raises(ValueError):
+            phi_array(0)
 
     def test_omega_array_matches_pointwise(self, sieve_small):
         w = omega_array(3000)
@@ -190,18 +195,29 @@ class TestBulkTables:
             assert int(w[m]) == omega(m, sieve_small)
 
     # limits on both sides of prime squares, where a prime moves between
-    # the slice pass (p <= sqrt(limit)) and the cofactor-grouped pass
+    # the slice pass (p <= sqrt(limit)) and the cofactor-grouped pass; the
+    # odd phi table runs to the largest odd m <= limit
     @pytest.mark.parametrize(
         "limit",
-        [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 10**5 + 3],
+        [1, 2, 3, 4, 8, 9, 10, 11, 24, 25, 26, 27, 48, 49, 50, 51, 120, 121, 122,
+         123, 10**5 + 3],
     )
     def test_tables_match_pointwise_around_prime_squares(self, limit, sieve_1m):
-        phi = phi_array(limit)
+        phi = phi_array((limit + 1) // 2)
         w = omega_array(limit)
-        assert len(phi) == len(w) == limit + 1
-        assert int(phi[0]) == 0 and int(w[0]) == 0
-        assert phi[1:].tolist() == [euler_phi(m, sieve_1m) for m in range(1, limit + 1)]
+        assert len(w) == limit + 1 and int(w[0]) == 0
+        odd = range(1, limit + 1, 2)
+        assert phi.tolist() == [euler_phi(m, sieve_1m) for m in odd]
         assert w[1:].tolist() == [omega(m, sieve_1m) for m in range(1, limit + 1)]
+
+    def test_primes_upto_matches_trial_division(self):
+        for limit in range(0, 201):
+            got = primes_upto(limit)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == [m for m in range(2, limit + 1) if trial_spf(m) == m]
+
+    def test_prime_count_at_1e6(self):
+        assert len(primes_upto(10**6)) == 78498
 
     def test_is_prime(self, sieve_small):
         ps = set(int(p) for p in primes_upto(10**4))

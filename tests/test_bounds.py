@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from coprime_census.arith import primes_upto
 from coprime_census.bounds import (
     _RS_GRID,
+    EULER_GAMMA,
     assemble_lower_bound,
     ck_closed,
     esum_dyadic,
@@ -17,6 +19,38 @@ from coprime_census.bounds import (
     rs_bracket_check,
 )
 from coprime_census.checks import BoundReport
+from coprime_census.reference import BRACKETS
+
+
+def direct_tail_sum(term_tol: float) -> float:
+    """The E-sum tail summed term by term, through the first term below
+    ``term_tol``: an oracle for the telescoped ``esum_tail``.
+
+    Term i >= 4 is f(g(i-1) - 10^(1-i)) - f(g(i) - 10^(1-i)), with the
+    first one started from the last literature bracket; the terms are
+    evaluated in numpy chunks of 2^16 indices.
+    """
+
+    def g(i):
+        L = math.log(2.0) + i * math.log(10.0)
+        return 2.0 / (math.exp(EULER_GAMMA) * L) * (1.0 - 7.0 / (4.0 * L * L))
+
+    chunks, lo = [], 4
+    while True:
+        j = np.arange(lo - 1, lo + (1 << 16), dtype=np.float64)
+        g_all = g(j)
+        eps = 10.0 ** -j[:-1]
+        x = g_all[:-1] - eps
+        if lo == 4:
+            x[0] = float(BRACKETS[-1][0]) - BRACKETS[-1][2]
+        y = g_all[1:] - eps
+        terms = x * np.log(x) - y * np.log(y)
+        cut = np.nonzero(np.abs(terms) < term_tol)[0]
+        if cut.size:
+            chunks.append(float(np.sum(terms[: int(cut[0]) + 1])))
+            return math.fsum(chunks)
+        chunks.append(float(np.sum(terms)))
+        lo += 1 << 16
 
 
 class TestCkClosed:
@@ -72,6 +106,10 @@ class TestMcNew:
         ]
         assert math.isclose(mcnew_product(P), math.exp(math.fsum(logs)), rel_tol=1e-13)
 
+    def test_product_peak_memory_at_1e7(self, traced_peak_mib):
+        # the odd-only sieve and the prime array, then one chunk of logs
+        assert traced_peak_mib("bounds", "bounds.mcnew_product(10**7)") < 20
+
     def test_factors_exceed_one_and_converge(self):
         for p in (3, 5, 7, 11, 13, 101, 997):
             assert mcnew_factor(p) > 1.0
@@ -111,15 +149,17 @@ class TestEsums:
         rep = esum_tail()
         assert rep.passed
         assert -0.2814 < rep.computed < -0.28
-        assert math.isclose(rep.computed, -0.28131, abs_tol=1e-4)
+        assert rep.computed == -0.28131280167725964
         assert "holds for all i: True" in rep.notes
 
     def test_tail_terms_all_negative(self):
-        # partial sums only decrease, so any truncation stays above the
-        # infinite sum and the infinite-sum check is the strongest form
-        coarse = esum_tail(term_tol=1e-6).computed
-        fine = esum_tail(term_tol=1e-10).computed
-        assert fine < coarse < 0.0
+        # partial sums only decrease, so every truncation stays above the
+        # infinite sum that esum_tail telescopes to, and the 1e-12
+        # truncation is within its remainder bound 2.91e-6 of it
+        full = esum_tail().computed
+        coarse, fine, finest = (direct_tail_sum(tol) for tol in (1e-6, 1e-10, 1e-12))
+        assert full < finest < fine < coarse < 0.0
+        assert finest - full < 2.91e-6
 
 class TestAssembly:
     def test_passes(self):

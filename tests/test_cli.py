@@ -303,6 +303,28 @@ class TestCache:
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "c0", "--n", "12"],
+            ["--kind", "c", "--n", "13"],
+            ["--kind", "a", "--n", "14"],
+            ["--kind", "ck", "--n", "9", "--aux", "3"],
+        ],
+        ids=["c0", "c", "a", "ck"],
+    )
+    def test_stored_record_is_refused_past_the_ceiling(self, tmp_path, argv):
+        seed = run_cli("count", *argv, cwd=tmp_path)
+        assert seed.returncode == 0, seed.stderr
+        hit = run_cli("count", *argv, "--ceiling", "5", cwd=tmp_path)
+        fresh = run_cli("count", *argv, "--ceiling", "5", "--no-cache", cwd=tmp_path)
+        assert fresh.returncode == 3, fresh.stdout + fresh.stderr
+        assert "exceeds ceiling 5" in fresh.stderr
+        assert (hit.returncode, hit.stdout, hit.stderr) == (3, "", fresh.stderr)
+        # the refusal leaves the record, which a large enough ceiling serves
+        again = run_cli("count", *argv, "--ceiling", "40", cwd=tmp_path)
+        assert again.stdout == seed.stdout
+
     @pytest.mark.parametrize("damage", ["truncated", "no-value"])
     def test_corrupt_line_names_the_file_and_line(self, tmp_path, damage):
         seed = run_cli("count", "--kind", "c0", "--n", "5", cwd=tmp_path)

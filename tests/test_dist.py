@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from coprime_census.arith import build_sieve, euler_phi, primes_upto
 from coprime_census.dist import (
+    _scaled_sum,
     BRACKET_DIAGNOSTIC_TOL,
     as_fraction,
     d_count,
@@ -79,6 +82,20 @@ class TestSecondMoment:
             (m * m << 80) // euler_phi(m, sieve) ** 2 for m in range(1, 2 * n, 2)
         )
         assert second_moment(n) == acc / 2**80
+
+    def test_long_division_digits_agree_with_python_ints(self):
+        rng = random.Random(12)
+        m = np.array([rng.randrange(1, 2 * 10**6, 2) for _ in range(5000)], dtype=np.int64)
+        ph = np.array([rng.randrange(1, int(v) + 1) for v in m], dtype=np.int64)
+        exact = sum((a * a << 80) // (b * b) for a, b in zip(m.tolist(), ph.tolist()))
+        w_max = 62 - (int(ph.max()) ** 2).bit_length()
+        # w = 0 forms Python ints; every digit width up to w_max is exact
+        for w in (0, 1, 3, 7, 19, w_max):
+            assert _scaled_sum(m, ph, w) == exact, w
+
+    def test_peak_memory_at_1e6(self, traced_peak_mib):
+        # the odd phi table (8 MB) and one chunk of long division
+        assert traced_peak_mib("dist", "dist.second_moment(10**6)") < 16
 
     def test_bound_at_1e5(self):
         n = 10**5
