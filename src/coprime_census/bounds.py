@@ -118,30 +118,42 @@ def _dyadic_density_bound(i: int) -> float:
     return min(1.78 / 4.0**i, _DYADIC_CAP)
 
 
-def esum_dyadic(*, term_tol: float = 1e-15) -> BoundReport:
+# the dyadic terms are summed for i = 2.._DYADIC_LAST
+_DYADIC_LAST = 29
+
+
+def esum_dyadic() -> BoundReport:
     """Contribution of the dyadic split points in (0, 1/4].
 
-    Terms f(a - db(a)) - f(a - db(2a)) at a = 1/2^i for i = 2, 3, ...,
-    truncated once past the clamp region terms fall below ``term_tol``.
+    Term i is f(a - db(i)) - f(a - db(i-1)) at a = 1/2^i, with db the
+    density bound min(1.78/4^i, cap) and f(x) = x log x; terms i = 2..K
+    are summed (K = _DYADIC_LAST).  Past K the remainder is stated, not
+    summed.  For i >= 5 db is uncapped, so by the mean value theorem term
+    i is (db(i-1) - db(i)) * f'(xi) = 5.34/4^i * f'(xi) for some xi in
+    (a - db(i-1), a - db(i)), where 2^-(i+1) < xi < a < 1/e; there
+    |f'(xi)| = -log(xi) - 1 < (i+1) log 2.  Summing over i > K,
+
+        |remainder| < 5.34 log 2 * 4^-(K+1) * (4(K+2)/3 + 4/9),
+
+    1.341e-16 at K = 29, which the notes round up.
     """
-    terms = []
-    i = 2
-    while True:
-        a = 0.5**i
-        t = f_xlogx(a - _dyadic_density_bound(i)) - f_xlogx(
-            a - _dyadic_density_bound(i - 1)
-        )
-        terms.append(t)
-        if i > 4 and abs(t) < term_tol:
-            break
-        i += 1
-    value = math.fsum(terms)
+    k = _DYADIC_LAST
+    terms = [
+        f_xlogx(0.5**i - _dyadic_density_bound(i))
+        - f_xlogx(0.5**i - _dyadic_density_bound(i - 1))
+        for i in range(2, k + 1)
+    ]
+    remainder = 5.34 * math.log(2.0) * 4.0 ** -(k + 1) * (4 * (k + 2) / 3 + 4 / 9)
     return BoundReport.make(
         name="esum-dyadic",
-        computed=value,
+        computed=math.fsum(terms),
         relation=">",
         claimed=-0.0538,
-        notes=f"split points 1/2^i for i=2..{i}; bound min(1.78/4^i, {_DYADIC_CAP})",
+        notes=(
+            f"split points 1/2^i for i=2..{k}, remainder past {k} below "
+            f"{math.ceil(remainder * 1e18) / 1e18:.3g}; "
+            f"bound min(1.78/4^i, {_DYADIC_CAP})"
+        ),
     )
 
 

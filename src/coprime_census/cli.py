@@ -14,12 +14,11 @@ from pathlib import Path
 
 # Without bytecode files each process compiles every package module it
 # imports, so a command imports the layers it runs where it runs them: a
-# cache-hit count loads graph and permanent but not counts or checks, and
-# numpy (arith, bounds, dist) loads only for dist and the lemmas, bounds
-# and constants suites.
+# cache-hit count loads graph (the --aux check and the ceiling) but not
+# permanent, counts or checks, and numpy (arith, bounds, dist) loads only
+# for dist and the lemmas, bounds and constants suites.
 from . import __version__
-from .graph import check_aux, count_dimension
-from .permanent import DEFAULT_CEILING, CapacityError, check_ceiling
+from .graph import DEFAULT_CEILING, CapacityError, check_aux, check_ceiling, count_dimension
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7

@@ -5,7 +5,10 @@
   m+1 permanents C_(a)(m) through the coprime double sum, which is
   exponentially cheaper than one (2m+1)-square permanent.
 * C0, C1, C_(a): the half-size coprime matching counts behind those
-  reductions.
+  reductions.  Every C_(a)(m) comes from one walk: the C_(a)(m) matrix
+  is the (m+1) x m odd-against-[m] matrix of ``odd_plus_rows(m)`` with
+  the row of a deleted and transposed, and ``permanent_minors`` returns
+  all m+1 of those permanents from one class walk.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.
 * C_k(n): permutations avoiding common factors with k!.
@@ -16,8 +19,9 @@
   against reference.py.
 
 All values are exact integers and are memoized in-process by
-(kind, n, aux); a memoized value is still refused past a smaller
-ceiling.  The persistent cache lives in the CLI layer.
+(kind, n, aux), the C_(a)(m) as one tuple under ("ca", m); a memoized
+value is still refused past a smaller ceiling.  The persistent cache
+lives in the CLI layer.
 """
 
 from __future__ import annotations
@@ -27,23 +31,21 @@ from collections import namedtuple
 from math import gcd
 
 from .graph import (
+    DEFAULT_CEILING,
     BitMatrix,
+    CapacityError,
     build_anti,
     build_full_coprime,
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
     check_aux,
+    check_ceiling,
     count_dimension,
+    odd_plus_rows,
     smallest_factor,
 )
-from .permanent import (
-    DEFAULT_CEILING,
-    CapacityError,
-    check_ceiling,
-    permanent_brute,
-    permanent_ryser,
-)
+from .permanent import permanent_brute, permanent_minors, permanent_ryser
 
 __all__ = [
     "CountResult",
@@ -67,7 +69,7 @@ __all__ = [
 
 _BRUTE_XCHECK_MAX = 12
 
-_memo: dict[tuple, int] = {}
+_memo: dict[tuple, int | tuple[int, ...]] = {}
 
 
 class CountResult(namedtuple("CountResult", "kind n aux value method")):
@@ -77,7 +79,7 @@ class CountResult(namedtuple("CountResult", "kind n aux value method")):
     __slots__ = ()
 
 
-def _memoized(key: tuple, ceiling: int, count, oracle=None) -> int:
+def _memoized(key: tuple, ceiling: int, count, oracle=None):
     """``count()`` memoized under ``key = (kind, n, ...)``, refused past the
     ceiling.
 
@@ -104,22 +106,30 @@ def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     return _memoized(("c0", n), ceiling, count)
 
 
+def _c_a_all(n: int, ceiling: int) -> tuple[int, ...]:
+    """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk."""
+    count = lambda: tuple(permanent_minors(odd_plus_rows(n), ceiling=ceiling))
+    return _memoized(("ca", n), ceiling, count)
+
+
 def count_c_a(n: int, a: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Coprime matchings between [n] and the first n+1 odd numbers minus {a}."""
-    count = lambda: permanent_ryser(build_odd_plus_excluding(n, a), ceiling=ceiling)
-    return _memoized(("ca", n, a), ceiling, count)
+    if a % 2 == 0 or not 1 <= a <= 2 * n + 1:
+        raise ValueError(f"a={a} must be odd and within 1..{2 * n + 1}")
+    return _c_a_all(n, ceiling)[a // 2]
 
 
 def count_c1(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Sum of count_c_a(n, a) over all odd a <= 2n+1."""
-    return sum(count_c_a(n, a, ceiling=ceiling) for a in range(1, 2 * n + 2, 2))
+    return sum(_c_a_all(n, ceiling))
 
 
 def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime permutations of [n].
 
     Even n: count_c0(n/2) squared.  Odd n = 2m+1: the coprime double sum
-    over excluded odd values a, b.  The first result for each n <= 12 is
+    of C_(a)(m) * C_(b)(m) over excluded odd values a, b, every C_(a)(m)
+    read from one walk.  The first result for each n <= 12 is
     cross-checked against the independent backtracking oracle.
     """
     if n < 1:
@@ -131,9 +141,8 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
             return 1  # the single permutation of {1}
         if n % 2 == 0:
             return count_c0(m, ceiling=ceiling) ** 2
-        odds = range(1, 2 * m + 2, 2)
-        ca = {a: count_c_a(m, a, ceiling=ceiling) for a in odds}
-        return sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
+        ca = dict(zip(range(1, n + 1, 2), _c_a_all(m, ceiling)))
+        return sum(ca[a] * ca[b] for a in ca for b in ca if gcd(a, b) == 1)
 
     oracle = lambda: brute_constrained_count(n, "coprime")
     return _memoized(("c", n), ceiling, reduce, oracle)

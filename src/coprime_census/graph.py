@@ -3,7 +3,12 @@
 Every builder is a pure function of its arguments; the produced
 :class:`BitMatrix` is immutable, carries explicit row/column labels, and
 sets bit (i, j) exactly when the builder's arithmetic predicate holds on
-``(labels_row[i], labels_col[j])``.
+``(labels_row[i], labels_col[j])``.  :func:`odd_plus_rows` is the one
+non-square matrix, given by its row bit-vectors alone.
+
+The size rule lives here too: :func:`count_dimension` and the ceiling
+that caps it, so a cached count checks ``--ceiling`` without loading
+the permanent engine.
 """
 
 from __future__ import annotations
@@ -14,11 +19,15 @@ from math import gcd
 __all__ = [
     "smallest_factor",
     "check_aux",
+    "CapacityError",
+    "DEFAULT_CEILING",
+    "check_ceiling",
     "count_dimension",
     "BitMatrix",
     "build_full_coprime",
     "build_odd_half",
     "build_odd_plus_excluding",
+    "odd_plus_rows",
     "anti_labels",
     "build_anti",
     "build_gcd_k",
@@ -50,6 +59,19 @@ def check_aux(kind: str, aux: int | None) -> None:
         raise ValueError("kind 'ck' needs --aux K")
     if kind != "ck" and aux is not None:
         raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
+
+
+DEFAULT_CEILING = 40
+
+
+class CapacityError(ValueError):
+    """Raised when a computation would exceed an explicit size ceiling."""
+
+
+def check_ceiling(dim: int, ceiling: int) -> None:
+    """Refuse a permanent of dimension ``dim`` past ``ceiling``."""
+    if dim > ceiling:
+        raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
 
 
 def count_dimension(kind: str, n: int) -> int:
@@ -150,6 +172,21 @@ def build_odd_plus_excluding(n: int, a: int) -> BitMatrix:
         raise ValueError(f"a={a} must be odd and within 1..{2 * n + 1}")
     cols = [v for v in range(1, 2 * n + 2, 2) if v != a]
     return _from_predicate(range(1, n + 1), cols, lambda x, y: gcd(x, y) == 1)
+
+
+def odd_plus_rows(n: int) -> tuple[int, ...]:
+    """The (n+1) x n matrix of the first n+1 odd numbers against 1..n.
+
+    Row i stands for 2i+1, and its bit j - 1 is set iff gcd(2i+1, j) = 1.
+    Deleting the row of a leaves the transpose of
+    ``build_odd_plus_excluding(n, a)``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return tuple(
+        sum(1 << (j - 1) for j in range(1, n + 1) if gcd(v, j) == 1)
+        for v in range(1, 2 * n + 2, 2)
+    )
 
 
 def anti_labels(n: int) -> list[int]:

@@ -1,11 +1,13 @@
 """Exact permanents of 0/1 matrices.
 
-Two routes, both returning exact Python integers:
+Three routes, all returning exact Python integers:
 
 * :func:`permanent_ryser` -- Ryser's inclusion-exclusion in class-
   compressed form: identical columns are grouped into classes and the
   sum runs over how many columns of each class are chosen, on one lane.
   The engine behind every count.
+* :func:`permanent_minors` -- the same class walk over an (n+1) x n
+  matrix, returning the permanent with each row deleted, all at once.
 * :func:`permanent_brute` -- direct sum over all n! permutations, the
   small-n oracle.
 
@@ -19,37 +21,26 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import permutations
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # only an annotation here; the CLI reads the ceiling alone
-    from .graph import BitMatrix
+# the size rule lives in graph, which a cached count loads without this module
+from .graph import DEFAULT_CEILING, BitMatrix, CapacityError, check_ceiling
 
 __all__ = [
     "CapacityError",
     "DEFAULT_CEILING",
     "check_ceiling",
     "permanent_ryser",
+    "permanent_minors",
     "permanent_brute",
 ]
 
-DEFAULT_CEILING = 40
 _BRUTE_LIMIT = 10
 
 
-class CapacityError(ValueError):
-    """Raised when a computation would exceed an explicit size ceiling."""
-
-
-def check_ceiling(dim: int, ceiling: int) -> None:
-    """Refuse a permanent of dimension ``dim`` past ``ceiling``."""
-    if dim > ceiling:
-        raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
-
-
-def _transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Row bit-vectors of the transpose: bit i of result[j] is entry (i, j)."""
     return tuple(
-        sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(n)
+        sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(width)
     )
 
 
@@ -92,26 +83,39 @@ def _ryser_masks(rows: tuple[int, ...], n: int) -> int:
     return total if n % 2 == 0 else -total
 
 
-def _ryser_classes(rows: tuple[int, ...], n: int) -> int:
-    """Ryser's sum over the column-class counts of ``rows``.
+def _ryser_classes(rows: tuple[int, ...], n: int):
+    """Ryser's sum over the column classes of ``rows``, a 0/1 matrix n
+    columns wide with n or n + 1 rows.
 
     Columns with the same bits form a class of size c_t, and rows with
-    the same bits a class of multiplicity m_r.  The permanent is the sum
-    over 0 <= k_t <= c_t of
+    the same bits a class of multiplicity m_r.  For n rows the permanent
+    is the sum over 0 <= k_t <= c_t of
 
-        (-1)^(n - sum k) * prod_t C(c_t, k_t) * prod_r (sum_t k_t a_rt)^m_r,
+        (-1)^(n - sum k) * prod_t C(c_t, k_t) * prod_r s_r^m_r,
 
-    visited in mixed-radix reflected Gray-code order (Knuth's Algorithm
-    7.2.1.1L): each step moves one k_t by one, so the row-class sums
-    change by one where the class has a 1, and the signed binomial
-    weight is updated by one exact multiply-divide.  prod(c_t + 1) terms.
+    with row-class sums s_r = sum_t k_t a_rt, visited in mixed-radix
+    reflected Gray-code order (Knuth's Algorithm 7.2.1.1L): each step
+    moves one k_t by one, so the sums change by one where the class has
+    a 1, the signed binomial weight is updated by one exact
+    multiply-divide, and only the powers s_r^m_r of the rows the step
+    hits are recomputed.  prod(c_t + 1) terms.
+
+    For n + 1 rows the same walk returns, keyed by the bits of each
+    distinct row, the permanent left when one copy of that row is
+    deleted.  Deleting a row of class tau lowers m_tau by one, so a step
+    of weight w adds w * s_tau^(m_tau - 1) * prod_{r != tau} s_r^m_r to
+    tau.  That is F // s_tau, with F = w * prod_r s_r^m_r, when no s_r
+    is 0.  When exactly one s_tau is 0 and m_tau = 1, only tau gets a
+    term, the product over the other classes; otherwise the step adds
+    nothing.
     """
-    if n == 0:
-        return 1
-    cols = _transpose(rows, n)
-    if 0 in rows or 0 in cols:
-        return 0
+    minors = len(rows) > n
     row_mult = Counter(rows)
+    if n == 0:
+        return dict.fromkeys(row_mult, 1) if minors else 1
+    cols = _transpose(rows, n)
+    if 0 in cols or (0 in rows and not minors):
+        return dict.fromkeys(row_mult, 0) if minors else 0
     mult = list(row_mult.values())
     first = [rows.index(row) for row in row_mult]
     col_size = Counter(cols)
@@ -120,11 +124,14 @@ def _ryser_classes(rows: tuple[int, ...], n: int) -> int:
     hits = [[r for r, i in enumerate(first) if (col >> i) & 1] for col in col_size]
     classes = len(sizes)
     sums = [0] * len(mult)
+    powers = [0] * len(mult)  # s_r^m_r
     k = [0] * classes
     rising = [True] * classes
     focus = list(range(classes + 1))
     weight = 1  # (-1)^(sum k) * prod_t C(c_t, k_t)
     total = 0
+    totals = [0] * len(mult)  # per row class, for n + 1 rows
+    row_classes = range(len(mult))
     mprod = math.prod
     while True:
         t = focus[0]
@@ -136,20 +143,34 @@ def _ryser_classes(rows: tuple[int, ...], n: int) -> int:
         if rising[t]:
             weight = -weight * (c - kt) // (kt + 1)
             kt += 1
-            for r in hits[t]:
-                sums[r] += 1
+            d = 1
         else:
             weight = -weight * kt // (c - kt + 1)
             kt -= 1
-            for r in hits[t]:
-                sums[r] -= 1
+            d = -1
         k[t] = kt
         if kt == 0 or kt == c:
             rising[t] = not rising[t]
             focus[t] = focus[t + 1]
             focus[t + 1] = t + 1
-        total += weight * mprod(map(pow, sums, mult))
-    return total if n % 2 == 0 else -total
+        for r in hits[t]:
+            s = sums[r] + d
+            sums[r] = s
+            powers[r] = s ** mult[r]
+        f = weight * mprod(powers)
+        if not minors:
+            total += f
+        elif f:
+            for r in row_classes:
+                totals[r] += f // sums[r]
+        elif sums.count(0) == 1:
+            r = sums.index(0)
+            if mult[r] == 1:
+                totals[r] += weight * mprod(powers[:r]) * mprod(powers[r + 1 :])
+    sign = 1 if n % 2 == 0 else -1
+    if minors:
+        return {row: sign * x for row, x in zip(row_mult, totals)}
+    return sign * total
 
 
 def permanent_ryser(matrix: BitMatrix, *, ceiling: int = DEFAULT_CEILING) -> int:
@@ -170,6 +191,26 @@ def permanent_ryser(matrix: BitMatrix, *, ceiling: int = DEFAULT_CEILING) -> int
     if _class_terms(cols) <= _class_terms(rows):
         return _ryser_classes(rows, n)
     return _ryser_classes(cols, n)
+
+
+def permanent_minors(
+    rows: tuple[int, ...], *, ceiling: int = DEFAULT_CEILING
+) -> list[int]:
+    """Permanents of an (n+1) x n 0/1 matrix with one row deleted, for
+    every row, from one class walk.
+
+    ``rows`` holds the n+1 row bit-vectors (bit j of ``rows[i]`` is entry
+    (i, j)); entry i of the result is the permanent of the n-square
+    matrix without row i.  The walk runs over the column classes, so it
+    costs prod(c_col + 1) terms for all rows together.  Dimensions n
+    above ``ceiling`` are refused.
+    """
+    n = len(rows) - 1
+    if n < 0 or any(r >> n for r in rows):
+        raise ValueError("rows must be n+1 bit-vectors of width n")
+    check_ceiling(n, ceiling)
+    by_row = _ryser_classes(tuple(rows), n)
+    return [by_row[row] for row in rows]
 
 
 def permanent_brute(matrix: BitMatrix) -> int:

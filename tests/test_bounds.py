@@ -1,5 +1,8 @@
+import decimal
 import json
 import math
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -125,10 +128,37 @@ class TestEsums:
         # frozen from the defining series (independent evaluation)
         assert math.isclose(rep.computed, -0.0537288245, abs_tol=1e-9)
 
-    def test_dyadic_truncation_insensitive(self):
-        a = esum_dyadic(term_tol=1e-12).computed
-        b = esum_dyadic(term_tol=1e-15).computed
-        assert abs(a - b) < 1e-11
+    def test_dyadic_remainder_bound(self):
+        # the terms past the last summed index, summed directly to i = 80 at
+        # 60 digits (float64 loses them to cancellation near i = 50), stay
+        # inside the remainder bound the notes state
+        rep = esum_dyadic()
+        last, bound = re.search(
+            r"i=2\.\.(\d+), remainder past \1 below ([0-9.e-]+);", rep.notes
+        ).groups()
+        last, bound = int(last), float(bound)
+        ctx = decimal.Context(prec=60)
+
+        def f(x):
+            return x * x.ln(ctx)
+
+        def term(i):
+            a = ctx.divide(1, 2**i)
+            return f(a - ctx.divide(Decimal("1.78"), 4**i)) - f(
+                a - ctx.divide(Decimal("1.78"), 4 ** (i - 1))
+            )
+
+        rest = [term(i) for i in range(last + 1, 81)]
+        assert all(t < 0 for t in rest)
+        assert 0 < -float(sum(rest)) < bound < 1e-15
+        # the summed part is the float sum of the defining terms
+        cap = BRACKETS[0][2]
+        summed = [
+            f_xlogx(0.5**i - min(1.78 / 4.0**i, cap))
+            - f_xlogx(0.5**i - min(1.78 / 4.0 ** (i - 1), cap))
+            for i in range(2, last + 1)
+        ]
+        assert math.fsum(summed) == rep.computed
 
     def test_middle(self):
         rep = esum_middle()

@@ -44,7 +44,13 @@ from contextlib import redirect_stdout
 import coprime_census.cli as cli
 with redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-watched = ("coprime_census.counts", "coprime_census.checks", "dataclasses", "numpy")
+watched = (
+    "coprime_census.permanent",
+    "coprime_census.counts",
+    "coprime_census.checks",
+    "dataclasses",
+    "numpy",
+)
 print(json.dumps([rc, [m for m in watched if m in sys.modules]]))
 """
 
@@ -61,7 +67,8 @@ def loaded_by(argv: list[str], cwd) -> set[str]:
 
 def test_count_and_table_never_load_numpy(tmp_path):
     """count, table and the verify tables suite run on the pure-Python stack
-    without dataclasses or numpy; a cache hit loads neither counts nor checks."""
+    without dataclasses or numpy; a cache hit loads none of permanent,
+    counts and checks."""
     runs = [
         ["count", "--kind", "c0", "--n", "10", "--no-cache"],
         ["count", "--kind", "c", "--n", "11", "--no-cache"],

@@ -20,6 +20,7 @@ from coprime_census.counts import (
     growth_ratio,
     matrix_for,
 )
+from coprime_census.graph import build_odd_plus_excluding
 from coprime_census.permanent import permanent_ryser
 
 
@@ -49,6 +50,38 @@ class TestC1:
     def test_upper_sandwich(self):
         for n in range(2, 8):
             assert count_c(2 * n + 1) <= count_c1(n) ** 2
+
+
+class TestOddFromOneWalk:
+    def test_double_sum_of_per_a_permanents(self):
+        # odd C(n), n <= 35, against the coprime double sum assembled here
+        # from one Ryser permanent per excluded odd value
+        for n in range(3, 36, 2):
+            m = n // 2
+            odds = range(1, n + 1, 2)
+            ca = {a: permanent_ryser(build_odd_plus_excluding(m, a)) for a in odds}
+            want = sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
+            assert count_c(n) == want, n
+            assert count_c1(m) == sum(ca.values())
+
+    def test_no_square_permanent_behind_odd_c(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a per-a permanent was walked")
+
+        monkeypatch.setattr(counts, "_memo", {})
+        monkeypatch.setattr(counts, "permanent_ryser", refused)
+        assert count_c(25) == 172593628397420544
+        assert count_c1(12) == sum(count_c_a(12, a) for a in range(1, 26, 2))
+
+    def test_ceiling_refuses_before_the_walk(self, monkeypatch):
+        def unwalked(*args, **kwargs):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(counts, "_memo", {})
+        monkeypatch.setattr(counts, "permanent_minors", unwalked)
+        for run in (lambda: count_c(31, ceiling=14), lambda: count_c1(15, ceiling=14)):
+            with pytest.raises(CapacityError, match="dimension 15 exceeds ceiling 14"):
+                run()
 
 
 class TestC:

@@ -15,6 +15,7 @@ from coprime_census.graph import (
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
+    odd_plus_rows,
     smallest_factor,
 )
 from coprime_census.permanent import permanent_brute, permanent_ryser
@@ -100,6 +101,17 @@ class TestOddPlusExcluding:
             m = build_odd_plus_excluding(n, a)
             assert set(m.labels_col) == odds - {a}
             assert m.labels_row == tuple(range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_odd_plus_rows_without_a_is_the_transpose(self, n):
+        rows = odd_plus_rows(n)
+        assert len(rows) == n + 1
+        for i, a in enumerate(range(1, 2 * n + 2, 2)):
+            m = build_odd_plus_excluding(n, a)
+            kept = rows[:i] + rows[i + 1 :]
+            assert all(((kept[j] >> r) & 1) == bit(m, r, j) for r in range(n) for j in range(n))
+        with pytest.raises(ValueError):
+            odd_plus_rows(0)
 
 
 class TestAnti:

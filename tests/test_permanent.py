@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprime_census.graph import (
@@ -11,6 +11,7 @@ from coprime_census.graph import (
     build_gcd_k,
     build_odd_half,
     build_odd_plus_excluding,
+    odd_plus_rows,
 )
 from coprime_census.permanent import (
     CapacityError,
@@ -18,6 +19,7 @@ from coprime_census.permanent import (
     _ryser_masks,
     _transpose,
     permanent_brute,
+    permanent_minors,
     permanent_ryser,
 )
 
@@ -151,3 +153,49 @@ class TestClassWalk:
         want = permanent_brute(m)
         assert _ryser_classes(m.rows, m.n) == want
         assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want
+
+
+@st.composite
+def tall_class_matrices(draw):
+    """(n+1) x n 0/1 matrices spread from a few distinct rows and columns,
+    so classes repeat; any row or column may come out all zero."""
+    n = draw(st.integers(1, 7))
+    row_kinds = draw(st.integers(1, n + 1))
+    col_kinds = draw(st.integers(1, n))
+    base = draw(st.lists(st.integers(0, 2**col_kinds - 1), min_size=row_kinds, max_size=row_kinds))
+    row_of = draw(st.lists(st.integers(0, row_kinds - 1), min_size=n + 1, max_size=n + 1))
+    col_of = draw(st.lists(st.integers(0, col_kinds - 1), min_size=n, max_size=n))
+    return tuple(sum(((base[r] >> col_of[j]) & 1) << j for j in range(n)) for r in row_of)
+
+
+def minors_by_brute(rows: tuple[int, ...]) -> list[int]:
+    n = len(rows) - 1
+    return [permanent_brute(matrix_from_rows(rows[:i] + rows[i + 1 :], n)) for i in range(n + 1)]
+
+
+class TestMinors:
+    def test_odd_plus_rows_give_every_c_a(self):
+        for m in range(1, 17):
+            want = [
+                permanent_ryser(build_odd_plus_excluding(m, a)) for a in range(1, 2 * m + 2, 2)
+            ]
+            assert permanent_minors(odd_plus_rows(m)) == want, m
+
+    @given(tall_class_matrices())
+    @settings(max_examples=300, deadline=None)
+    @example((0b111, 0b000, 0b101, 0b011))  # one zero row: only its minor survives
+    @example((0b11, 0b00, 0b00))  # two zero rows: every minor is 0
+    @example((0b101, 0b111, 0b101, 0b110))  # column 1 all zero
+    @example((0b1, 0b1))  # one class of two rows
+    @example((0b0011, 0b0100, 0b1000, 0b0011, 0b1100))  # size-1 classes whose sums return to 0
+    def test_equals_brute_on_class_structured_matrices(self, rows):
+        assert permanent_minors(rows) == minors_by_brute(rows)
+
+    def test_zero_width(self):
+        assert permanent_minors((0,)) == [1]
+
+    def test_refusals(self):
+        with pytest.raises(ValueError):
+            permanent_minors((0b11, 0b01))  # 2 x 2 is not (n+1) x n
+        with pytest.raises(CapacityError, match="dimension 9 exceeds ceiling 8"):
+            permanent_minors(odd_plus_rows(9), ceiling=8)
