@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .graph import smallest_factor
+
 __all__ = [
     "FactorSieve",
     "build_sieve",
@@ -118,36 +120,23 @@ def is_prime(m: int, sieve: FactorSieve) -> bool:
     return m >= 2 and int(sieve.spf[m]) == m
 
 
-def _trial_distinct_primes(m: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        primes.append(m)
-    return primes
-
-
 def coprime_count(m: int, n: int) -> int:
     """Exact count of j <= n with gcd(j, m) = 1.
 
     Inclusion-exclusion over the squarefree divisors of m:
-    sum over d | rad(m) of mu(d) * floor(n/d).
+    sum over d | rad(m) of mu(d) * floor(n/d), the distinct primes of m
+    read off by repeated trial division.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    total = 0
     # (divisor, mobius sign) pairs built incrementally over distinct primes
     terms = [(1, 1)]
-    for p in _trial_distinct_primes(m):
+    while m > 1:
+        p = smallest_factor(m)
         terms += [(d * p, -s) for d, s in terms]
-    for d, s in terms:
-        total += s * (n // d)
-    return total
+        while m % p == 0:
+            m //= p
+    return sum(s * (n // d) for d, s in terms)
 
 
 @lru_cache(maxsize=64)

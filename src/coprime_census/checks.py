@@ -1,12 +1,10 @@
-"""The verify suites, each a list of check records that the CLI prints,
-``scripts/verify_bounds.py`` emits as JSON lines and the acceptance gate
-asserts.  Only the tables suite runs without numpy; the others import
-``dist`` and ``bounds`` where they run.
+"""The verify suites, each a list of check records that the CLI prints
+and the acceptance gate asserts.  Only the tables suite runs without
+numpy; the others import ``dist`` and ``bounds`` where they run.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections import namedtuple
@@ -45,11 +43,6 @@ class BoundReport(
             raise ValueError(f"unknown relation {relation!r}")
         passed = _RELATIONS[relation](computed, claimed)
         return cls(name, computed, claimed, relation, passed, notes, diagnostic)
-
-    def to_json(self) -> str:
-        keys = ("name", "computed", "claimed", "relation", "notes")
-        record = {"pass": self.passed, **{k: getattr(self, k) for k in keys}}
-        return json.dumps(record, sort_keys=True)
 
 
 # table -> (how a row prints: the count, then the ratio; its reference rows)

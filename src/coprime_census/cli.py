@@ -98,16 +98,6 @@ def _record(kind: str, n: int, aux: int | None, value: int, ratio: str | None) -
     }
 
 
-def _ratio_for(kind: str, n: int, value: int) -> str | None:
-    from . import counts
-
-    if kind in ("c", "a"):
-        return counts.format_ratio(counts.growth_ratio(n, value))
-    if kind == "c0":
-        return counts.format_ratio(counts.growth_ratio(2 * n, value * value))
-    return None
-
-
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for row in rows:
@@ -163,7 +153,9 @@ def cmd_count(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        rec = _record(kind, args.n, args.aux, result.value, _ratio_for(kind, args.n, result.value))
+        ratio = counts.count_ratio(kind, args.n, result.value)
+        shown = None if ratio is None else counts.format_ratio(ratio)
+        rec = _record(kind, args.n, args.aux, result.value, shown)
         if cache and cached is None:
             cache.append(rec)
         print(json.dumps(rec, sort_keys=True))

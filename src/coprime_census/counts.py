@@ -57,6 +57,7 @@ __all__ = [
     "count_ck",
     "anti_lower",
     "growth_ratio",
+    "count_ratio",
     "TableRow",
     "table_rows",
     "check_table",
@@ -102,13 +103,13 @@ def _memoized(key: tuple, ceiling: int, count, oracle=None):
 
 def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime matchings from the first n odd numbers into [n]."""
-    count = lambda: permanent_ryser(build_odd_half(n), ceiling=ceiling)
+    count = lambda: permanent_ryser(build_odd_half(n))
     return _memoized(("c0", n), ceiling, count)
 
 
 def _c_a_all(n: int, ceiling: int) -> tuple[int, ...]:
     """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk."""
-    count = lambda: tuple(permanent_minors(odd_plus_rows(n), ceiling=ceiling))
+    count = lambda: tuple(permanent_minors(odd_plus_rows(n)))
     return _memoized(("ca", n), ceiling, count)
 
 
@@ -157,14 +158,14 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    count = lambda: permanent_ryser(build_anti(n), ceiling=ceiling)
+    count = lambda: permanent_ryser(build_anti(n))
     oracle = lambda: brute_constrained_count(n, "anti")
     return _memoized(("a", n), ceiling, count, oracle)
 
 
 def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1."""
-    count = lambda: permanent_ryser(build_gcd_k(n, k), ceiling=ceiling)
+    count = lambda: permanent_ryser(build_gcd_k(n, k))
     oracle = lambda: brute_constrained_count(n, "gcd_k", k=k)
     return _memoized(("ck", n, k), ceiling, count, oracle)
 
@@ -201,6 +202,17 @@ def growth_ratio(n: int, value: int) -> float:
     return math.exp((math.log(math.factorial(n)) - math.log(value)) / n)
 
 
+def count_ratio(kind: str, n: int, value: int) -> float | None:
+    """The growth ratio printed beside a count: r_2n = growth_ratio(2n,
+    C0(n)^2) for c0 (as C(2n) = C0(n)^2), growth_ratio(n, value) for c
+    and a (r_n and u_n), and none for the other kinds."""
+    if kind == "c0":
+        return growth_ratio(2 * n, value * value)
+    if kind in ("c", "a"):
+        return growth_ratio(n, value)
+    return None
+
+
 def format_ratio(x: float) -> str:
     """Render a ratio at 4 decimals, ties half-even (table convention)."""
     from decimal import ROUND_HALF_EVEN, Decimal  # loaded only to print a ratio
@@ -219,15 +231,14 @@ class TableRow(namedtuple("TableRow", "n value ratio")):
         return {"n": self.n, "value": str(self.value), "ratio": format_ratio(self.ratio)}
 
 
+# table -> the kind it lists and its count function
+_TABLE_COUNTS = {"t1": ("c0", count_c0), "t2": ("c", count_c), "t3": ("a", count_a)}
+
+
 def _table_row(which: str, n: int, *, ceiling: int) -> TableRow:
-    if which == "t1":
-        value = count_c0(n, ceiling=ceiling)
-        return TableRow(n, value, growth_ratio(2 * n, value * value))
-    if which == "t2":
-        value = count_c(n, ceiling=ceiling)
-    else:
-        value = count_a(n, ceiling=ceiling)
-    return TableRow(n, value, growth_ratio(n, value))
+    kind, count = _TABLE_COUNTS[which]
+    value = count(n, ceiling=ceiling)
+    return TableRow(n, value, count_ratio(kind, n, value))
 
 
 def table_rows(
@@ -376,7 +387,7 @@ def compute(
     def permanent() -> int:
         # the direct route builds the full C(n) matrix, not its reduction
         check_ceiling(n if kind == "c" else count_dimension(kind, n), ceiling)
-        return permanent_ryser(matrix_for(kind, n, aux), ceiling=ceiling)
+        return permanent_ryser(matrix_for(kind, n, aux))
 
     table = {
         "c": {

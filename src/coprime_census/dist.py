@@ -4,8 +4,9 @@ All threshold comparisons are exact: a cutoff alpha is carried as a
 rational and "phi(m)/m <= alpha" is decided by integer cross-
 multiplication, so boundary ratios (phi(3)/3 = 2/3 at alpha = 2/3, say)
 can never flip on floating-point noise.  The bulk scans share one numpy
-table of phi over the odd numbers, grown on demand; the second moment is
-summed exactly by int64 long division.
+table of phi over the odd numbers, grown on demand, and walk it in
+chunks, so no full-length array but that table is formed; the second
+moment is summed exactly by int64 long division.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ __all__ = [
 # rate is not known, so bracket comparisons warn rather than fail
 BRACKET_DIAGNOSTIC_TOL = 0.004
 
-# odd m per chunk of the exact second-moment sum
-_MOMENT_CHUNK = 1 << 15
+# odd m per chunk of every scan
+_CHUNK = 1 << 15
 
 # fixed-point scale of the second-moment terms
 _MOMENT_BITS = 80
@@ -86,9 +87,13 @@ def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:
     return sum(1 for a, b in zip(ph.tolist(), m.tolist()) if q * a <= p * b)
 
 
-def _odd_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd m < 2n and phi(m), read from the shared table."""
-    return np.arange(1, 2 * n, 2, dtype=np.int64), _ensure_phi(n)
+def _odd_chunks(ph: np.ndarray):
+    """(m, phi(m)) int64 array pairs of at most _CHUNK entries, in order,
+    over the odd m < 2 * len(ph) whose totients the table slice ``ph``
+    holds."""
+    for lo in range(0, len(ph), _CHUNK):
+        pc = ph[lo : lo + _CHUNK]
+        yield np.arange(2 * lo + 1, 2 * (lo + len(pc)), 2, dtype=np.int64), pc
 
 
 def d_count(alpha, n: int) -> DistEstimate:
@@ -96,7 +101,7 @@ def d_count(alpha, n: int) -> DistEstimate:
     a = as_fraction(alpha)
     if not 0 <= a <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    count = _count_le(a, *_odd_terms(n))
+    count = sum(_count_le(a, m, ph) for m, ph in _odd_chunks(_ensure_phi(n)))
     return DistEstimate(alpha=a, n=n, count=count, density=count / n)
 
 
@@ -133,7 +138,7 @@ def second_moment(n: int) -> float:
     Each term is accumulated as an exact scaled integer
     floor(m^2 * 2^80 / phi(m)^2); the total truncation error is below
     n / 2^80, far under float64 resolution of the result.  The terms are
-    summed in chunks of _MOMENT_CHUNK odd m by int64 long division with
+    summed in chunks of _CHUNK odd m by int64 long division with
     digits of w = 62 - bitlen(max phi^2) bits (20 at n = 10^6), which
     gives the same integer as dividing Python ints.  Everything fits in
     int64 once w >= 1: some prime p in (n, 2n) has phi(p) >= n, so
@@ -142,11 +147,7 @@ def second_moment(n: int) -> float:
     """
     ph = _ensure_phi(n)
     w = 62 - (int(ph.max()) ** 2).bit_length()
-    acc = 0
-    for lo in range(0, n, _MOMENT_CHUNK):
-        pc = ph[lo : lo + _MOMENT_CHUNK]
-        mc = np.arange(2 * lo + 1, 2 * (lo + len(pc)), 2, dtype=np.int64)
-        acc += _scaled_sum(mc, pc, w)
+    acc = sum(_scaled_sum(m, pc, w) for m, pc in _odd_chunks(ph))
     return acc / 2**_MOMENT_BITS
 
 
@@ -167,16 +168,16 @@ def top_interval_set(n: int) -> set[int]:
     :func:`top_interval_characterization`, the closed form
     {1} union {primes in (sqrt(2n), 2n)}.
     """
-    m, ph = _odd_terms(n)
-    if (2 * n) ** 3 < 2**63:
-        d = m - ph
-        mask = 2 * n * d * d < m * m
-        return set(int(v) for v in m[mask])
-    return {
-        int(a)
-        for a, b in zip(m.tolist(), ph.tolist())
-        if 2 * n * (a - b) ** 2 < a * a
-    }
+    found = set()
+    fits = (2 * n) ** 3 < 2**63  # 2n * (m - phi)^2 and m^2 stay in int64
+    for m, ph in _odd_chunks(_ensure_phi(n)):
+        if fits:
+            d = m - ph
+            found.update(m[2 * n * d * d < m * m].tolist())
+        else:
+            pairs = zip(m.tolist(), ph.tolist())
+            found.update(a for a, b in pairs if 2 * n * (a - b) ** 2 < a * a)
+    return found
 
 
 def top_interval_characterization(n: int) -> set[int]:

