@@ -1,16 +1,17 @@
 """Elementary and analytic number-theory primitives.
 
-Sieves, totients, prime enumeration and the odd Mertens product.
-Everything integer-valued is exact; real-valued products are accumulated
-as compensated sums of logs (``math.fsum`` over float64 terms), which
-keeps the relative error of every documented quantity below ~1e-13 --
-far inside the 1e-12 contract.
+The coprime count F(m, n) by trial division (``coprime_count(m, m)`` is
+phi(m)), and the numpy tables that the distribution and bound scans
+read: the odd prime sieve, phi over the odd m, omega, and the odd
+Mertens product.  Everything integer-valued is exact; real-valued
+products are accumulated as compensated sums of logs (``math.fsum``
+over float64 terms), which keeps the relative error of every documented
+quantity below ~1e-13 -- far inside the 1e-12 contract.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -18,106 +19,12 @@ import numpy as np
 from .graph import smallest_factor
 
 __all__ = [
-    "FactorSieve",
-    "build_sieve",
-    "euler_phi",
-    "omega",
-    "distinct_primes",
-    "is_prime",
     "coprime_count",
     "mertens_product",
     "primes_upto",
     "phi_array",
     "omega_array",
 ]
-
-
-class FactorSieve(namedtuple("FactorSieve", "limit spf")):
-    """Smallest-prime-factor table up to ``limit``.
-
-    ``spf[m]`` is the smallest prime factor of ``m`` for ``2 <= m <= limit``,
-    with the convention ``spf[1] = 1`` (an int32 array of length limit+1).
-    Immutable after construction and safe to share across threads/processes.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, limit: int, spf: np.ndarray):
-        if limit < 1:
-            raise ValueError("sieve limit must be >= 1")
-        spf.setflags(write=False)
-        return super().__new__(cls, limit, spf)
-
-
-def build_sieve(limit: int) -> FactorSieve:
-    """Build a smallest-prime-factor sieve for 1..limit."""
-    if limit < 1:
-        raise ValueError("sieve limit must be >= 1")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    if limit >= 1:
-        spf[1] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    # everything still unset is a prime above sqrt(limit)
-    rest = np.nonzero(spf == 0)[0]
-    spf[rest] = rest
-    spf[0] = 0
-    return FactorSieve(limit=limit, spf=spf)
-
-
-def _check_range(m: int, sieve: FactorSieve) -> None:
-    if not 1 <= m <= sieve.limit:
-        raise ValueError(f"m={m} outside sieve range 1..{sieve.limit}")
-
-
-def euler_phi(m: int, sieve: FactorSieve) -> int:
-    """Euler's totient of m, exact, via the spf factorization."""
-    _check_range(m, sieve)
-    spf = sieve.spf
-    result = 1
-    while m > 1:
-        p = int(spf[m])
-        pe = p - 1
-        m //= p
-        while m % p == 0:
-            pe *= p
-            m //= p
-        result *= pe
-    return result
-
-
-def omega(m: int, sieve: FactorSieve) -> int:
-    """Number of distinct prime factors of m; omega(1) = 0."""
-    _check_range(m, sieve)
-    spf = sieve.spf
-    count = 0
-    while m > 1:
-        p = int(spf[m])
-        count += 1
-        while m % p == 0:
-            m //= p
-    return count
-
-
-def distinct_primes(m: int, sieve: FactorSieve) -> list[int]:
-    """Distinct prime factors of m in increasing order."""
-    _check_range(m, sieve)
-    spf = sieve.spf
-    primes = []
-    while m > 1:
-        p = int(spf[m])
-        primes.append(p)
-        while m % p == 0:
-            m //= p
-    return primes
-
-
-def is_prime(m: int, sieve: FactorSieve) -> bool:
-    _check_range(m, sieve)
-    return m >= 2 and int(sieve.spf[m]) == m
 
 
 def coprime_count(m: int, n: int) -> int:
@@ -208,7 +115,7 @@ def phi_array(n: int) -> np.ndarray:
     """phi(2i+1) for i = 0..n-1, the odd m < 2n, as an int64 array.
 
     Every distribution scan reads odd m only, so the table stores no even
-    entry.  Bulk companion to :func:`euler_phi`.
+    entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

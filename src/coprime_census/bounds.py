@@ -25,7 +25,6 @@ from .reference import BRACKETS
 __all__ = [
     "EULER_GAMMA",
     "ck_closed",
-    "mcnew_factor",
     "mcnew_product",
     "esum_dyadic",
     "esum_middle",
@@ -59,9 +58,9 @@ def ck_closed(k: int) -> float:
     raise ValueError("closed forms are available for k in {2, 3, 5}")
 
 
-def _mcnew_log_factor(p: np.ndarray | float) -> np.ndarray | float:
-    # log of p*(p-2)^(1-2/p) / (p-1)^(2*(1-1/p)), for one prime or a
-    # float64 array of them
+def _mcnew_log_factor(p: np.ndarray) -> np.ndarray:
+    # log of p*(p-2)^(1-2/p) / (p-1)^(2*(1-1/p)) over a float64 array of
+    # odd primes
     return (
         np.log(p)
         + (1.0 - 2.0 / p) * np.log(p - 2.0)
@@ -69,34 +68,24 @@ def _mcnew_log_factor(p: np.ndarray | float) -> np.ndarray | float:
     )
 
 
-def mcnew_factor(p: int) -> float:
-    """Per-prime factor of the conjectured limiting constant.
-
-    n!/N_p(n) per position, where N_p counts permutations whose pairs
-    avoid a common factor p; the factor at p = 2 is taken to be 2.
-    (The published displayed product carries a doubled "p" in its
-    numerator; the factor here follows the n!/N_p display, which is the
-    version that reproduces the closed forms at k = 3 and 5.)
-    """
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p={p} is not prime")
-    if p == 2:
-        return 2.0
-    return math.exp(_mcnew_log_factor(float(p)))
-
-
 _MCNEW_CHUNK = 1 << 16  # primes per float64 chunk of log factors
 
 
 def mcnew_product(P: int) -> float:
-    """Product of mcnew_factor(p) over primes p <= P.
+    """The conjectured limiting constant, a product over primes p <= P.
 
-    The odd factors are accumulated as one compensated sum of their logs,
-    evaluated over float64 chunks of the prime array (``math.fsum`` is
-    correctly rounded, so the chunking cannot change the result); the
-    factor 2 at p = 2 scales the result exactly.  The truncation tail
-    beyond P is of order (log P)/P (each log factor is O(log(p)/p^2)), so
-    P = 1e7 pins the limit well below 1e-4.
+    The factor at p is n!/N_p(n) per position, where N_p counts
+    permutations whose pairs avoid a common factor p: 2 at p = 2, else
+    p*(p-2)^(1-2/p) / (p-1)^(2*(1-1/p)).  (The published displayed
+    product carries a doubled "p" in its numerator; the factor here
+    follows the n!/N_p display, which is the version that reproduces the
+    closed forms at k = 3 and 5.)  The odd factors are accumulated as one
+    compensated sum of their logs, evaluated over float64 chunks of the
+    prime array (``math.fsum`` is correctly rounded, so the chunking
+    cannot change the result); the factor 2 at p = 2 scales the result
+    exactly.  The truncation tail beyond P is of order (log P)/P (each
+    log factor is O(log(p)/p^2)), so P = 1e7 pins the limit well below
+    1e-4.
     """
     if P < 2:
         raise ValueError("P must be >= 2")

@@ -163,27 +163,25 @@ def second_moment_constant(P: int) -> float:
 def top_interval_set(n: int) -> set[int]:
     """Odd m < 2n with phi(m)/m > 1 - 1/sqrt(2n).
 
-    The comparison is exact: phi/m > 1 - 1/sqrt(2n) iff
-    2n*(m - phi)^2 < m^2.  Callers compare the result against
-    :func:`top_interval_characterization`, the closed form
-    {1} union {primes in (sqrt(2n), 2n)}.
+    The comparison is exact: phi/m > 1 - 1/sqrt(2n) iff 2n*(m - phi)^2 <
+    m^2, iff (m - phi)^2 < ceil(m^2 / 2n) for the integer (m - phi)^2;
+    m^2 stays in int64 for the n < 1.5e9 accepted.  Callers compare the
+    result against :func:`top_interval_characterization`, the closed
+    form {1} union {primes in (sqrt(2n), 2n)}.
     """
+    if n >= 1_500_000_000:
+        raise ValueError(f"n={n} is too large for the top-interval set (n < 1.5e9)")
     found = set()
-    fits = (2 * n) ** 3 < 2**63  # 2n * (m - phi)^2 and m^2 stay in int64
     for m, ph in _odd_chunks(_ensure_phi(n)):
-        if fits:
-            d = m - ph
-            found.update(m[2 * n * d * d < m * m].tolist())
-        else:
-            pairs = zip(m.tolist(), ph.tolist())
-            found.update(a for a, b in pairs if 2 * n * (a - b) ** 2 < a * a)
+        d = m - ph
+        found.update(m[d * d < -(-(m * m) // (2 * n))].tolist())
     return found
 
 
 def top_interval_characterization(n: int) -> set[int]:
     """{1} union {primes p with sqrt(2n) < p < 2n}."""
     ps = primes_upto(2 * n - 1)
-    return {1} | {int(p) for p in ps if int(p) ** 2 > 2 * n}
+    return {1} | set(ps[ps > math.isqrt(2 * n)].tolist())
 
 
 def ep_upper_check(x, n: int) -> BoundReport:

@@ -38,9 +38,10 @@ __all__ = [
 def smallest_factor(m: int) -> int:
     """Smallest prime factor of ``m >= 2``, by trial division.
 
-    Builders, table lists and ``arith.coprime_count`` only see numbers up
-    to a few hundred, where trial division beats building a sieve and
-    keeps numpy unloaded.
+    The one scalar factoring rule: builders, table lists and
+    ``arith.coprime_count`` (so phi(m) = F(m, m)) use it on numbers up to
+    a few hundred, where trial division beats a sieve and keeps numpy
+    unloaded.  Its test oracle is ``arith.primes_upto``, the numpy sieve.
     """
     if m < 2:
         raise ValueError("m must be >= 2")

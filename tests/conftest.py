@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import coprime_census
-from coprime_census.arith import build_sieve
+from coprime_census.graph import smallest_factor
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -26,13 +26,20 @@ def cli_subprocess_path():
 
 
 @pytest.fixture(scope="session")
-def sieve_1m():
-    return build_sieve(10**6)
+def omega_of():
+    """omega(m), the number of distinct primes that repeated
+    ``smallest_factor`` division finds; omega(1) = 0."""
 
+    def omega(m: int) -> int:
+        count = 0
+        while m > 1:
+            p = smallest_factor(m)
+            count += 1
+            while m % p == 0:
+                m //= p
+        return count
 
-@pytest.fixture(scope="session")
-def sieve_small():
-    return build_sieve(10**4)
+    return omega
 
 
 # imports the module, then reports the tracemalloc peak of one call in MiB

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from coprime_census import checks, counts, dist, reference
-from coprime_census.arith import build_sieve, coprime_count, euler_phi, omega, omega_array
+from coprime_census.arith import coprime_count, omega_array
 from coprime_census.graph import build_full_coprime
 from coprime_census.permanent import permanent_ryser
 
@@ -195,21 +195,22 @@ def test_criterion_8_bound_reports():
         print(f"  bound reports computed in {elapsed:.2f}s (target < 1s)")
 
 
-def test_criterion_9_distribution_suite(c0_values, a_values):
+def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
     with criterion(9, "finite-n property suite for the distribution machinery"):
-        sieve = build_sieve(10**6)
+        # phi(m) is coprime_count(m, m); omega(m) comes from repeated
+        # smallest_factor division
 
         # |F(m,n)*m - phi(m)*n| <= 2^(omega(m)-1) * m, exact, all m,n <= 300
         for m in range(2, 301):
-            ph = euler_phi(m, sieve)
-            w = omega(m, sieve)
+            ph = coprime_count(m, m)
+            w = omega_of(m)
             for n in range(1, 301):
                 assert 2 * abs(coprime_count(m, n) * m - ph * n) <= (1 << w) * m
 
         # F(m,n) > (phi/m) n - sqrt(n) for all m <= n <= 300, exact
         for n in range(1, 301):
             for m in range(1, n + 1):
-                lhs = coprime_count(m, n) * m - euler_phi(m, sieve) * n
+                lhs = coprime_count(m, n) * m - coprime_count(m, m) * n
                 assert lhs >= 0 or lhs * lhs < m * m * n
 
         # sqrt(m) > 2^(omega(m)-1) for all m <= 1e6, exact

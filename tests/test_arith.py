@@ -9,17 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprime_census.arith import (
-    build_sieve,
     coprime_count,
-    distinct_primes,
-    euler_phi,
-    is_prime,
     mertens_product,
-    omega,
     omega_array,
     phi_array,
     primes_upto,
 )
+from coprime_census.graph import smallest_factor
 
 
 def trial_spf(m: int) -> int:
@@ -38,65 +34,25 @@ def gcd_loop_count(m: int, n: int) -> int:
     return sum(1 for j in range(1, n + 1) if gcd(j, m) == 1)
 
 
-class TestBuildSieve:
-    def test_limit_one(self):
-        s = build_sieve(1)
-        assert s.limit == 1 and s.spf[1] == 1
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            build_sieve(0)
-
-    def test_small_values(self):
-        s = build_sieve(10)
-        assert s.spf[9] == 3
-        assert s.spf[7] == 7
-        assert s.spf[10] == 2
-
-    def test_invariants_exhaustive_small(self, sieve_small):
-        spf = sieve_small.spf
-        for m in range(2, 10**4 + 1):
-            p = int(spf[m])
-            assert m % p == 0
-            assert trial_spf(p) == p  # p prime
-            # factorization reconstructed by repeated division
-            k, prod = m, 1
-            while k > 1:
-                q = int(spf[k])
-                prod *= q
-                k //= q
-            assert prod == m
-
-    def test_spot_check_large(self):
-        s = build_sieve(2 * 10**7)
-        rng = random.Random(7)
-        for _ in range(1000):
-            m = rng.randrange(2, 2 * 10**7 + 1)
-            assert int(s.spf[m]) == trial_spf(m)
-
-    def test_immutable(self, sieve_small):
-        with pytest.raises(ValueError):
-            sieve_small.spf[5] = 99
-
-
 class TestEulerPhi:
-    def test_examples(self, sieve_small):
-        assert euler_phi(1, sieve_small) == 1
-        assert euler_phi(9, sieve_small) == 6
-        assert euler_phi(2310, sieve_small) == 480
+    """phi(m) is coprime_count(m, m), the trial-division path."""
 
-    def test_out_of_range(self, sieve_small):
-        with pytest.raises(ValueError):
-            euler_phi(10**4 + 1, sieve_small)
+    def test_examples(self):
+        assert coprime_count(1, 1) == 1
+        assert coprime_count(9, 9) == 6
+        assert coprime_count(2310, 2310) == 480
 
-    def test_product_formula(self, sieve_small):
+    def test_product_formula(self):
+        # m * prod (1 - 1/p) over the primes of the numpy sieve that divide m
+        ps = primes_upto(500).tolist()
         for m in range(1, 500):
             expected = Fraction(m)
-            for p in distinct_primes(m, sieve_small):
-                expected *= Fraction(p - 1, p)
-            assert euler_phi(m, sieve_small) == expected
+            for p in ps:
+                if m % p == 0:
+                    expected *= Fraction(p - 1, p)
+            assert coprime_count(m, m) == expected
 
-    def test_multiplicative_on_random_coprime_pairs(self, sieve_1m):
+    def test_multiplicative_on_random_coprime_pairs(self):
         rng = random.Random(20260811)
         done = 0
         while done < 1000:
@@ -104,23 +60,25 @@ class TestEulerPhi:
             b = rng.randrange(2, 1000)
             if gcd(a, b) != 1:
                 continue
-            assert euler_phi(a * b, sieve_1m) == euler_phi(a, sieve_1m) * euler_phi(
-                b, sieve_1m
-            )
+            assert coprime_count(a * b, a * b) == coprime_count(a, a) * coprime_count(b, b)
             done += 1
 
 
 class TestOmega:
-    def test_examples(self, sieve_small):
-        assert omega(1, sieve_small) == 0
-        assert omega(12, sieve_small) == 2
+    def test_examples(self):
+        w = omega_array(12)
+        assert int(w[1]) == 0
+        assert int(w[12]) == 2
 
-    def test_primorial(self, sieve_1m):
-        assert omega(30030, sieve_1m) == 6
+    def test_primorial(self):
+        assert int(omega_array(30030)[30030]) == 6
 
-    def test_matches_distinct_primes(self, sieve_small):
+    def test_matches_distinct_primes(self):
+        # the primes of the numpy sieve that divide m
+        ps = primes_upto(2000).tolist()
+        w = omega_array(1999)
         for m in range(1, 2000):
-            assert omega(m, sieve_small) == len(distinct_primes(m, sieve_small))
+            assert int(w[m]) == sum(1 for p in ps if m % p == 0)
 
 
 class TestCoprimeCount:
@@ -140,11 +98,11 @@ class TestCoprimeCount:
     def test_matches_gcd_loop(self, m, n):
         assert coprime_count(m, n) == gcd_loop_count(m, n)
 
-    def test_sieve_error_bound(self, sieve_small):
+    def test_sieve_error_bound(self, omega_of):
         # |F(m,n) - (phi/m) n| <= 2^(omega-1) for m > 1, checked exactly
         for m in range(2, 120):
-            ph = euler_phi(m, sieve_small)
-            w = omega(m, sieve_small)
+            ph = coprime_count(m, m)
+            w = omega_of(m)
             for n in range(1, 120):
                 lhs = abs(coprime_count(m, n) * m - ph * n)
                 assert 2 * lhs <= (1 << w) * m
@@ -179,20 +137,23 @@ class TestMertensProduct:
 
 
 class TestBulkTables:
-    def test_phi_array_matches_pointwise(self, sieve_small):
+    """The numpy tables against the trial-division path: phi(m) as
+    coprime_count(m, m), omega(m) by repeated smallest_factor division."""
+
+    def test_phi_array_matches_pointwise(self):
         phi = phi_array(1500)
         assert len(phi) == 1500
         for i, m in enumerate(range(1, 3000, 2)):
-            assert int(phi[i]) == euler_phi(m, sieve_small)
+            assert int(phi[i]) == coprime_count(m, m)
 
     def test_phi_array_rejects_empty(self):
         with pytest.raises(ValueError):
             phi_array(0)
 
-    def test_omega_array_matches_pointwise(self, sieve_small):
+    def test_omega_array_matches_pointwise(self, omega_of):
         w = omega_array(3000)
         for m in range(1, 3001):
-            assert int(w[m]) == omega(m, sieve_small)
+            assert int(w[m]) == omega_of(m)
 
     # limits on both sides of prime squares, where a prime moves between
     # the slice pass (p <= sqrt(limit)) and the cofactor-grouped pass; the
@@ -202,13 +163,13 @@ class TestBulkTables:
         [1, 2, 3, 4, 8, 9, 10, 11, 24, 25, 26, 27, 48, 49, 50, 51, 120, 121, 122,
          123, 10**5 + 3],
     )
-    def test_tables_match_pointwise_around_prime_squares(self, limit, sieve_1m):
+    def test_tables_match_pointwise_around_prime_squares(self, limit, omega_of):
         phi = phi_array((limit + 1) // 2)
         w = omega_array(limit)
         assert len(w) == limit + 1 and int(w[0]) == 0
         odd = range(1, limit + 1, 2)
-        assert phi.tolist() == [euler_phi(m, sieve_1m) for m in odd]
-        assert w[1:].tolist() == [omega(m, sieve_1m) for m in range(1, limit + 1)]
+        assert phi.tolist() == [coprime_count(m, m) for m in odd]
+        assert w[1:].tolist() == [omega_of(m) for m in range(1, limit + 1)]
 
     def test_primes_upto_matches_trial_division(self):
         for limit in range(0, 201):
@@ -219,7 +180,7 @@ class TestBulkTables:
     def test_prime_count_at_1e6(self):
         assert len(primes_upto(10**6)) == 78498
 
-    def test_is_prime(self, sieve_small):
-        ps = set(int(p) for p in primes_upto(10**4))
+    def test_is_prime(self):
+        ps = set(primes_upto(10**4).tolist())
         for m in range(1, 10**4 + 1):
-            assert is_prime(m, sieve_small) == (m in ps)
+            assert (m in ps) == (m >= 2 and smallest_factor(m) == m)

@@ -16,7 +16,6 @@ from coprime_census.bounds import (
     esum_middle,
     esum_tail,
     f_xlogx,
-    mcnew_factor,
     mcnew_product,
     rs_bracket_check,
 )
@@ -76,18 +75,10 @@ class TestCkClosed:
 
 
 class TestMcNew:
-    def test_factor_two(self):
-        assert mcnew_factor(2) == 2.0
-
     def test_factor_three(self):
-        assert math.isclose(mcnew_factor(3), 3 * 2 ** (-4 / 3), rel_tol=1e-14)
-        assert math.isclose(
-            mcnew_factor(2) * mcnew_factor(3), ck_closed(3), rel_tol=1e-13
-        )
-
-    def test_factor_rejects_composite(self):
-        with pytest.raises(ValueError):
-            mcnew_factor(9)
+        # the factor at 3 is 3 * 2^(-4/3); with the 2 at p = 2 it is c_3
+        assert math.isclose(mcnew_product(3), 2 * 3 * 2 ** (-4 / 3), rel_tol=1e-14)
+        assert math.isclose(mcnew_product(3), ck_closed(3), rel_tol=1e-13)
 
     def test_product_matches_closed_forms(self):
         assert mcnew_product(2) == 2.0
@@ -113,10 +104,14 @@ class TestMcNew:
         assert traced_peak_mib("bounds", "bounds.mcnew_product(10**7)") < 20
 
     def test_factors_exceed_one_and_converge(self):
+        # the factor at prime p is the ratio of the products up to p and p - 1
+        def factor(p):
+            return mcnew_product(p) / mcnew_product(p - 1)
+
         for p in (3, 5, 7, 11, 13, 101, 997):
-            assert mcnew_factor(p) > 1.0
+            assert factor(p) > 1.0
         for p in (101, 997, 9973):
-            assert mcnew_factor(p) - 1.0 < 1e-2
+            assert factor(p) - 1.0 < 1e-2
 
 
 class TestEsums:

@@ -86,6 +86,14 @@ def test_count_and_table_never_load_numpy(tmp_path):
     assert loaded_by(hit, tmp_path) == set()
 
 
+def test_dist_and_bounds_never_load_the_counting_stack(tmp_path):
+    """dist and the bounds suite use the check records of ``checks`` but
+    load neither counts nor permanent."""
+    for argv in (["dist", "--n", "1000", "--alpha", "0.5"], ["verify", "--suite", "bounds"]):
+        loaded = loaded_by(argv, tmp_path)
+        assert not loaded & {"coprime_census.counts", "coprime_census.permanent"}, argv
+
+
 class TestCount:
     def test_c24(self, tmp_path):
         res = run_cli("count", "--kind", "c", "--n", "24", "--no-cache", cwd=tmp_path)

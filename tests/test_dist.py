@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coprime_census.arith import build_sieve, euler_phi, primes_upto
+from coprime_census.arith import coprime_count, primes_upto
 from coprime_census.dist import (
     _scaled_sum,
     BRACKET_DIAGNOSTIC_TOL,
@@ -24,10 +24,11 @@ from coprime_census.dist import (
 from coprime_census.reference import BRACKETS
 
 
-def brute_d_count(alpha: Fraction, n: int, sieve) -> int:
+def brute_d_count(alpha: Fraction, n: int) -> int:
+    # phi(m) as coprime_count(m, m), the trial-division path
     count = 0
     for m in range(1, 2 * n, 2):
-        if euler_phi(m, sieve) * alpha.denominator <= alpha.numerator * m:
+        if coprime_count(m, m) * alpha.denominator <= alpha.numerator * m:
             count += 1
     return count
 
@@ -44,12 +45,12 @@ class TestDCount:
         est = d_count("0.7", 3)
         assert est.count == 1 and est.alpha == Fraction(7, 10)
 
-    def test_against_brute(self, sieve_small):
+    def test_against_brute(self):
         for alpha in (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
             for n in (10, 100, 700):
-                assert d_count(alpha, n).count == brute_d_count(alpha, n, sieve_small)
+                assert d_count(alpha, n).count == brute_d_count(alpha, n)
 
-    def test_boundary_ratio_exact(self, sieve_small):
+    def test_boundary_ratio_exact(self):
         # phi(3)/3 = 2/3 must count at alpha = 2/3 and not below
         a = Fraction(2, 3)
         below = a - Fraction(1, 10**9)
@@ -84,9 +85,8 @@ class TestSecondMoment:
     def test_chunks_sum_to_the_exact_scaled_total(self):
         # 40,000 odd m span two chunks of the numpy sum
         n = 40_000
-        sieve = build_sieve(2 * n)
         acc = sum(
-            (m * m << 80) // euler_phi(m, sieve) ** 2 for m in range(1, 2 * n, 2)
+            (m * m << 80) // coprime_count(m, m) ** 2 for m in range(1, 2 * n, 2)
         )
         assert second_moment(n) == acc / 2**80
 
@@ -132,12 +132,19 @@ class TestTopInterval:
         assert top_interval_set(5) == {1, 5, 7}
 
     def test_characterization_small(self):
-        for n in (2, 10, 50, 1000):
+        # p^2 = 2n + 1 at n = 4, 12, 24, 60 and p^2 = 2n - 1 at n = 5, 13,
+        # 25, 61; at n = 1.1e6, 2n * (2n)^2 passes 2^63
+        for n in (2, 4, 5, 10, 12, 13, 24, 25, 50, 60, 61, 1000, 1_100_000):
             assert top_interval_set(n) == top_interval_characterization(n)
 
     def test_peak_memory_at_1e6(self, traced_peak_mib):
         # the odd phi table (8 MB) and the result, a set of 148,711 ints
         assert traced_peak_mib("dist", "dist.top_interval_set(10**6)") < 24
+
+    def test_rejects_n_past_int64(self):
+        # m^2 would pass 2^63; refused before any table is built
+        with pytest.raises(ValueError, match="too large"):
+            top_interval_set(1_500_000_000)
 
     def test_characterization_has_one_and_primes(self):
         got = top_interval_characterization(50)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprime_census import counts
-from coprime_census.arith import build_sieve, is_prime
+from coprime_census.arith import primes_upto
 from coprime_census.graph import (
     BitMatrix,
     build_anti,
@@ -27,6 +27,12 @@ def bit(m: BitMatrix, i: int, j: int) -> int:
 
 def as_lists(m: BitMatrix) -> list[list[int]]:
     return [[bit(m, i, j) for j in range(m.n)] for i in range(m.n)]
+
+
+def prime_set(limit: int) -> set[int]:
+    """The primes <= limit from the numpy odd sieve, the oracle for the
+    trial-division ``smallest_factor``."""
+    return set(primes_upto(limit).tolist())
 
 
 class TestFullCoprime:
@@ -73,9 +79,9 @@ class TestOddHalf:
     def test_row_structure(self, n):
         m = build_odd_half(n)
         assert m.rows[0] == (1 << n) - 1  # the 1-row is all ones
-        sieve = build_sieve(max(2 * n, 2))
+        primes = prime_set(2 * n)
         for i, p in enumerate(m.labels_row):
-            if p > 2 and is_prime(p, sieve):
+            if p > 2 and p in primes:
                 zeros = n - m.rows[i].bit_count()
                 assert zeros == n // p
 
@@ -135,11 +141,8 @@ class TestAnti:
     @settings(max_examples=25)
     def test_removed_indices_are_forced_fixed_points(self, n):
         m = build_anti(n)
-        sieve = build_sieve(n)
         removed = set(range(2, n + 1)) - set(m.labels_row)
-        assert removed == {
-            p for p in range(2, n + 1) if is_prime(p, sieve) and 2 * p > n
-        }
+        assert removed == {p for p in prime_set(n) if 2 * p > n}
         for i, a in enumerate(m.labels_row):
             for j, b in enumerate(m.labels_col):
                 assert bit(m, i, j) == (gcd(a, b) > 1)
@@ -187,25 +190,29 @@ class TestBitMatrix:
 
 
 class TestSmallestFactor:
-    """The trial-division helper against the numpy sieve as oracle."""
+    """The trial-division helper against the numpy odd sieve as oracle."""
 
-    def test_equals_the_sieve(self, sieve_small):
-        for m in range(2, sieve_small.limit + 1):
-            assert smallest_factor(m) == sieve_small.spf[m], m
+    def test_equals_the_sieve(self):
+        ps = primes_upto(10**4).tolist()
+        for m in range(2, 10**4 + 1):
+            # the first prime of the sieve that divides m
+            assert smallest_factor(m) == next(p for p in ps if m % p == 0), m
 
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             smallest_factor(1)
 
     def test_builders_and_tables_equal_the_sieve_versions(self, monkeypatch):
-        sieve = build_sieve(200)
+        ps = primes_upto(200).tolist()
+        primes = set(ps)
+        spf = {m: next(p for p in ps if m % p == 0) for m in range(2, 201)}
         # table_rows with the row count stubbed out yields its n list
         monkeypatch.setattr(counts, "_table_row", lambda which, n, ceiling: n)
-        t3 = [n for n in range(4, 201) if not is_prime(n, sieve)]
+        t3 = [n for n in range(4, 201) if n not in primes]
         assert counts.table_rows("t3", 200) == t3
         for n in range(2, 201):
-            want = [m for m in range(2, n + 1) if not (is_prime(m, sieve) and 2 * m > n)]
+            want = [m for m in range(2, n + 1) if not (m in primes and 2 * m > n)]
             assert list(build_anti(n).labels_row) == want, n
-            sizes = Counter(int(sieve.spf[m]) for m in range(2, n + 1))
+            sizes = Counter(spf[m] for m in range(2, n + 1))
             lower = math.prod(math.factorial(c) for c in sizes.values())
             assert counts.anti_lower(n) == lower, n
