@@ -73,7 +73,7 @@ class TestOmega:
     def test_primorial(self):
         assert int(omega_array(30030)[30030]) == 6
 
-    def test_matches_distinct_primes(self):
+    def test_matches_the_dividing_primes(self):
         # the primes of the numpy sieve that divide m
         ps = primes_upto(2000).tolist()
         w = omega_array(1999)
@@ -180,7 +180,7 @@ class TestBulkTables:
     def test_prime_count_at_1e6(self):
         assert len(primes_upto(10**6)) == 78498
 
-    def test_is_prime(self):
+    def test_primality_matches_smallest_factor(self):
         ps = set(primes_upto(10**4).tolist())
         for m in range(1, 10**4 + 1):
             assert (m in ps) == (m >= 2 and smallest_factor(m) == m)
