@@ -86,8 +86,10 @@ def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
     kw = {"ceiling": ceiling}
     records = []
     for n in range(2, min(max_n // 2, 12) + 1):
-        # C(2n) = C0(n)^2 and 2 C0(n-1)^2 <= C(2n+1) <= C1(n)^2
-        square = counts.count_c0(n, **kw) ** 2
+        # C(2n) = C0(n)^2 and 2 C0(n-1)^2 <= C(2n+1) <= C1(n)^2.  count_c
+        # squares C0(n) itself, so the claimed side squares C_(2n+1)(n),
+        # which is C0(n) read from another matrix: the odd_plus_rows(n) walk
+        square = counts.count_c_a(n, 2 * n + 1, **kw) ** 2
         c_odd = counts.count_c(2 * n + 1, **kw)
         lo, hi = 2 * counts.count_c0(n - 1, **kw) ** 2, counts.count_c1(n, **kw) ** 2
         records += [

@@ -45,7 +45,7 @@ from .graph import (
     odd_plus_rows,
     smallest_factor,
 )
-from .permanent import permanent_brute, permanent_minors, permanent_ryser
+from .permanent import permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
     "CountResult",
@@ -68,7 +68,7 @@ __all__ = [
     "compute",
 ]
 
-_BRUTE_XCHECK_MAX = 12
+_BRUTE_XCHECK_MAX = 12  # the one size limit of every brute route
 
 _memo: dict[tuple, int | tuple[int, ...]] = {}
 
@@ -87,8 +87,8 @@ def _memoized(key: tuple, ceiling: int, count, oracle=None):
     The largest permanent dimension behind the value,
     ``count_dimension(kind, n)``, is checked on hits as well as misses, so
     a value memoized under one ceiling is never returned past a smaller
-    one.  For n <= 12, ``oracle()`` (a backtracking count) cross-checks the
-    value once per key.
+    one.  For n <= 12, ``oracle()`` (``brute_constrained_count``)
+    cross-checks the value once per key.
     """
     check_ceiling(count_dimension(key[0], key[1]), ceiling)
     if key not in _memo:
@@ -131,7 +131,7 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     Even n: count_c0(n/2) squared.  Odd n = 2m+1: the coprime double sum
     of C_(a)(m) * C_(b)(m) over excluded odd values a, b, every C_(a)(m)
     read from one walk.  The first result for each n <= 12 is
-    cross-checked against the independent backtracking oracle.
+    cross-checked against the independent subset-DP oracle.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -286,7 +286,7 @@ def check_table(
     return checks
 
 
-def _allowed_masks(n: int, constraint: str, k: int | None) -> list[int]:
+def _allowed_rows(n: int, constraint: str, k: int | None) -> tuple[int, ...]:
     if constraint == "coprime":
         pred = lambda j, v: gcd(j, v) == 1
     elif constraint == "anti":
@@ -300,47 +300,31 @@ def _allowed_masks(n: int, constraint: str, k: int | None) -> list[int]:
         pred = lambda j, v: all(gcd(j, v) % p for p in kp)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
-    # bit v-1 of masks[j] set iff sigma(j) = v is allowed
-    masks = [0] * (n + 1)
-    for j in range(1, n + 1):
-        m = 0
-        for v in range(1, n + 1):
-            if pred(j, v):
-                m |= 1 << (v - 1)
-        masks[j] = m
-    return masks
+    # bit v-1 of row j-1 set iff sigma(j) = v is allowed
+    values = range(1, n + 1)
+    return tuple(sum(1 << (v - 1) for v in values if pred(j, v)) for j in values)
+
+
+def _check_brute(n: int) -> None:
+    if n > _BRUTE_XCHECK_MAX:
+        raise CapacityError(f"brute enumeration limited to n <= {_BRUTE_XCHECK_MAX}")
 
 
 def brute_constrained_count(
     n: int, constraint: str, *, k: int | None = None
 ) -> int:
-    """Count permutations satisfying a positional constraint by backtracking.
+    """Count permutations satisfying a positional constraint, from gcd
+    predicates alone.
 
-    Independent oracle: no permanents involved, just a walk over positions
-    with a used-value bitmask.  Position j is always popcount(used) + 1, so
-    the mask alone fixes the number of completions; memoizing on it makes
-    the walk an O(n * 2^n) subset recursion.  Limited to n <= 12.
+    Independent oracle: the allowed values of each position come from
+    gcd tests, not from the matrix builders, and are counted by
+    ``permanent_dp``, which shares nothing with the class walk.
+    Limited to n <= 12.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _BRUTE_XCHECK_MAX:
-        raise CapacityError(f"brute enumeration limited to n <= {_BRUTE_XCHECK_MAX}")
-    masks = _allowed_masks(n, constraint, k)
-    completions = {(1 << n) - 1: 1}  # used-value mask -> completions
-
-    def walk(used: int) -> int:
-        if used in completions:
-            return completions[used]
-        avail = masks[used.bit_count() + 1] & ~used
-        total = 0
-        while avail:
-            low = avail & -avail
-            total += walk(used | low)
-            avail ^= low
-        completions[used] = total
-        return total
-
-    return walk(0)
+    _check_brute(n)
+    return permanent_dp(_allowed_rows(n, constraint, k))
 
 
 def matrix_for(kind: str, n: int, aux: int | None = None) -> BitMatrix:
@@ -376,12 +360,13 @@ def compute(
     * "auto" (every kind): the memoized count_* reductions;
     * "permanent" (c, c0, a, ck): the Ryser permanent of ``matrix_for``,
       refused past ``ceiling`` before the matrix is built;
-    * "brute" (every kind): the backtracking oracle for c, a and ck
-      (n <= 12), permanent_brute of the defining matrices for c0 and c1
-      (n <= 10); n past ``ceiling`` raises ``CapacityError``.
+    * "brute" (every kind): ``permanent_dp``, on the gcd predicates of
+      ``brute_constrained_count`` for c, a and ck and on the defining
+      matrices for c0 and c1; n past ``ceiling`` or past 12 raises
+      ``CapacityError``.
 
-    A pair outside the table, an ``aux`` on a kind other than ck, or a
-    ck without one raises ``ValueError``.
+    n < 1, a pair outside the table, an ``aux`` on a kind other than ck,
+    or a ck without one raises ``ValueError``.
     """
 
     def permanent() -> int:
@@ -398,12 +383,12 @@ def compute(
         "c0": {
             "auto": lambda: count_c0(n, ceiling=ceiling),
             "permanent": permanent,
-            "brute": lambda: permanent_brute(matrix_for(kind, n, aux)),
+            "brute": lambda: permanent_dp(matrix_for(kind, n, aux).rows),
         },
         "c1": {
             "auto": lambda: count_c1(n, ceiling=ceiling),
             "brute": lambda: sum(
-                permanent_brute(build_odd_plus_excluding(n, a))
+                permanent_dp(build_odd_plus_excluding(n, a).rows)
                 for a in range(1, 2 * n + 2, 2)
             ),
         },
@@ -423,9 +408,13 @@ def compute(
     check_aux(kind, aux)
     if method not in table[kind]:
         raise ValueError(f"kind {kind!r} has no method {method!r}")
-    # the oracle and permanent_brute both walk n positions
-    if method == "brute" and n > ceiling:
-        raise CapacityError(f"brute dimension {n} exceeds ceiling {ceiling}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # every brute route runs permanent_dp over n rows
+    if method == "brute":
+        if n > ceiling:
+            raise CapacityError(f"brute dimension {n} exceeds ceiling {ceiling}")
+        _check_brute(n)
     value = table[kind][method]()
     if value < 0:
         raise AssertionError("counts are nonnegative")

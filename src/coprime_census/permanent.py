@@ -1,6 +1,6 @@
 """Exact permanents of 0/1 matrices.
 
-Three routes, all returning exact Python integers:
+Two engines and one oracle, all returning exact Python integers:
 
 * :func:`permanent_ryser` -- Ryser's inclusion-exclusion in class-
   compressed form: identical columns are grouped into classes and the
@@ -8,21 +8,20 @@ Three routes, all returning exact Python integers:
   The engine behind every count.
 * :func:`permanent_minors` -- the same class walk over an (n+1) x n
   matrix, returning the permanent with each row deleted, all at once.
-* :func:`permanent_brute` -- direct sum over all n! permutations, the
-  small-n oracle.
+* :func:`permanent_dp` -- a layered DP over used-column masks, with no
+  inclusion-exclusion and no classes: the exact oracle the engines are
+  checked against.
 
-The plain Gray-code walk over all 2^n column subsets stays as the
-private oracle ``_ryser_masks``.  Arbitrary-precision integer arithmetic
-throughout; there is no fixed-width fast path, so no overflow is possible.
-The engines take no size cap: ``--ceiling`` is checked by the count
-layer (``graph.check_ceiling``) before any matrix is built.
+Arbitrary-precision integer arithmetic throughout; there is no
+fixed-width fast path, so no overflow is possible.  None of the three
+takes a size cap: ``--ceiling`` is checked by the count layer
+(``graph.check_ceiling``) before any matrix is built.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import permutations
 
 from .graph import BitMatrix, CapacityError
 
@@ -30,10 +29,8 @@ __all__ = [
     "CapacityError",
     "permanent_ryser",
     "permanent_minors",
-    "permanent_brute",
+    "permanent_dp",
 ]
-
-_BRUTE_LIMIT = 10
 
 
 def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
@@ -46,40 +43,6 @@ def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
 def _class_terms(lines: tuple[int, ...]) -> int:
     """prod(c + 1) over the classes of identical ``lines``."""
     return math.prod(c + 1 for c in Counter(lines).values())
-
-
-def _ryser_masks(rows: tuple[int, ...], n: int) -> int:
-    """Ryser's sum over the 2^n column subsets in Gray-code order.
-
-    Rank k visits the column subset gray(k) = k ^ (k >> 1); each step
-    toggles one column, so the n row sums are updated incrementally.
-    The subset parity equals k mod 2.
-    """
-    if n == 0:
-        return 1
-    if any(r == 0 for r in rows):
-        return 0
-    cols_rows = [[i for i in range(n) if (rows[i] >> j) & 1] for j in range(n)]
-    rs = [0] * n
-    g = 0
-    mprod = math.prod
-    sign = 1
-    total = 0
-    for k in range(1, 1 << n):
-        b = (k & -k).bit_length() - 1
-        gb = 1 << b
-        g ^= gb
-        if g & gb:
-            for i in cols_rows[b]:
-                rs[i] += 1
-        else:
-            for i in cols_rows[b]:
-                rs[i] -= 1
-        sign = -sign
-        p = mprod(rs)
-        if p:
-            total += sign * p
-    return total if n % 2 == 0 else -total
 
 
 def _ryser_classes(rows: tuple[int, ...], n: int):
@@ -206,19 +169,26 @@ def permanent_minors(rows: tuple[int, ...]) -> list[int]:
     return [by_row[row] for row in rows]
 
 
-def permanent_brute(matrix: BitMatrix) -> int:
-    """Permanent as the literal sum over all n! permutations (n <= 10)."""
-    n = matrix.n
-    if n > _BRUTE_LIMIT:
-        raise CapacityError(f"brute-force permanent limited to n <= {_BRUTE_LIMIT}")
-    if n == 0:
-        return 1
-    rows = matrix.rows
-    count = 0
-    for perm in permutations(range(n)):
-        for i in range(n):
-            if not (rows[i] >> perm[i]) & 1:
-                break
-        else:
-            count += 1
-    return count
+def permanent_dp(rows: tuple[int, ...]) -> int:
+    """Permanent of an n x n 0/1 matrix by a DP over used-column masks.
+
+    ``rows`` holds the n row bit-vectors (bit j of ``rows[i]`` is entry
+    (i, j)).  Layer i maps each set of i used columns to the number of
+    ways rows 0..i-1 can be matched into it; row i extends every set by
+    one of its free columns.  At most C(n, n/2) masks per layer and
+    n * 2^n steps in all, every term positive.
+    """
+    n = len(rows)
+    if any(r >> n for r in rows):
+        raise ValueError("rows must be n bit-vectors of width n")
+    layer = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for used, ways in layer.items():
+            free = row & ~used
+            while free:
+                low = free & -free
+                nxt[used | low] = nxt.get(used | low, 0) + ways
+                free ^= low
+        layer = nxt
+    return layer.get((1 << n) - 1, 0)

@@ -17,9 +17,8 @@ maps below; everywhere the toolkit checks tables it asserts the
 *corrected* value and, for errata rows, that the published entry indeed
 disagrees (so a silent regression toward the typo would be caught):
 
-* C(11): published 129,774; direct enumeration of all 11! permutations,
-  a column-subset DP, backtracking search and the permanent double sum
-  all give 129,744 (digit transposition).
+* C(11): published 129,774; the subset-DP oracle on gcd predicates and
+  the permanent double sum both give 129,744 (digit transposition).
 * r_13 published 1.7776: the published C(13) = 3,521,232 itself yields
   (13!/C(13))^(1/13) = 1.77752, which prints as 1.7775.
 * r_30 published 2.3850: the published C0(15) yields 2.385124 -> 2.3851.

@@ -261,9 +261,9 @@ def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
 def test_criterion_10_determinism(tmp_path):
     with criterion(10, "subset walk vs class walk, determinism and cache round-trip"):
         from coprime_census.graph import build_odd_half
-        from coprime_census.permanent import _ryser_masks
+        from coprime_census.permanent import permanent_dp
 
-        assert _ryser_masks(build_odd_half(17).rows, 17) == counts.count_c0(17)
+        assert permanent_dp(build_odd_half(17).rows) == counts.count_c0(17)
 
         import json
         import subprocess

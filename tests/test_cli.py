@@ -166,6 +166,32 @@ class TestCount:
         assert "exceeds ceiling 2" in res.stderr
         assert res.stdout == ""
 
+    def test_c0_brute_runs_to_the_one_limit(self, tmp_path):
+        from coprime_census.reference import TABLE_C0
+
+        res = run_cli(
+            "count", "--kind", "c0", "--n", "12", "--method", "brute", "--no-cache",
+            cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["value"] == str(TABLE_C0[12][0])
+        res = run_cli(
+            "count", "--kind", "c0", "--n", "13", "--method", "brute", "--no-cache",
+            cwd=tmp_path,
+        )
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert "brute enumeration limited to n <= 12" in res.stderr
+        assert res.stdout == ""
+
+    def test_c1_brute_refuses_a_negative_n(self, tmp_path):
+        res = run_cli(
+            "count", "--kind", "c1", "--n", "-1", "--method", "brute", "--no-cache",
+            cwd=tmp_path,
+        )
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "n must be >= 1" in res.stderr
+        assert res.stdout == ""
+
     def test_dump_matrix(self, tmp_path):
         res = run_cli(
             "count",
@@ -565,6 +591,14 @@ class TestVerify:
         assert cli.main(["verify", "--suite", "constants"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[-2:] == ["FAIL missed: 2 < 1", "verification FAILED"]
+
+    def test_square_check_reads_a_second_walk(self, monkeypatch):
+        from coprime_census import checks, counts
+
+        # a wrong C0(8) makes C(16) wrong; C_(17)(8) comes from another walk
+        monkeypatch.setattr(counts, "_memo", {("c0", 8): 9553})
+        failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
+        assert failed == ["square n=8"]
 
     def test_lemmas_respect_the_ceiling(self, tmp_path):
         # the C_2(2n+1) parity checks reach dimension 13

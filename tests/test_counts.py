@@ -263,6 +263,25 @@ class TestCompute:
         assert auto.value == direct.value == brute.value
         assert auto.method == "auto" and direct.method == "permanent"
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("method", ["auto", "permanent", "brute"])
+    @pytest.mark.parametrize(
+        "kind, aux", [("c", None), ("c0", None), ("c1", None), ("a", None), ("ck", 3)]
+    )
+    def test_refuses_n_below_one(self, kind, aux, method, n):
+        with pytest.raises(ValueError):
+            compute(kind, n, aux, method=method)
+
+    @pytest.mark.parametrize(
+        "kind, aux", [("c", None), ("c0", None), ("c1", None), ("a", None), ("ck", 2), ("ck", 3)]
+    )
+    def test_brute_equals_auto_up_to_the_one_limit(self, kind, aux):
+        for n in range(1, 13):
+            brute = compute(kind, n, aux, method="brute").value
+            assert brute == compute(kind, n, aux).value, n
+        with pytest.raises(CapacityError, match="brute enumeration limited to n <= 12"):
+            compute(kind, 13, aux, method="brute")
+
     def test_ck_requires_aux(self):
         with pytest.raises(ValueError):
             compute("ck", 6)

@@ -18,7 +18,7 @@ from coprime_census.graph import (
     odd_plus_rows,
     smallest_factor,
 )
-from coprime_census.permanent import permanent_brute, permanent_ryser
+from coprime_census.permanent import permanent_dp, permanent_ryser
 
 
 def bit(m: BitMatrix, i: int, j: int) -> int:
@@ -155,9 +155,7 @@ class TestGcdK:
 
     def test_large_k_is_full_coprimality(self):
         assert build_gcd_k(4, 7).rows == build_full_coprime(4).rows
-        assert permanent_brute(build_gcd_k(4, 7)) == permanent_brute(
-            build_full_coprime(4)
-        )
+        assert permanent_dp(build_gcd_k(4, 7).rows) == permanent_dp(build_full_coprime(4).rows)
         # primes above n are never listed, so k = 10^8 costs no more than k = n
         assert build_gcd_k(12, 10**8).rows == build_full_coprime(12).rows
 

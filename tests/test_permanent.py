@@ -15,11 +15,9 @@ from coprime_census.graph import (
     odd_plus_rows,
 )
 from coprime_census.permanent import (
-    CapacityError,
     _ryser_classes,
-    _ryser_masks,
     _transpose,
-    permanent_brute,
+    permanent_dp,
     permanent_minors,
     permanent_ryser,
 )
@@ -66,7 +64,7 @@ class TestRyser:
 
     def test_subset_walk_equals_class_walk(self):
         m = build_odd_half(16)
-        assert _ryser_masks(m.rows, m.n) == permanent_ryser(m)
+        assert permanent_dp(m.rows) == permanent_ryser(m)
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -89,16 +87,20 @@ class TestRyser:
 
 
 class TestBrute:
+    """permanent_dp, the exact oracle."""
+
     def test_two_by_two(self):
-        assert permanent_brute(matrix_from_rows([3, 1], 2)) == 1
+        assert permanent_dp((3, 1)) == 1
+        assert permanent_dp(()) == 1
 
     def test_published_values(self):
-        assert permanent_brute(build_full_coprime(9)) == 3600
-        assert permanent_brute(build_full_coprime(7)) == 256
+        assert permanent_dp(build_full_coprime(9).rows) == 3600
+        assert permanent_dp(build_full_coprime(7).rows) == 256
+        assert permanent_dp(build_full_coprime(16).rows) == 9552**2  # C0(8)^2
 
-    def test_refuses_large(self):
-        with pytest.raises(CapacityError):
-            permanent_brute(build_full_coprime(11))
+    def test_refuses_wide_rows(self):
+        with pytest.raises(ValueError):
+            permanent_dp((0b100, 0b011))  # 2 rows, a bit in column 2
 
 
 class TestThreeWayAgreement:
@@ -108,14 +110,12 @@ class TestThreeWayAgreement:
         for n in range(1, 8):
             for _ in range(70):
                 m = random_matrix(rng, n, density=rng.uniform(0.1, 0.95))
-                b = permanent_brute(m)
-                assert permanent_ryser(m) == b
+                assert permanent_ryser(m) == permanent_dp(m.rows)
                 checked += 1
         for n in (8, 9):
             for _ in range(10):
                 m = random_matrix(rng, n, density=rng.uniform(0.3, 0.8))
-                b = permanent_brute(m)
-                assert permanent_ryser(m) == b
+                assert permanent_ryser(m) == permanent_dp(m.rows)
                 checked += 1
         assert checked >= 500
 
@@ -140,7 +140,7 @@ class TestClassWalk:
     @pytest.mark.parametrize("family", sorted(BUILDER_FAMILIES))
     def test_both_sides_equal_the_subset_walk(self, family):
         for m in BUILDER_FAMILIES[family]():
-            want = _ryser_masks(m.rows, m.n)
+            want = permanent_dp(m.rows)
             assert _ryser_classes(m.rows, m.n) == want, m.to_text()
             assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want, m.to_text()
 
@@ -154,7 +154,7 @@ class TestClassWalk:
     )
     def test_degenerate_classes_equal_brute(self, rows):
         m = matrix_from_rows(rows, len(rows))
-        want = permanent_brute(m)
+        want = permanent_dp(m.rows)
         assert _ryser_classes(m.rows, m.n) == want
         assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want
 
@@ -172,9 +172,8 @@ def tall_class_matrices(draw):
     return tuple(sum(((base[r] >> col_of[j]) & 1) << j for j in range(n)) for r in row_of)
 
 
-def minors_by_brute(rows: tuple[int, ...]) -> list[int]:
-    n = len(rows) - 1
-    return [permanent_brute(matrix_from_rows(rows[:i] + rows[i + 1 :], n)) for i in range(n + 1)]
+def minors_by_dp(rows: tuple[int, ...]) -> list[int]:
+    return [permanent_dp(rows[:i] + rows[i + 1 :]) for i in range(len(rows))]
 
 
 class TestMinors:
@@ -193,7 +192,7 @@ class TestMinors:
     @example((0b1, 0b1))  # one class of two rows
     @example((0b0011, 0b0100, 0b1000, 0b0011, 0b1100))  # size-1 classes whose sums return to 0
     def test_equals_brute_on_class_structured_matrices(self, rows):
-        assert permanent_minors(rows) == minors_by_brute(rows)
+        assert permanent_minors(rows) == minors_by_dp(rows)
 
     def test_zero_width(self):
         assert permanent_minors((0,)) == [1]
