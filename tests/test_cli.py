@@ -73,6 +73,7 @@ def test_count_and_table_never_load_numpy(tmp_path):
         ["count", "--kind", "c0", "--n", "10", "--no-cache"],
         ["count", "--kind", "c", "--n", "11", "--no-cache"],
         ["count", "--kind", "a", "--n", "12", "--no-cache"],
+        ["count", "--kind", "a", "--n", "24", "--no-cache"],  # three primes eliminated
         ["count", "--kind", "ck", "--n", "8", "--aux", "3", "--no-cache"],
         ["table", "--which", "t1", "--max", "8"],
         ["table", "--which", "t2", "--max", "9"],
@@ -107,6 +108,19 @@ class TestCount:
         res = run_cli("count", "--kind", "a", "--n", "20", "--no-cache", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["value"] == "318695040"
+
+    def test_a24_permanent_prints_the_auto_value(self, tmp_path):
+        # auto eliminates 11, 7 and 5; --method permanent walks build_anti(24)
+        out = []
+        for method in ("auto", "permanent"):
+            res = run_cli(
+                "count", "--kind", "a", "--n", "24", "--method", method, "--no-cache",
+                cwd=tmp_path,
+            )
+            assert res.returncode == 0, res.stderr
+            out.append(payload(json.loads(res.stdout)))
+        assert out[0] == out[1]
+        assert out[0]["value"] == "575372874240"
 
     def test_c2(self, tmp_path):
         res = run_cli("count", "--kind", "c", "--n", "2", "--no-cache", cwd=tmp_path)
@@ -599,6 +613,14 @@ class TestVerify:
         monkeypatch.setattr(counts, "_memo", {("c0", 8): 9553})
         failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
         assert failed == ["square n=8"]
+
+    def test_anti_split_check_reads_a_second_walk(self, monkeypatch):
+        from coprime_census import checks, counts
+
+        # a wrong A(22) in the memo; the claimed side walks build_anti(22)
+        monkeypatch.setattr(counts, "_memo", {("a", 22): 27628410817})
+        failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
+        assert failed == ["anti split n=22"]
 
     def test_lemmas_respect_the_ceiling(self, tmp_path):
         # the C_2(2n+1) parity checks reach dimension 13

@@ -22,7 +22,13 @@ from coprime_census.counts import (
     growth_ratio,
     matrix_for,
 )
-from coprime_census.graph import build_odd_plus_excluding
+from coprime_census.graph import (
+    anti_labels,
+    build_anti,
+    build_odd_plus_excluding,
+    count_dimension,
+    smallest_factor,
+)
 from coprime_census.permanent import permanent_ryser
 
 
@@ -139,13 +145,68 @@ class TestA:
         assert count_a(25) == 1775480841216
 
     def test_prime_equals_predecessor(self):
-        for p in (2, 3, 5, 7, 11, 13):
+        # from p = 17 on, A(p) and A(p - 1) each eliminate some primes
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             assert count_a(p) == count_a(p - 1)
 
     @pytest.mark.parametrize("method", ["auto", "permanent", "brute"])
     def test_one_from_every_method(self, method):
         # A(1) is the permanent of the 0 x 0 reduced matrix
         assert compute("a", 1, method=method).value == 1
+
+
+def eliminable(n: int) -> list[int]:
+    """The primes in (sqrt(n), n/2], largest first."""
+    return [p for p in range(n // 2, 1, -1) if p * p > n and smallest_factor(p) == p]
+
+
+class TestAntiSplit:
+    def test_every_elimination_equals_the_direct_walk(self):
+        for n in range(1, 31):
+            direct = permanent_ryser(build_anti(n))
+            primes = eliminable(n)
+            # every prefix up to n = 24, then all the primes
+            tried = range(1, len(primes) + 1) if n <= 24 else [len(primes)]
+            for j in tried:
+                assert counts._anti_split(n, primes[:j]) == direct, (n, primes[:j])
+            assert count_a(n) == direct, n
+
+    def test_split_equals_the_oracle(self):
+        for n in range(1, 13):
+            split = counts._anti_split(n, eliminable(n))
+            assert split == brute_constrained_count(n, "anti"), n
+
+    @pytest.mark.parametrize("n, p", [(6, 3), (10, 5), (14, 7), (24, 11), (34, 17)])
+    def test_one_prime_in_the_top_third_has_two_patterns(self, n, p):
+        # p fixed leaves 2p, which joins the class of 2 on both sides; the
+        # 2-cycle (p 2p) leaves nothing
+        assert n // 3 < p <= n // 2
+        assert counts._anti_patterns(n // p) == {((2,), (2,)): 1, ((), ()): 1}
+        assert counts._anti_residuals(n, [p]) == {((2,), (2,)): 1, ((), ()): 1}
+
+    def test_route_picks_no_prime_for_the_smallest_walks(self):
+        # below n = 6 no prime qualifies; at n = 6..8 the direct walk (at
+        # most 16 terms) costs less than the two residuals of a split
+        assert [n for n in range(1, 22) if not counts._anti_primes(n)] == list(range(1, 10))
+        assert counts._anti_primes(24) == [11, 7, 5]
+        assert counts._anti_primes(34) == [17, 13, 11, 7]
+
+    def test_ceiling_reads_the_unreduced_labels(self, monkeypatch):
+        # every residual of A(24) is smaller than 19, but the ceiling still
+        # caps the 19 labels of the reduced matrix
+        monkeypatch.setattr(counts, "_memo", {})
+        primes = counts._anti_primes(24)
+        base = [x for x in anti_labels(24) if all(x % p for p in primes)]
+        assert max(len(base) + len(rows) for rows, _ in counts._anti_residuals(24, primes)) < 19
+        assert count_dimension("a", 24) == len(anti_labels(24)) == 19
+        with pytest.raises(CapacityError, match="permanent dimension 19 exceeds ceiling 18"):
+            count_a(24, ceiling=18)
+        assert count_a(24, ceiling=19) == reference.TABLE_A[24][0]
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("n", [31, 32, 33, 34])
+    def test_split_equals_the_direct_walk_to_34(self, n):
+        assert count_a(n) == permanent_ryser(build_anti(n))
 
 
 class TestCk:
@@ -308,7 +369,8 @@ class TestCompute:
         def unbuilt(*args):
             raise AssertionError("the matrix was built")
 
-        for builder in ("build_anti", "build_full_coprime"):
+        # nor is any prime picked or any residual built for A(n)
+        for builder in ("build_anti", "build_full_coprime", "_anti_primes", "_anti_split"):
             monkeypatch.setattr(counts, builder, unbuilt)
         with pytest.raises(CapacityError, match="exceeds ceiling 40"):
             run()

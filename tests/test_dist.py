@@ -19,6 +19,7 @@ from coprime_census.dist import (
     second_moment,
     second_moment_constant,
     top_interval_characterization,
+    top_interval_check,
     top_interval_set,
 )
 from coprime_census.reference import BRACKETS
@@ -129,17 +130,30 @@ class TestSecondMoment:
 
 class TestTopInterval:
     def test_example(self):
-        assert top_interval_set(5) == {1, 5, 7}
+        got = top_interval_set(5)
+        assert got.dtype == np.int64 and got.tolist() == [1, 5, 7]
 
     def test_characterization_small(self):
         # p^2 = 2n + 1 at n = 4, 12, 24, 60 and p^2 = 2n - 1 at n = 5, 13,
         # 25, 61; at n = 1.1e6, 2n * (2n)^2 passes 2^63
         for n in (2, 4, 5, 10, 12, 13, 24, 25, 50, 60, 61, 1000, 1_100_000):
-            assert top_interval_set(n) == top_interval_characterization(n)
+            got, want = top_interval_set(n), top_interval_characterization(n)
+            assert np.array_equal(got, want), n
+            assert top_interval_check(n) == (len(want), 0), n
+
+    def test_check_counts_each_mismatch(self, monkeypatch):
+        from coprime_census import dist
+
+        want = top_interval_characterization(1000)  # 1 and the primes in (44, 2000)
+        monkeypatch.setattr(dist, "top_interval_characterization", lambda n: want[1:])
+        assert top_interval_check(1000) == (len(want), 1)
+        monkeypatch.setattr(dist, "top_interval_characterization", lambda n: np.append(want, 2001))
+        assert top_interval_check(1000) == (len(want), 1)
 
     def test_peak_memory_at_1e6(self, traced_peak_mib):
-        # the odd phi table (8 MB) and the result, a set of 148,711 ints
-        assert traced_peak_mib("dist", "dist.top_interval_set(10**6)") < 24
+        # the odd phi table (8 MB) and two int64 arrays of 148,711 entries;
+        # as two sets of Python ints the check peaked past 18 MiB
+        assert traced_peak_mib("dist", "dist.top_interval_check(10**6)") < 16
 
     def test_rejects_n_past_int64(self):
         # m^2 would pass 2^63; refused before any table is built
@@ -147,9 +161,9 @@ class TestTopInterval:
             top_interval_set(1_500_000_000)
 
     def test_characterization_has_one_and_primes(self):
-        got = top_interval_characterization(50)
-        assert 1 in got
-        assert all(v == 1 or v > 10 for v in got)
+        got = top_interval_characterization(50).tolist()
+        assert got[0] == 1
+        assert all(v > 10 for v in got[1:])
 
 
 class TestEpBounds:
