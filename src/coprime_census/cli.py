@@ -285,7 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("tables", "lemmas", "bounds", "constants", "all"),
     )
-    p_verify.add_argument("--max", type=int, default=16, help="table verification cap")
+    p_verify.add_argument(
+        "--max",
+        type=int,
+        default=16,
+        help="largest n of the tables suite's rows; the lemmas suite runs its "
+        "square and sandwich records for n <= min(MAX // 2, 12)",
+    )
     return parser
 
 

@@ -10,12 +10,12 @@
   the row of a deleted and transposed, and ``permanent_minors`` returns
   all m+1 of those permanents from one class walk.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
-  reduced matrix with forced fixed points removed.  Primes in
-  (sqrt(n), n/2] are eliminated before the walk: A(n) is a weighted sum
+  reduced matrix with forced fixed points removed.  Every prime in
+  (sqrt(n), n/2] is eliminated before the walk: A(n) is a weighted sum
   of Ryser walks over a few dozen small residual matrices, whose weights
-  count the matchings among each prime's multiples.  The primes are
-  picked from a term estimate made from class sizes; with none picked
-  the one residual is the reduced matrix itself.
+  count the matchings among each prime's multiples.  At n <= 5 and
+  n = 9 there is no such prime, and the one residual is the reduced
+  matrix itself.
 * C_k(n): permutations avoiding common factors with k!.
 * anti_lower(n): the gluing lower bound for A(n) built from
   smallest-prime-factor classes.
@@ -40,6 +40,7 @@ from .graph import (
     DEFAULT_CEILING,
     BitMatrix,
     CapacityError,
+    _from_predicate,
     anti_labels,
     build_anti,
     build_full_coprime,
@@ -161,10 +162,10 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
 
     The permanent of the reduced matrix (forced fixed points removed;
     0 x 0 at n = 1).  Its dimension, read from the labels, meets the
-    ceiling before any work.  :func:`_anti_primes` picks the primes to
-    eliminate from class sizes and :func:`_anti_split` sums the walks of
-    the residuals they leave; with no prime picked that is one Ryser
-    walk on the matrix of ``build_anti(n)``.
+    ceiling before any work.  :func:`_anti_split` eliminates every prime
+    in (sqrt(n), n/2] (:func:`_anti_primes`) and sums the walks of the
+    residuals they leave; at n <= 5 and n = 9 there is none, and that
+    is one Ryser walk on the matrix of ``build_anti(n)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -238,61 +239,21 @@ def _anti_residuals(n: int, primes) -> dict[tuple[tuple[int, ...], tuple[int, ..
     return residuals
 
 
-def _anti_cost(n: int, primes, rads: dict[int, int]) -> int:
-    """Estimated cost of :func:`_anti_split` in walk terms, from class
-    sizes alone (``rads`` maps every label to its rad): no matrix is
-    built and nothing is walked.
-
-    Labels with equal rad have equal lines, so a residual walks at most
-    min(prod(c_row + 1), prod(c_col + 1)) terms over those classes.  Its
-    set-up (the matrix, the engine's two transposes and the call) costs
-    about 25 + 0.4 dim^2 more: a least-squares fit of ``_anti_split``
-    times against these three counts at n = 4..28, on 2 cores, put a
-    term at 0.96 us, a residual at 24 us and a dim^2 at 0.40 us.
-    """
-    base: dict[int, int] = {}
-    for x, r in rads.items():
-        if all(x % p for p in primes):
-            base[r] = base.get(r, 0) + 1
-    dim = sum(base.values())
-
-    def side_terms(extra: tuple[int, ...]) -> int:
-        sizes = dict(base)
-        for r in extra:
-            sizes[r] = sizes.get(r, 0) + 1
-        return math.prod(c + 1 for c in sizes.values())
-
-    cost = 0
-    for rows, cols in _anti_residuals(n, primes):
-        cost += min(side_terms(rows), side_terms(cols)) + 25 + 2 * (dim + len(rows)) ** 2 // 5
-    return cost
-
-
 def _anti_primes(n: int) -> list[int]:
-    """The primes to eliminate: the largest j primes in (sqrt(n), n/2],
-    for the j of least :func:`_anti_cost` (the smallest j on a tie)."""
-    labels = anti_labels(n)
-    primes = [p for p in labels[::-1] if p * p > n and smallest_factor(p) == p]
-    if not primes:
-        return []
-    rads = {x: _rad(x) for x in labels}
-    costs = [_anti_cost(n, primes[:j], rads) for j in range(len(primes) + 1)]
-    return primes[: costs.index(min(costs))]
+    """The primes to eliminate: every prime in (sqrt(n), n/2], largest
+    first (none at n <= 5 and n = 9)."""
+    return [p for p in range(n // 2, 1, -1) if p * p > n and smallest_factor(p) == p]
 
 
 def _anti_split(n: int, primes) -> int:
     """A(n) as the weighted sum of the Ryser permanents of the residuals
-    left by eliminating ``primes``; with none, the one residual is the
-    matrix of ``build_anti(n)``."""
+    left by eliminating ``primes``, each built on the gcd > 1 predicate
+    of ``build_anti``; with none, the one residual is its matrix."""
     base = [x for x in anti_labels(n) if all(x % p for p in primes)]
     total = 0
+    anti = lambda x, y: gcd(x, y) > 1
     for (rows, cols), weight in _anti_residuals(n, primes).items():
-        row_labels, col_labels = base + list(rows), base + list(cols)
-        bits = tuple(
-            sum(1 << j for j, y in enumerate(col_labels) if gcd(x, y) > 1)
-            for x in row_labels
-        )
-        matrix = BitMatrix(len(bits), bits, tuple(row_labels), tuple(col_labels))
+        matrix = _from_predicate(base + list(rows), base + list(cols), anti)
         total += weight * permanent_ryser(matrix)
     return total
 

@@ -45,9 +45,10 @@ def _class_terms(lines: tuple[int, ...]) -> int:
     return math.prod(c + 1 for c in Counter(lines).values())
 
 
-def _ryser_classes(rows: tuple[int, ...], n: int):
-    """Ryser's sum over the column classes of ``rows``, a 0/1 matrix n
-    columns wide with n or n + 1 rows.
+def _ryser_classes(rows: tuple[int, ...], cols: tuple[int, ...]):
+    """Ryser's sum over the column classes of a 0/1 matrix with n columns
+    and n or n + 1 rows, given both ways: ``rows`` holds its row
+    bit-vectors and ``cols = _transpose(rows, n)`` its column bit-vectors.
 
     Columns with the same bits form a class of size c_t, and rows with
     the same bits a class of multiplicity m_r.  For n rows the permanent
@@ -71,11 +72,11 @@ def _ryser_classes(rows: tuple[int, ...], n: int):
     term, the product over the other classes; otherwise the step adds
     nothing.
     """
+    n = len(cols)
     minors = len(rows) > n
     row_mult = Counter(rows)
     if n == 0:
         return dict.fromkeys(row_mult, 1) if minors else 1
-    cols = _transpose(rows, n)
     if 0 in cols or (0 in rows and not minors):
         return dict.fromkeys(row_mult, 0) if minors else 0
     mult = list(row_mult.values())
@@ -144,13 +145,12 @@ def permanent_ryser(matrix: BitMatrix) -> int:
     min(prod(c_col + 1), prod(c_row + 1)); at most 2^n, reached only
     when all columns and all rows differ.
     """
-    n = matrix.n
     rows = matrix.rows
-    cols = _transpose(rows, n)
+    cols = _transpose(rows, matrix.n)
     # walking the column classes of ``rows`` costs _class_terms(cols)
     if _class_terms(cols) <= _class_terms(rows):
-        return _ryser_classes(rows, n)
-    return _ryser_classes(cols, n)
+        return _ryser_classes(rows, cols)
+    return _ryser_classes(cols, rows)
 
 
 def permanent_minors(rows: tuple[int, ...]) -> list[int]:
@@ -165,7 +165,7 @@ def permanent_minors(rows: tuple[int, ...]) -> list[int]:
     n = len(rows) - 1
     if n < 0 or any(r >> n for r in rows):
         raise ValueError("rows must be n+1 bit-vectors of width n")
-    by_row = _ryser_classes(tuple(rows), n)
+    by_row = _ryser_classes(rows, _transpose(rows, n))
     return [by_row[row] for row in rows]
 
 

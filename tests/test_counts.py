@@ -184,10 +184,9 @@ class TestAntiSplit:
         assert counts._anti_patterns(n // p) == {((2,), (2,)): 1, ((), ()): 1}
         assert counts._anti_residuals(n, [p]) == {((2,), (2,)): 1, ((), ()): 1}
 
-    def test_route_picks_no_prime_for_the_smallest_walks(self):
-        # below n = 6 no prime qualifies; at n = 6..8 the direct walk (at
-        # most 16 terms) costs less than the two residuals of a split
-        assert [n for n in range(1, 22) if not counts._anti_primes(n)] == list(range(1, 10))
+    def test_route_eliminates_every_large_prime(self):
+        for n in range(1, 48):
+            assert counts._anti_primes(n) == eliminable(n), n
         assert counts._anti_primes(24) == [11, 7, 5]
         assert counts._anti_primes(34) == [17, 13, 11, 7]
 

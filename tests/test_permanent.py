@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coprime_census import permanent
 from coprime_census.graph import (
     BitMatrix,
     build_anti,
@@ -141,8 +142,9 @@ class TestClassWalk:
     def test_both_sides_equal_the_subset_walk(self, family):
         for m in BUILDER_FAMILIES[family]():
             want = permanent_dp(m.rows)
-            assert _ryser_classes(m.rows, m.n) == want, m.to_text()
-            assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want, m.to_text()
+            rows, cols = m.rows, _transpose(m.rows, m.n)
+            assert _ryser_classes(rows, cols) == want, m.to_text()
+            assert _ryser_classes(cols, rows) == want, m.to_text()
 
     @pytest.mark.parametrize(
         "rows",
@@ -155,8 +157,30 @@ class TestClassWalk:
     def test_degenerate_classes_equal_brute(self, rows):
         m = matrix_from_rows(rows, len(rows))
         want = permanent_dp(m.rows)
-        assert _ryser_classes(m.rows, m.n) == want
-        assert _ryser_classes(_transpose(m.rows, m.n), m.n) == want
+        cols = _transpose(m.rows, m.n)
+        assert _ryser_classes(m.rows, cols) == want
+        assert _ryser_classes(cols, m.rows) == want
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda: permanent_ryser(build_odd_half(9)),  # walks its column classes
+            lambda: permanent_ryser(build_odd_plus_excluding(9, 19)),  # its row classes
+            lambda: permanent_minors(odd_plus_rows(9)),
+        ],
+        ids=["ryser-rows", "ryser-cols", "minors"],
+    )
+    def test_one_transpose_per_walk(self, monkeypatch, walk):
+        # the side is chosen and walked from the same pair of line tuples
+        calls = []
+
+        def counted(rows, width):
+            calls.append(width)
+            return _transpose(rows, width)
+
+        monkeypatch.setattr(permanent, "_transpose", counted)
+        walk()
+        assert len(calls) == 1
 
 
 @st.composite
