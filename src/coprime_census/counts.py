@@ -12,7 +12,7 @@
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.  Every prime in
   (sqrt(n), n/2] is eliminated before the walk: A(n) is a weighted sum
-  of Ryser walks over a few dozen small residual matrices, whose weights
+  of class walks over a few dozen small residual matrices, whose weights
   count the matchings among each prime's multiples.  At n <= 5 and
   n = 9 there is no such prime, and the one residual is the reduced
   matrix itself.
@@ -165,7 +165,7 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     ceiling before any work.  :func:`_anti_split` eliminates every prime
     in (sqrt(n), n/2] (:func:`_anti_primes`) and sums the walks of the
     residuals they leave; at n <= 5 and n = 9 there is none, and that
-    is one Ryser walk on the matrix of ``build_anti(n)``.
+    is one class walk on the matrix of ``build_anti(n)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -246,13 +246,20 @@ def _anti_primes(n: int) -> list[int]:
 
 
 def _anti_split(n: int, primes) -> int:
-    """A(n) as the weighted sum of the Ryser permanents of the residuals
-    left by eliminating ``primes``, each built on the gcd > 1 predicate
-    of ``build_anti``; with none, the one residual is its matrix."""
+    """A(n) as the weighted sum of the permanents of the residuals left by
+    eliminating ``primes``, each built on the gcd > 1 predicate of
+    ``build_anti``; with none, the one residual is its matrix.  The
+    predicate is symmetric, so the residual (rows Y, columns X) is the
+    transpose of (X, Y): each such pair is walked once, with the two
+    weights added."""
     base = [x for x in anti_labels(n) if all(x % p for p in primes)]
+    pairs: dict[tuple, int] = {}
+    for (rows, cols), weight in _anti_residuals(n, primes).items():
+        key = min((rows, cols), (cols, rows))
+        pairs[key] = pairs.get(key, 0) + weight
     total = 0
     anti = lambda x, y: gcd(x, y) > 1
-    for (rows, cols), weight in _anti_residuals(n, primes).items():
+    for (rows, cols), weight in pairs.items():
         matrix = _from_predicate(base + list(rows), base + list(cols), anti)
         total += weight * permanent_ryser(matrix)
     return total
@@ -453,7 +460,7 @@ def compute(
     ``method`` selects the computation path:
 
     * "auto" (every kind): the memoized count_* reductions;
-    * "permanent" (c, c0, a, ck): the Ryser permanent of ``matrix_for``,
+    * "permanent" (c, c0, a, ck): ``permanent_ryser`` of ``matrix_for``,
       refused past ``ceiling`` before the matrix is built;
     * "brute" (every kind): ``permanent_dp``, on the gcd predicates of
       ``brute_constrained_count`` for c, a and ck and on the defining

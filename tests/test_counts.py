@@ -23,13 +23,20 @@ from coprime_census.counts import (
     matrix_for,
 )
 from coprime_census.graph import (
+    _from_predicate,
     anti_labels,
     build_anti,
     build_odd_plus_excluding,
     count_dimension,
+    odd_plus_rows,
     smallest_factor,
 )
-from coprime_census.permanent import permanent_ryser
+from coprime_census.permanent import (
+    _glynn_classes,
+    _transpose,
+    permanent_minors,
+    permanent_ryser,
+)
 
 
 class TestC0:
@@ -37,6 +44,16 @@ class TestC0:
         assert count_c0(1) == 1
         assert count_c0(4) == 18
         assert count_c0(18) == 79772814777600
+
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("m", [26, 27, 28])
+    def test_past_the_table_equals_the_last_minor(self, m):
+        # deleting the row of 2m+1 from odd_plus_rows(m) leaves the C0(m)
+        # matrix; the minors walk classes the columns against all m+1 rows,
+        # so the two values come from walks of two different matrices
+        assert m > max(reference.TABLE_C0)
+        assert count_c0(m) == permanent_minors(odd_plus_rows(m))[-1]
 
 
 class TestCa:
@@ -63,7 +80,7 @@ class TestC1:
 class TestOddFromOneWalk:
     def test_double_sum_of_per_a_permanents(self):
         # odd C(n), n <= 35, against the coprime double sum assembled here
-        # from one Ryser permanent per excluded odd value
+        # from one square permanent per excluded odd value
         for n in range(3, 36, 2):
             m = n // 2
             odds = range(1, n + 1, 2)
@@ -183,6 +200,31 @@ class TestAntiSplit:
         assert n // 3 < p <= n // 2
         assert counts._anti_patterns(n // p) == {((2,), (2,)): 1, ((), ()): 1}
         assert counts._anti_residuals(n, [p]) == {((2,), (2,)): 1, ((), ()): 1}
+
+    @pytest.mark.parametrize("n", [21, 22, 24])
+    def test_transposed_residuals_have_one_permanent(self, n):
+        # the residual (X, Y) walks its column classes, (Y, X) its row classes
+        primes = counts._anti_primes(n)
+        base = [x for x in anti_labels(n) if all(x % p for p in primes)]
+        anti = lambda x, y: gcd(x, y) > 1
+        for rows, cols in counts._anti_residuals(n, primes):
+            xy = _from_predicate(base + list(rows), base + list(cols), anti).rows
+            yx = _from_predicate(base + list(cols), base + list(rows), anti).rows
+            per_xy = _glynn_classes(xy, _transpose(xy, len(xy)))
+            assert per_xy == _glynn_classes(yx, _transpose(yx, len(yx))), (rows, cols)
+
+    def test_each_transposed_pair_is_walked_once(self, monkeypatch):
+        walked = []
+
+        def counted(matrix):
+            walked.append(matrix.rows)
+            return permanent_ryser(matrix)
+
+        monkeypatch.setattr(counts, "permanent_ryser", counted)
+        primes = counts._anti_primes(24)
+        assert counts._anti_split(24, primes) == reference.TABLE_A[24][0]
+        assert len(counts._anti_residuals(24, primes)) == 36
+        assert len(walked) == 25
 
     def test_route_eliminates_every_large_prime(self):
         for n in range(1, 48):

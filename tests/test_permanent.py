@@ -1,8 +1,11 @@
+import inspect
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coprime_census import permanent
@@ -16,7 +19,8 @@ from coprime_census.graph import (
     odd_plus_rows,
 )
 from coprime_census.permanent import (
-    _ryser_classes,
+    _class_terms,
+    _glynn_classes,
     _transpose,
     permanent_dp,
     permanent_minors,
@@ -143,8 +147,8 @@ class TestClassWalk:
         for m in BUILDER_FAMILIES[family]():
             want = permanent_dp(m.rows)
             rows, cols = m.rows, _transpose(m.rows, m.n)
-            assert _ryser_classes(rows, cols) == want, m.to_text()
-            assert _ryser_classes(cols, rows) == want, m.to_text()
+            assert _glynn_classes(rows, cols) == want, m.to_text()
+            assert _glynn_classes(cols, rows) == want, m.to_text()
 
     @pytest.mark.parametrize(
         "rows",
@@ -158,8 +162,8 @@ class TestClassWalk:
         m = matrix_from_rows(rows, len(rows))
         want = permanent_dp(m.rows)
         cols = _transpose(m.rows, m.n)
-        assert _ryser_classes(m.rows, cols) == want
-        assert _ryser_classes(cols, m.rows) == want
+        assert _glynn_classes(m.rows, cols) == want
+        assert _glynn_classes(cols, m.rows) == want
 
     @pytest.mark.parametrize(
         "walk",
@@ -181,6 +185,104 @@ class TestClassWalk:
         monkeypatch.setattr(permanent, "_transpose", counted)
         walk()
         assert len(calls) == 1
+
+
+def traced_walk(call, marker: str = "f = weight * mprod(powers)"):
+    """``call()`` and a copy of the row-class sums each time a class walk
+    it runs reaches the line of ``_glynn_classes`` holding ``marker``.
+
+    The default line forms each term, so there is one copy per term.
+    """
+    code = _glynn_classes.__code__
+    lines, first = inspect.getsourcelines(_glynn_classes)
+    at = first + next(i for i, line in enumerate(lines) if marker in line)
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == at:
+            seen.append(tuple(frame.f_locals["sums"]))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
+@st.composite
+def copied_class_matrices(draw, copies):
+    """Square 0/1 matrices blown up from a k x k base: base row i is
+    repeated ``row_copies[i]`` times and base column j ``col_copies[j]``
+    times, each count drawn from ``copies``.  Equal base lines merge, so
+    a class size is a sum of such counts."""
+    k = draw(st.integers(1, 4))
+    row_copies = draw(st.lists(st.sampled_from(copies), min_size=k, max_size=k))
+    col_copies = draw(st.permutations(row_copies))
+    base = draw(st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k))
+    assume(sum(row_copies) <= 12)
+    col_of = [j for j, c in enumerate(col_copies) for _ in range(c)]
+    rows = [row for row, c in zip(base, row_copies) for _ in range(c)]
+    return tuple(sum(((row >> j) & 1) << i for i, j in enumerate(col_of)) for row in rows)
+
+
+def both_sides(rows: tuple[int, ...]) -> tuple[int, int]:
+    """The class walk over the columns, then over the rows."""
+    cols = _transpose(rows, len(rows))
+    return _glynn_classes(rows, cols), _glynn_classes(cols, rows)
+
+
+class TestGlynnHalfWalk:
+    """Glynn's walk keeps one of each delta, -delta pair."""
+
+    @given(copied_class_matrices([2, 4]))
+    @settings(max_examples=150, deadline=None)
+    @example((0b1111,) * 4)  # one class of 4 on each side
+    @example((0b0011, 0b0011, 0b1100, 0b1100))  # two classes of 2 on each side
+    def test_every_class_even_holds_one_column(self, rows):
+        cols = _transpose(rows, len(rows))
+        assert all(c % 2 == 0 for c in Counter(cols).values())
+        assert all(c % 2 == 0 for c in Counter(rows).values())
+        want = permanent_dp(rows)
+        assert both_sides(rows) == (want, want)
+
+    @given(copied_class_matrices([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    @example((0b111,) * 3)  # one class of 3 on each side
+    @example((0b11101, 0b11101, 0b11101, 0b00011, 0b11110))  # classes 3, 1, 1
+    def test_an_odd_class_on_each_side(self, rows):
+        cols = _transpose(rows, len(rows))
+        assume(any(c % 2 for c in Counter(cols).values()))
+        assume(any(c % 2 for c in Counter(rows).values()))
+        want = permanent_dp(rows)
+        assert both_sides(rows) == (want, want)
+
+    def test_half_the_terms(self):
+        m = build_odd_half(18)
+        value, sums = traced_walk(lambda: permanent_ryser(m))
+        assert value == 79772814777600
+        assert len(sums) == 2592 == _class_terms(_transpose(m.rows, m.n)) // 2
+        value, sums = traced_walk(lambda: permanent_minors(odd_plus_rows(15)))
+        assert len(sums) == 900 == _class_terms(_transpose(odd_plus_rows(15), 15)) // 2
+        assert value[-1] == permanent_ryser(build_odd_half(15))
+
+    def test_even_classes_walk_the_held_class_to_its_end(self):
+        # all ones, one class of 4: one column held at +1, k = 0..3 for
+        # the other three, 4 of the 5 terms of the full sum
+        value, sums = traced_walk(lambda: permanent_ryser(matrix_from_rows([0b1111] * 4, 4)))
+        assert value == 24
+        assert sums == [(4,), (2,), (0,), (-2,)]
+
+    def test_minors_meet_zero_and_negative_sums(self):
+        rows = odd_plus_rows(7)
+        minors, sums = traced_walk(lambda: permanent_minors(rows))
+        assert minors == minors_by_dp(rows)
+        assert any(0 in s for s in sums) and any(min(s) < 0 for s in sums)
+        # terms with one zero sum, in a class of one row, feed that row alone
+        _, lone = traced_walk(lambda: permanent_minors(rows), "totals[r] += weight *")
+        assert lone and all(s.count(0) == 1 for s in lone)
 
 
 @st.composite
