@@ -23,6 +23,14 @@
   r_n, t3: composite A(n) with u_n), row by row, and their comparison
   against reference.py.
 
+Every count hands the walk a class table built from its labels
+(:func:`_table`), never a bit matrix: each predicate here (gcd = 1,
+gcd > 1, no prime <= k shared) reads only the primes of its labels, so
+the labels are grouped by rad, the predicate runs once per pair of rad
+classes and classes with equal lines merge.  ``matrix_for`` keeps the
+bit matrices of ``graph`` for ``--method permanent`` and
+``--dump-matrix``, whose walks group the bits into the same table.
+
 All values are exact integers and are memoized in-process by
 (kind, n, aux), the C_(a)(m) as one tuple under ("ca", m); a memoized
 value is still refused past a smaller ceiling.  The persistent cache
@@ -33,14 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from math import gcd
 
 from .graph import (
     DEFAULT_CEILING,
     BitMatrix,
     CapacityError,
-    _from_predicate,
     anti_labels,
     build_anti,
     build_full_coprime,
@@ -50,10 +57,9 @@ from .graph import (
     check_aux,
     check_ceiling,
     count_dimension,
-    odd_plus_rows,
     smallest_factor,
 )
-from .permanent import permanent_dp, permanent_minors, permanent_ryser
+from .permanent import class_table, permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
     "CountResult",
@@ -96,8 +102,10 @@ def _memoized(key: tuple, ceiling: int, count, oracle=None):
     ``count_dimension(kind, n)``, is checked on hits as well as misses, so
     a value memoized under one ceiling is never returned past a smaller
     one.  For n <= 12, ``oracle()`` (``brute_constrained_count``)
-    cross-checks the value once per key.
+    cross-checks the value once per key.  n < 1 raises ``ValueError``.
     """
+    if key[1] < 1:
+        raise ValueError("n must be >= 1")
     check_ceiling(count_dimension(key[0], key[1]), ceiling)
     if key not in _memo:
         value = count()
@@ -109,15 +117,40 @@ def _memoized(key: tuple, ceiling: int, count, oracle=None):
     return _memo[key]
 
 
+@functools.cache
+def _rad(m: int) -> int:
+    """The product of the distinct primes of m >= 1."""
+    r = 1
+    while m > 1:
+        p = smallest_factor(m)
+        r *= p
+        while m % p == 0:
+            m //= p
+    return r
+
+
+def _table(xs, ys, pred=lambda x, y: gcd(x, y) == 1):
+    """The class table of the matrix with bit (i, j) iff pred(xs[i], ys[j]).
+
+    Every predicate here reads only the primes of its labels, so labels
+    are grouped by rad and ``pred`` runs once per pair of rad classes;
+    ``class_table`` merges the classes whose lines are equal.
+    """
+    widths = Counter(map(_rad, ys))
+    lines = {x: sum(pred(x, y) << t for t, y in enumerate(widths)) for x in set(map(_rad, xs))}
+    return class_table([lines[_rad(x)] for x in xs], widths.values())
+
+
 def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime matchings from the first n odd numbers into [n]."""
-    count = lambda: permanent_ryser(build_odd_half(n))
+    count = lambda: permanent_ryser(_table(range(1, 2 * n, 2), range(1, n + 1)))
     return _memoized(("c0", n), ceiling, count)
 
 
 def _c_a_all(n: int, ceiling: int) -> tuple[int, ...]:
-    """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk."""
-    count = lambda: tuple(permanent_minors(odd_plus_rows(n)))
+    """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk: the
+    minors of the first n+1 odd numbers against [n] (``odd_plus_rows``)."""
+    count = lambda: tuple(permanent_minors(_table(range(1, 2 * n + 2, 2), range(1, n + 1))))
     return _memoized(("ca", n), ceiling, count)
 
 
@@ -141,8 +174,6 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     read from one walk.  The first result for each n <= 12 is
     cross-checked against the independent subset-DP oracle.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
 
     def reduce() -> int:
         m = n // 2
@@ -167,8 +198,6 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     residuals they leave; at n <= 5 and n = 9 there is none, and that
     is one class walk on the matrix of ``build_anti(n)``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     count = lambda: _anti_split(n, _anti_primes(n))
     oracle = lambda: brute_constrained_count(n, "anti")
     return _memoized(("a", n), ceiling, count, oracle)
@@ -183,17 +212,6 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
 # per(B without the rows and columns of S).  Row and column p are zero in
 # B, so S covers both; the matchings of different primes are independent,
 # and a residual depends only on the rad(k) left uncovered on each side.
-
-
-def _rad(m: int) -> int:
-    """The product of the distinct primes of m >= 1."""
-    r = 1
-    while m > 1:
-        p = smallest_factor(m)
-        r *= p
-        while m % p == 0:
-            m //= p
-    return r
 
 
 @functools.cache
@@ -247,7 +265,7 @@ def _anti_primes(n: int) -> list[int]:
 
 def _anti_split(n: int, primes) -> int:
     """A(n) as the weighted sum of the permanents of the residuals left by
-    eliminating ``primes``, each built on the gcd > 1 predicate of
+    eliminating ``primes``, each a table on the gcd > 1 predicate of
     ``build_anti``; with none, the one residual is its matrix.  The
     predicate is symmetric, so the residual (rows Y, columns X) is the
     transpose of (X, Y): each such pair is walked once, with the two
@@ -260,14 +278,18 @@ def _anti_split(n: int, primes) -> int:
     total = 0
     anti = lambda x, y: gcd(x, y) > 1
     for (rows, cols), weight in pairs.items():
-        matrix = _from_predicate(base + list(rows), base + list(cols), anti)
-        total += weight * permanent_ryser(matrix)
+        total += weight * permanent_ryser(_table(base + list(rows), base + list(cols), anti))
     return total
 
 
 def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
-    """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1."""
-    count = lambda: permanent_ryser(build_gcd_k(n, k))
+    """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1; a
+    prime above n divides no label, so k! stops at min(k, n)!."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    f = math.factorial(min(k, n))
+    labels = range(1, n + 1)
+    count = lambda: permanent_ryser(_table(labels, labels, lambda x, y: gcd(x, y, f) == 1))
     oracle = lambda: brute_constrained_count(n, "gcd_k", k=k)
     return _memoized(("ck", n, k), ceiling, count, oracle)
 
@@ -282,14 +304,8 @@ def anti_lower(n: int) -> int:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    sizes: dict[int, int] = {}
-    for m in range(2, n + 1):
-        p = smallest_factor(m)
-        sizes[p] = sizes.get(p, 0) + 1
-    result = 1
-    for c in sizes.values():
-        result *= math.factorial(c)
-    return result
+    sizes = Counter(map(smallest_factor, range(2, n + 1)))
+    return math.prod(map(math.factorial, sizes.values()))
 
 
 def growth_ratio(n: int, value: int) -> float:
@@ -396,10 +412,8 @@ def _allowed_rows(n: int, constraint: str, k: int | None) -> tuple[int, ...]:
     elif constraint == "gcd_k":
         if k is None or k < 2:
             raise ValueError("gcd_k constraint needs k >= 2")
-        # a prime above n divides no j <= n, so the list stops at min(k, n)
-        top = min(k, n)
-        kp = [p for p in range(2, top + 1) if all(p % q for q in range(2, p))]
-        pred = lambda j, v: all(gcd(j, v) % p for p in kp)
+        # no prime <= k divides gcd(j, v) <= n iff no d in 2..min(k, n) does
+        pred = lambda j, v: all(gcd(j, v) % d for d in range(2, min(k, n) + 1))
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
     # bit v-1 of row j-1 set iff sigma(j) = v is allowed
@@ -436,15 +450,10 @@ def matrix_for(kind: str, n: int, aux: int | None = None) -> BitMatrix:
     permanents, not one, so it is refused with ``ValueError``.
     """
     check_aux(kind, aux)
-    builders = {
-        "c": lambda: build_full_coprime(n),
-        "c0": lambda: build_odd_half(n),
-        "a": lambda: build_anti(n),
-        "ck": lambda: build_gcd_k(n, aux),
-    }
+    builders = {"c": build_full_coprime, "c0": build_odd_half, "a": build_anti, "ck": build_gcd_k}
     if kind not in builders:
         raise ValueError(f"kind {kind!r} is not the permanent of one matrix")
-    return builders[kind]()
+    return builders[kind](n, aux) if kind == "ck" else builders[kind](n)
 
 
 def compute(
@@ -471,53 +480,33 @@ def compute(
     or a ck without one raises ``ValueError``.
     """
 
-    def permanent() -> int:
-        # the direct route builds the full C(n) matrix, not its reduction
-        check_ceiling(n if kind == "c" else count_dimension(kind, n), ceiling)
-        return permanent_ryser(matrix_for(kind, n, aux))
-
-    table = {
-        "c": {
-            "auto": lambda: count_c(n, ceiling=ceiling),
-            "permanent": permanent,
-            "brute": lambda: brute_constrained_count(n, "coprime"),
-        },
-        "c0": {
-            "auto": lambda: count_c0(n, ceiling=ceiling),
-            "permanent": permanent,
-            "brute": lambda: permanent_dp(matrix_for(kind, n, aux).rows),
-        },
-        "c1": {
-            "auto": lambda: count_c1(n, ceiling=ceiling),
-            "brute": lambda: sum(
-                permanent_dp(build_odd_plus_excluding(n, a).rows)
-                for a in range(1, 2 * n + 2, 2)
-            ),
-        },
-        "a": {
-            "auto": lambda: count_a(n, ceiling=ceiling),
-            "permanent": permanent,
-            "brute": lambda: brute_constrained_count(n, "anti"),
-        },
-        "ck": {
-            "auto": lambda: count_ck(n, aux, ceiling=ceiling),
-            "permanent": permanent,
-            "brute": lambda: brute_constrained_count(n, "gcd_k", k=aux),
-        },
-    }
-    if kind not in table:
+    if kind not in ("c", "c0", "c1", "a", "ck"):
         raise ValueError(f"unknown kind {kind!r}")
     check_aux(kind, aux)
-    if method not in table[kind]:
+    if method not in ("auto", "permanent", "brute") or (kind, method) == ("c1", "permanent"):
         raise ValueError(f"kind {kind!r} has no method {method!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # every brute route runs permanent_dp over n rows
-    if method == "brute":
+    if method == "auto":
+        count = {"c": count_c, "c0": count_c0, "c1": count_c1, "a": count_a, "ck": count_ck}[kind]
+        value = count(n, aux, ceiling=ceiling) if kind == "ck" else count(n, ceiling=ceiling)
+    elif method == "permanent":
+        # the direct route builds the full C(n) matrix, not its reduction
+        check_ceiling(n if kind == "c" else count_dimension(kind, n), ceiling)
+        value = permanent_ryser(matrix_for(kind, n, aux))
+    else:
+        # every brute route runs permanent_dp over n rows
         if n > ceiling:
             raise CapacityError(f"brute dimension {n} exceeds ceiling {ceiling}")
         _check_brute(n)
-    value = table[kind][method]()
+        if kind == "c0":
+            value = permanent_dp(matrix_for(kind, n).rows)
+        elif kind == "c1":
+            odds = range(1, 2 * n + 2, 2)
+            value = sum(permanent_dp(build_odd_plus_excluding(n, a).rows) for a in odds)
+        else:
+            constraint = {"c": "coprime", "a": "anti", "ck": "gcd_k"}[kind]
+            value = brute_constrained_count(n, constraint, k=aux)
     if value < 0:
         raise AssertionError("counts are nonnegative")
     if kind == "c" and value < 1:

@@ -26,14 +26,17 @@ from coprime_census.graph import (
     _from_predicate,
     anti_labels,
     build_anti,
+    build_gcd_k,
+    build_odd_half,
     build_odd_plus_excluding,
     count_dimension,
     odd_plus_rows,
     smallest_factor,
 )
 from coprime_census.permanent import (
+    ClassTable,
     _glynn_classes,
-    _transpose,
+    class_table,
     permanent_minors,
     permanent_ryser,
 )
@@ -93,17 +96,27 @@ class TestOddFromOneWalk:
         def refused(*args, **kwargs):
             raise AssertionError("a per-a permanent was walked")
 
+        walked = []
+
+        def minors(table):
+            walked.append(table)
+            return permanent_minors(table)
+
         monkeypatch.setattr(counts, "_memo", {})
         monkeypatch.setattr(counts, "permanent_ryser", refused)
+        monkeypatch.setattr(counts, "permanent_minors", minors)
         assert count_c(25) == 172593628397420544
         assert count_c1(12) == sum(count_c_a(12, a) for a in range(1, 26, 2))
+        # one walk of the 13 x 12 table built from the labels
+        assert len(walked) == 1 and isinstance(walked[0], ClassTable)
+        assert (walked[0].n, len(walked[0].row_class)) == (12, 13)
 
     def test_ceiling_refuses_before_the_walk(self, monkeypatch):
         def unwalked(*args, **kwargs):
-            raise AssertionError("the walk ran")
+            raise AssertionError("a table was built or walked")
 
         monkeypatch.setattr(counts, "_memo", {})
-        for engine in ("permanent_ryser", "permanent_minors"):
+        for engine in ("permanent_ryser", "permanent_minors", "class_table", "_table"):
             monkeypatch.setattr(counts, engine, unwalked)
         # every route meets a largest permanent of dimension 15
         runs = [
@@ -208,16 +221,16 @@ class TestAntiSplit:
         base = [x for x in anti_labels(n) if all(x % p for p in primes)]
         anti = lambda x, y: gcd(x, y) > 1
         for rows, cols in counts._anti_residuals(n, primes):
-            xy = _from_predicate(base + list(rows), base + list(cols), anti).rows
-            yx = _from_predicate(base + list(cols), base + list(rows), anti).rows
-            per_xy = _glynn_classes(xy, _transpose(xy, len(xy)))
-            assert per_xy == _glynn_classes(yx, _transpose(yx, len(yx))), (rows, cols)
+            xy = counts._table(base + list(rows), base + list(cols), anti)
+            yx = counts._table(base + list(cols), base + list(rows), anti)
+            assert _glynn_classes(xy) == _glynn_classes(yx), (rows, cols)
 
     def test_each_transposed_pair_is_walked_once(self, monkeypatch):
         walked = []
 
         def counted(matrix):
-            walked.append(matrix.rows)
+            assert isinstance(matrix, ClassTable)  # built from the labels
+            walked.append(matrix)
             return permanent_ryser(matrix)
 
         monkeypatch.setattr(counts, "permanent_ryser", counted)
@@ -248,6 +261,113 @@ class TestAntiSplit:
     @pytest.mark.parametrize("n", [31, 32, 33, 34])
     def test_split_equals_the_direct_walk_to_34(self, n):
         assert count_a(n) == permanent_ryser(build_anti(n))
+
+
+def bit_table(matrix) -> ClassTable:
+    """The class table grouped from the bits of a square matrix."""
+    return class_table(matrix.rows, [1] * matrix.n)
+
+
+def class_shape(table: ClassTable) -> tuple[list[int], list[int]]:
+    """The multisets of row multiplicities and column sizes."""
+    return sorted(table.mult), sorted(table.sizes)
+
+
+@pytest.fixture
+def walked_tables(monkeypatch):
+    """The tables each count hands to the walk, from an empty memo."""
+    seen = []
+
+    def recorded(engine):
+        def walk(table):
+            seen.append(table)
+            return engine(table)
+
+        return walk
+
+    monkeypatch.setattr(counts, "_memo", {})
+    monkeypatch.setattr(counts, "permanent_ryser", recorded(permanent_ryser))
+    monkeypatch.setattr(counts, "permanent_minors", recorded(permanent_minors))
+    return seen
+
+
+class TestLabelTables:
+    """The tables the counts build from rad classes of their labels have
+    the class shape of the tables grouped from the builders' bits, and
+    the same permanents."""
+
+    def test_c0_to_24(self, walked_tables):
+        for m in range(1, 25):
+            walked_tables.clear()
+            value = count_c0(m)
+            bits = bit_table(build_odd_half(m))
+            assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
+            assert value == permanent_ryser(bits), m
+
+    def test_minors_to_20(self, walked_tables):
+        for m in range(1, 21):
+            walked_tables.clear()
+            values = [count_c_a(m, a) for a in range(1, 2 * m + 2, 2)]
+            rows = odd_plus_rows(m)
+            bits = class_table(rows, [1] * m)
+            assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
+            assert values == permanent_minors(rows), m
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_ck_to_16(self, walked_tables, k):
+        for n in range(1, 17):
+            walked_tables.clear()
+            value = count_ck(n, k)
+            bits = bit_table(build_gcd_k(n, k))
+            assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], (n, k)
+            assert value == permanent_ryser(bits), (n, k)
+
+    def test_every_anti_residual_to_34(self):
+        anti = lambda x, y: gcd(x, y) > 1
+        for n in range(1, 35):
+            primes = counts._anti_primes(n)
+            base = [x for x in anti_labels(n) if all(x % p for p in primes)]
+            for rows, cols in counts._anti_residuals(n, primes):
+                xs, ys = base + list(rows), base + list(cols)
+                table = counts._table(xs, ys, anti)
+                bits = bit_table(_from_predicate(xs, ys, anti))
+                assert class_shape(table) == class_shape(bits), (n, rows, cols)
+                assert permanent_ryser(table) == permanent_ryser(bits), (n, rows, cols)
+
+    def test_merged_rad_classes(self):
+        # C_3(12): rads 5, 7 and 11 share no prime <= 3 with any label, so
+        # their rows equal the row of 1 and merge into one class of 4
+        labels = range(1, 13)
+        table = counts._table(labels, labels, lambda x, y: gcd(x, y, 6) == 1)
+        assert max(table.mult) == 4
+        assert class_shape(table) == class_shape(bit_table(build_gcd_k(12, 3)))
+
+
+class TestTermCounts:
+    """Glynn's walk costs prod(c + 1) / 2 with an odd class, else
+    prod(c + 1) * c / (c + 1) for the smallest class; each walk takes the
+    side with fewer, counted here from the class sizes without walking."""
+
+    @staticmethod
+    def terms(sizes) -> int:
+        total = math.prod(c + 1 for c in sizes)
+        if any(c % 2 for c in sizes):
+            return total // 2
+        return total // (min(sizes) + 1) * min(sizes)
+
+    @pytest.mark.parametrize(
+        "n, want", [(15, 216), (16, 270), (17, 270), (24, 1925), (34, 115740)]
+    )
+    def test_anti_split_terms(self, monkeypatch, n, want):
+        walked = []
+
+        def counted(table):
+            walked.append(min(self.terms(table.sizes), self.terms(table.mult)))
+            return 0
+
+        monkeypatch.setattr(counts, "permanent_ryser", counted)
+        counts._anti_split(n, counts._anti_primes(n))
+        assert sum(walked) == want
 
 
 class TestCk:

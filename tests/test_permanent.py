@@ -19,9 +19,9 @@ from coprime_census.graph import (
     odd_plus_rows,
 )
 from coprime_census.permanent import (
-    _class_terms,
+    ClassTable,
     _glynn_classes,
-    _transpose,
+    class_table,
     permanent_dp,
     permanent_minors,
     permanent_ryser,
@@ -31,6 +31,32 @@ from coprime_census.permanent import (
 def matrix_from_rows(rows: list[int], n: int) -> BitMatrix:
     labels = tuple(range(1, n + 1))
     return BitMatrix(n=n, rows=tuple(rows), labels_row=labels, labels_col=labels)
+
+
+def transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Row bit-vectors of the transpose: bit i of result[j] is entry (i, j)."""
+    return tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(width))
+
+
+def both_tables(rows: tuple[int, ...]) -> tuple[ClassTable, ClassTable]:
+    """The class tables of a square 0/1 matrix and of its transpose."""
+    n = len(rows)
+    return class_table(rows, [1] * n), class_table(transpose(rows, n), [1] * n)
+
+
+def glynn_terms(sizes) -> int:
+    """Terms of Glynn's half walk over column classes of these sizes:
+    prod(c + 1) / 2 with an odd class, else prod(c + 1) * c / (c + 1) for
+    the smallest class c."""
+    terms = math.prod(c + 1 for c in sizes)
+    if any(c % 2 for c in sizes):
+        return terms // 2
+    return terms // (min(sizes) + 1) * min(sizes)
+
+
+def walked_terms(table: ClassTable) -> int:
+    """The terms permanent_ryser walks: the cheaper side, columns on a tie."""
+    return min(glynn_terms(table.sizes), glynn_terms(table.mult))
 
 
 def random_matrix(rng: random.Random, n: int, density: float = 0.6) -> BitMatrix:
@@ -107,6 +133,18 @@ class TestBrute:
         with pytest.raises(ValueError):
             permanent_dp((0b100, 0b011))  # 2 rows, a bit in column 2
 
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n),
+            st.permutations(range(n)),
+        )
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_order_gives_one_value(self, drawn):
+        # the DP sorts its rows by popcount; the permanent has no row order
+        rows, order = drawn
+        assert permanent_dp(tuple(rows[i] for i in order)) == permanent_dp(tuple(rows))
+
 
 class TestThreeWayAgreement:
     def test_five_hundred_samples(self):
@@ -146,9 +184,9 @@ class TestClassWalk:
     def test_both_sides_equal_the_subset_walk(self, family):
         for m in BUILDER_FAMILIES[family]():
             want = permanent_dp(m.rows)
-            rows, cols = m.rows, _transpose(m.rows, m.n)
-            assert _glynn_classes(rows, cols) == want, m.to_text()
-            assert _glynn_classes(cols, rows) == want, m.to_text()
+            table, transposed = both_tables(m.rows)
+            assert _glynn_classes(table) == want, m.to_text()
+            assert _glynn_classes(transposed) == want, m.to_text()
 
     @pytest.mark.parametrize(
         "rows",
@@ -159,32 +197,46 @@ class TestClassWalk:
         ],
     )
     def test_degenerate_classes_equal_brute(self, rows):
-        m = matrix_from_rows(rows, len(rows))
-        want = permanent_dp(m.rows)
-        cols = _transpose(m.rows, m.n)
-        assert _glynn_classes(m.rows, cols) == want
-        assert _glynn_classes(cols, m.rows) == want
+        want = permanent_dp(tuple(rows))
+        assert [_glynn_classes(t) for t in both_tables(tuple(rows))] == [want, want]
 
     @pytest.mark.parametrize(
-        "walk",
+        "walk, widths",
         [
-            lambda: permanent_ryser(build_odd_half(9)),  # walks its column classes
-            lambda: permanent_ryser(build_odd_plus_excluding(9, 19)),  # its row classes
-            lambda: permanent_minors(odd_plus_rows(9)),
+            (lambda: permanent_ryser(build_odd_half(9)), [9]),  # walks its column classes
+            (lambda: permanent_ryser(build_odd_plus_excluding(9, 19)), [9, 4]),  # its row classes
+            (lambda: permanent_minors(odd_plus_rows(9)), [9]),
         ],
         ids=["ryser-rows", "ryser-cols", "minors"],
     )
-    def test_one_transpose_per_walk(self, monkeypatch, walk):
-        # the side is chosen and walked from the same pair of line tuples
-        calls = []
+    def test_bits_are_grouped_once_per_walk(self, monkeypatch, walk, widths):
+        # one pass over the bits builds the table; a walk over the row
+        # classes transposes the table, a pass over its 4 row classes
+        seen = []
 
-        def counted(rows, width):
-            calls.append(width)
-            return _transpose(rows, width)
+        def counted(lines, group_widths):
+            seen.append(len(group_widths))
+            return class_table(lines, group_widths)
 
-        monkeypatch.setattr(permanent, "_transpose", counted)
+        monkeypatch.setattr(permanent, "class_table", counted)
         walk()
-        assert len(calls) == 1
+        assert seen == widths
+
+    def test_tables_merge_equal_lines(self):
+        # rows 0b011 twice and 0b100; columns 0 and 1 are equal
+        table = class_table((0b011, 0b100, 0b011), [1, 1, 1])
+        assert table == ClassTable(3, (2, 1), (2, 1), (0b01, 0b10), (0, 1, 0))
+        # two column groups with equal bits merge, their widths added
+        assert class_table((0b11, 0b11), [2, 3]) == ClassTable(5, (2,), (5,), (0b1,), (0, 0))
+
+    def test_the_fastest_class_hits_the_fewest_rows(self):
+        # C0(18): the walk's first step moves the class with the fewest hits
+        table = class_table(build_odd_half(18).rows, [1] * 18)
+        _, sums = traced_walk(lambda: _glynn_classes(table))
+        moved = sum(a != b for a, b in zip(sums[0], sums[1]))
+        assert moved == min(col.bit_count() for col in table.cols) < max(
+            col.bit_count() for col in table.cols
+        )
 
 
 def traced_walk(call, marker: str = "f = weight * mprod(powers)"):
@@ -230,8 +282,8 @@ def copied_class_matrices(draw, copies):
 
 def both_sides(rows: tuple[int, ...]) -> tuple[int, int]:
     """The class walk over the columns, then over the rows."""
-    cols = _transpose(rows, len(rows))
-    return _glynn_classes(rows, cols), _glynn_classes(cols, rows)
+    table, transposed = both_tables(rows)
+    return _glynn_classes(table), _glynn_classes(transposed)
 
 
 class TestGlynnHalfWalk:
@@ -242,7 +294,7 @@ class TestGlynnHalfWalk:
     @example((0b1111,) * 4)  # one class of 4 on each side
     @example((0b0011, 0b0011, 0b1100, 0b1100))  # two classes of 2 on each side
     def test_every_class_even_holds_one_column(self, rows):
-        cols = _transpose(rows, len(rows))
+        cols = transpose(rows, len(rows))
         assert all(c % 2 == 0 for c in Counter(cols).values())
         assert all(c % 2 == 0 for c in Counter(rows).values())
         want = permanent_dp(rows)
@@ -253,20 +305,50 @@ class TestGlynnHalfWalk:
     @example((0b111,) * 3)  # one class of 3 on each side
     @example((0b11101, 0b11101, 0b11101, 0b00011, 0b11110))  # classes 3, 1, 1
     def test_an_odd_class_on_each_side(self, rows):
-        cols = _transpose(rows, len(rows))
+        cols = transpose(rows, len(rows))
         assume(any(c % 2 for c in Counter(cols).values()))
         assume(any(c % 2 for c in Counter(rows).values()))
         want = permanent_dp(rows)
         assert both_sides(rows) == (want, want)
 
+    @given(copied_class_matrices([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_front_end_equals_the_oracle(self, rows):
+        assert permanent_ryser(matrix_from_rows(list(rows), len(rows))) == permanent_dp(rows)
+
     def test_half_the_terms(self):
         m = build_odd_half(18)
         value, sums = traced_walk(lambda: permanent_ryser(m))
         assert value == 79772814777600
-        assert len(sums) == 2592 == _class_terms(_transpose(m.rows, m.n)) // 2
+        cols = Counter(transpose(m.rows, m.n)).values()
+        assert len(sums) == 2592 == math.prod(c + 1 for c in cols) // 2
         value, sums = traced_walk(lambda: permanent_minors(odd_plus_rows(15)))
-        assert len(sums) == 900 == _class_terms(_transpose(odd_plus_rows(15), 15)) // 2
+        cols = Counter(transpose(odd_plus_rows(15), 15)).values()
+        assert len(sums) == 900 == math.prod(c + 1 for c in cols) // 2
         assert value[-1] == permanent_ryser(build_odd_half(15))
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_terms_are_counted_from_the_class_sizes(self, sizes):
+        # all-ones blocks of c_t x c_t on the diagonal: column classes of
+        # exactly these sizes
+        lines = [1 << t for t, c in enumerate(sizes) for _ in range(c)]
+        table = class_table(lines, sizes)
+        assert table.sizes == tuple(sizes)
+        value, sums = traced_walk(lambda: _glynn_classes(table))
+        assert value == math.prod(map(math.factorial, sizes))
+        assert len(sums) == glynn_terms(table.sizes)
+
+    def test_side_is_chosen_by_exact_terms(self):
+        # column classes 2, 2, 2 (all even: 27 * 2 / 3 = 18 terms) against
+        # row classes 3, 1, 1, 1 (one odd: 32 / 2 = 16 terms); prod(c + 1)
+        # alone, 27 against 32, would pick the columns
+        rows = (0b111111,) * 3 + (0b000011, 0b001100, 0b110000)
+        table = class_table(rows, [1] * 6)
+        assert sorted(table.sizes) == [2, 2, 2] and sorted(table.mult) == [1, 1, 1, 3]
+        value, sums = traced_walk(lambda: permanent_ryser(matrix_from_rows(list(rows), 6)))
+        assert value == permanent_dp(rows) == 48
+        assert len(sums) == walked_terms(table) == 16
 
     def test_even_classes_walk_the_held_class_to_its_end(self):
         # all ones, one class of 4: one column held at +1, k = 0..3 for
