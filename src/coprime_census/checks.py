@@ -87,14 +87,17 @@ def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
     kw = {"ceiling": ceiling}
     records = []
     for n in range(2, min(max_n // 2, 12) + 1):
-        # C(2n) = C0(n)^2 and 2 C0(n-1)^2 <= C(2n+1) <= C1(n)^2.  count_c
-        # squares C0(n) itself, so the claimed side squares C_(2n+1)(n),
-        # which is C0(n) read from another matrix: the odd_plus_rows(n) walk
+        # C(2n) = C0(n)^2 and 2 C0(n-1)^2 <= C(2n+1) <= C1(n)^2.  The two
+        # sides of the square read no common memo: count_c0 may read C0(n)
+        # from the minors memo, so the computed side walks the C0(n)
+        # matrix itself and the claimed side squares C_(2n+1)(n), the last
+        # minor of the odd_plus_rows(n) walk
+        own = counts.compute("c0", n, method="permanent", **kw).value
         square = counts.count_c_a(n, 2 * n + 1, **kw) ** 2
         c_odd = counts.count_c(2 * n + 1, **kw)
         lo, hi = 2 * counts.count_c0(n - 1, **kw) ** 2, counts.count_c1(n, **kw) ** 2
         records += [
-            make(f"square n={n}", counts.count_c(2 * n, **kw), "==", square),
+            make(f"square n={n}", own**2, "==", square),
             make(f"sandwich n={n} lower", c_odd, ">=", lo),
             make(f"sandwich n={n} upper", c_odd, "<=", hi),
         ]

@@ -22,6 +22,7 @@ from .graph import DEFAULT_CEILING, CapacityError, check_aux, check_ceiling, cou
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
+_VERIFY_MAX = 16
 
 
 def _now() -> str:
@@ -115,6 +116,8 @@ def cmd_count(args) -> int:
     kind = args.kind
     # before the cache, so no record is ever served under an --aux it ignores
     check_aux(kind, args.aux)
+    if args.no_cache and args.verify_cache:
+        raise ValueError("--verify-cache compares against the cache that --no-cache skips")
     if args.dump_matrix:
         from . import counts
 
@@ -210,11 +213,18 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only the tables and lemmas suites count, so only they read --max and
+    # --ceiling; None marks a flag left at its default
+    given = [flag for flag in ("max", "ceiling") if getattr(args, flag) is not None]
+    if given and args.suite in ("bounds", "constants"):
+        raise ValueError(f"--{given[0]} is not read by the {args.suite} suite")
+    max_n = _VERIFY_MAX if args.max is None else args.max
+    ceiling = DEFAULT_CEILING if args.ceiling is None else args.ceiling
     from . import checks
 
     suites = {
-        "tables": lambda: checks.tables(args.max, args.ceiling),
-        "lemmas": lambda: checks.lemmas(args.max, args.ceiling),
+        "tables": lambda: checks.tables(max_n, ceiling),
+        "lemmas": lambda: checks.lemmas(max_n, ceiling),
         "bounds": checks.bounds,
         "constants": checks.constants,
     }
@@ -288,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max",
         type=int,
-        default=16,
-        help="largest n of the tables suite's rows; the lemmas suite runs its "
-        "square and sandwich records for n <= min(MAX // 2, 12)",
+        help=f"largest n of the tables suite's rows (default {_VERIFY_MAX}); the "
+        "lemmas suite runs its square and sandwich records for n <= min(MAX // 2, 12)",
     )
+    p_verify.set_defaults(ceiling=None)
     return parser
 
 

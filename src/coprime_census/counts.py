@@ -7,7 +7,7 @@
 * C0, C1, C_(a): the half-size coprime matching counts behind those
   reductions.  Every C_(a)(m) comes from one walk: the C_(a)(m) matrix
   is the (m+1) x m odd-against-[m] matrix of ``odd_plus_rows(m)`` with
-  the row of a deleted and transposed, and ``permanent_minors`` returns
+  the row of a deleted, and ``permanent_minors`` returns
   all m+1 of those permanents from one class walk.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.  Every prime in
@@ -31,6 +31,16 @@ classes and classes with equal lines merge.  ``matrix_for`` keeps the
 bit matrices of ``graph`` for ``--method permanent`` and
 ``--dump-matrix``, whose walks group the bits into the same table.
 
+Two counts reuse class work already in memory.  ``count_c0(n)`` reads
+C0(n) off the C_(a) minors when the memo holds them, as the last minor
+of ("ca", n) or the expansion along column n of ("ca", n-1), and walks
+its own table otherwise.  ``_anti_split`` builds one table, on the base
+labels, and derives every residual table from it by counts alone.  So a
+check that sets two routes against each other takes routes that do not
+read each other's memo: the square record of ``checks.lemmas`` walks
+the C0(n) matrix itself (``compute(..., method="permanent")``) against
+the last minor.
+
 All values are exact integers and are memoized in-process by
 (kind, n, aux), the C_(a)(m) as one tuple under ("ca", m); a memoized
 value is still refused past a smaller ceiling.  The persistent cache
@@ -53,13 +63,13 @@ from .graph import (
     build_full_coprime,
     build_gcd_k,
     build_odd_half,
-    build_odd_plus_excluding,
     check_aux,
     check_ceiling,
     count_dimension,
+    odd_plus_rows,
     smallest_factor,
 )
-from .permanent import class_table, permanent_dp, permanent_minors, permanent_ryser
+from .permanent import ClassTable, class_table, permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
     "CountResult",
@@ -142,8 +152,22 @@ def _table(xs, ys, pred=lambda x, y: gcd(x, y) == 1):
 
 
 def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
-    """Number of coprime matchings from the first n odd numbers into [n]."""
-    count = lambda: permanent_ryser(_table(range(1, 2 * n, 2), range(1, n + 1)))
+    """Number of coprime matchings from the first n odd numbers into [n].
+
+    Read from the C_(a) minors when the memo holds them: C0(n) is
+    C_(2n+1)(n), the last of ("ca", n), and the sum of C_(a)(n-1) over
+    the odd a < 2n coprime to n, its expansion along column n.  Otherwise
+    one walk of its own table.
+    """
+
+    def count() -> int:
+        odds = range(1, 2 * n, 2)
+        if ("ca", n) in _memo:
+            return _memo[("ca", n)][-1]
+        if ("ca", n - 1) in _memo:
+            return sum(c for a, c in zip(odds, _memo[("ca", n - 1)]) if gcd(a, n) == 1)
+        return permanent_ryser(_table(odds, range(1, n + 1)))
+
     return _memoized(("c0", n), ceiling, count)
 
 
@@ -269,16 +293,40 @@ def _anti_split(n: int, primes) -> int:
     ``build_anti``; with none, the one residual is its matrix.  The
     predicate is symmetric, so the residual (rows Y, columns X) is the
     transpose of (X, Y): each such pair is walked once, with the two
-    weights added."""
+    weights added.
+
+    One table is built, on the base labels (those no eliminated prime
+    divides).  A residual adds the labels rad(k), k <= n // p < sqrt(n),
+    and each is itself a base label: adding it raises the multiplicity of
+    its row class or the size of its column class and leaves every line
+    as it is.  So each residual table is the base table with new counts,
+    with no predicate call and no regrouping.
+    """
     base = [x for x in anti_labels(n) if all(x % p for p in primes)]
     pairs: dict[tuple, int] = {}
     for (rows, cols), weight in _anti_residuals(n, primes).items():
         key = min((rows, cols), (cols, rows))
         pairs[key] = pairs.get(key, 0) + weight
-    total = 0
     anti = lambda x, y: gcd(x, y) > 1
+    table = _table(base, base, anti)
+    # the row class and the column class of each label a residual adds;
+    # a column class is its column's bits over the row classes
+    extra = {x for key in pairs for side in key for x in side}
+    firsts = [base[table.row_class.index(r)] for r in range(len(table.mult))]
+    row_of = {x: table.row_class[base.index(x)] for x in extra}
+    col_of = {
+        x: table.cols.index(sum(anti(y, x) << r for r, y in enumerate(firsts))) for x in extra
+    }
+    total = 0
     for (rows, cols), weight in pairs.items():
-        total += weight * permanent_ryser(_table(base + list(rows), base + list(cols), anti))
+        mult, sizes = list(table.mult), list(table.sizes)
+        for x in rows:
+            mult[row_of[x]] += 1
+        for x in cols:
+            sizes[col_of[x]] += 1
+        row_class = table.row_class + tuple(row_of[x] for x in rows)
+        residual = ClassTable(table.n + len(cols), tuple(mult), tuple(sizes), table.cols, row_class)
+        total += weight * permanent_ryser(residual)
     return total
 
 
@@ -502,8 +550,9 @@ def compute(
         if kind == "c0":
             value = permanent_dp(matrix_for(kind, n).rows)
         elif kind == "c1":
-            odds = range(1, 2 * n + 2, 2)
-            value = sum(permanent_dp(build_odd_plus_excluding(n, a).rows) for a in odds)
+            # C_(a)(n): odd_plus_rows(n) without the row of a
+            rows = odd_plus_rows(n)
+            value = sum(permanent_dp(rows[:i] + rows[i + 1 :]) for i in range(n + 1))
         else:
             constraint = {"c": "coprime", "a": "anti", "ck": "gcd_k"}[kind]
             value = brute_constrained_count(n, constraint, k=aux)

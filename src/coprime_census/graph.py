@@ -27,7 +27,6 @@ __all__ = [
     "BitMatrix",
     "build_full_coprime",
     "build_odd_half",
-    "build_odd_plus_excluding",
     "odd_plus_rows",
     "anti_labels",
     "build_anti",
@@ -167,22 +166,12 @@ def build_odd_half(n: int) -> BitMatrix:
     )
 
 
-def build_odd_plus_excluding(n: int, a: int) -> BitMatrix:
-    """Rows 1..n; columns the first n+1 odd numbers minus {a}; bit iff coprime."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a % 2 == 0 or not 1 <= a <= 2 * n + 1:
-        raise ValueError(f"a={a} must be odd and within 1..{2 * n + 1}")
-    cols = [v for v in range(1, 2 * n + 2, 2) if v != a]
-    return _from_predicate(range(1, n + 1), cols, lambda x, y: gcd(x, y) == 1)
-
-
 def odd_plus_rows(n: int) -> tuple[int, ...]:
     """The (n+1) x n matrix of the first n+1 odd numbers against 1..n.
 
     Row i stands for 2i+1, and its bit j - 1 is set iff gcd(2i+1, j) = 1.
-    Deleting the row of a leaves the transpose of
-    ``build_odd_plus_excluding(n, a)``.
+    Deleting the row of a leaves the matrix of C_(a)(n): the first n+1
+    odd numbers but a against 1..n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

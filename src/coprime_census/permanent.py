@@ -69,6 +69,17 @@ def class_table(lines, widths) -> ClassTable:
     )
 
 
+def _transpose(table: ClassTable) -> ClassTable:
+    """The class table of the transpose, read from the blocks: column
+    class t becomes a class of sizes[t] equal rows and row class r a
+    class of mult[r] columns.  Lines that differ in the table differ in
+    its transpose, so no class merges and no bit is regrouped."""
+    _, mult, sizes, cols, _ = table
+    lines = tuple(sum((col >> r & 1) << t for t, col in enumerate(cols)) for r in range(len(mult)))
+    row_class = tuple(t for t, c in enumerate(sizes) for _ in range(c))
+    return ClassTable(sum(mult), sizes, mult, lines, row_class)
+
+
 def _half(sizes) -> tuple[list[int], int]:
     """The largest k_t Glynn's half walk reaches in each column class
     (:func:`_glynn_classes`), and its terms, prod(k_t + 1) over them.
@@ -203,17 +214,16 @@ def permanent_ryser(matrix) -> int:
     ``matrix`` is a :class:`ClassTable`, or a square 0/1 matrix with
     ``rows`` and ``n`` (a ``graph.BitMatrix``), whose bits are grouped
     into one.  The walk runs over the column classes of the table or of
-    its transpose (per(A) = per(A^T)), the side with fewer terms
+    its transpose (per(A) = per(A^T), read from the table's blocks by
+    :func:`_transpose`), the side with fewer terms
     (:func:`_half`), the columns on a tie: at most 2^(n-1) terms,
     reached only when all columns and all rows differ.
     """
     table = matrix
     if not isinstance(table, ClassTable):
         table = class_table(matrix.rows, [1] * matrix.n)
-    n, mult, sizes, cols, _ = table
-    if n and _half(mult)[1] < _half(sizes)[1]:
-        # the transpose: column class t gives sizes[t] equal rows
-        table = class_table([*Counter(dict(zip(cols, sizes))).elements()], mult)
+    if table.n and _half(table.mult)[1] < _half(table.sizes)[1]:
+        table = _transpose(table)
     return _glynn_classes(table)
 
 

@@ -260,6 +260,10 @@ class TestCount:
             ["count", "--kind", "c0", "--n", "5", "--threads", "2", "--no-cache"],
             ["table", "--which", "t1", "--max", "3", "--threads", "2"],
             ["verify", "--suite", "constants", "--threads", "2"],
+            ["count", "--kind", "c0", "--n", "5", "--no-cache", "--verify-cache"],
+            ["verify", "--suite", "bounds", "--max", "30", "--ceiling", "3"],
+            ["verify", "--suite", "bounds", "--max", "30"],
+            ["verify", "--suite", "constants", "--ceiling", "40"],
         ],
         ids=[
             "count-aux-on-c",
@@ -273,6 +277,10 @@ class TestCount:
             "count-threads",
             "table-threads",
             "verify-threads",
+            "count-no-cache-verify-cache",
+            "verify-bounds-max-ceiling",
+            "verify-bounds-max",
+            "verify-constants-ceiling",
         ],
     )
     def test_input_the_command_does_not_read_is_refused(self, tmp_path, argv):
@@ -609,8 +617,23 @@ class TestVerify:
     def test_square_check_reads_a_second_walk(self, monkeypatch):
         from coprime_census import checks, counts
 
-        # a wrong C0(8) makes C(16) wrong; C_(17)(8) comes from another walk
-        monkeypatch.setattr(counts, "_memo", {("c0", 8): 9553})
+        # a wrong walk of the C0(8) matrix; C_(17)(8) comes from another walk
+        walk = counts.permanent_ryser
+        c0_8 = tuple(range(1, 16, 2))
+        wrong = lambda m: walk(m) + (getattr(m, "labels_row", None) == c0_8)
+        monkeypatch.setattr(counts, "_memo", {})
+        monkeypatch.setattr(counts, "permanent_ryser", wrong)
+        failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
+        assert failed == ["square n=8"]
+
+    def test_square_check_fails_on_a_wrong_last_minor(self, monkeypatch):
+        from coprime_census import checks, counts
+
+        # count_c0(8) would read C0(8) off this memo; the square's own walk
+        # does not, so the wrong C_(17)(8) = C0(8) is caught
+        minors = counts._c_a_all(8, 40)
+        wrong = minors[:-1] + (minors[-1] + 1,)
+        monkeypatch.setattr(counts, "_memo", {("ca", 8): wrong})
         failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
         assert failed == ["square n=8"]
 

@@ -28,7 +28,6 @@ from coprime_census.graph import (
     build_anti,
     build_gcd_k,
     build_odd_half,
-    build_odd_plus_excluding,
     count_dimension,
     odd_plus_rows,
     smallest_factor,
@@ -51,12 +50,34 @@ class TestC0:
 
     @pytest.mark.extended
     @pytest.mark.parametrize("m", [26, 27, 28])
-    def test_past_the_table_equals_the_last_minor(self, m):
+    def test_past_the_table_equals_the_last_minor(self, monkeypatch, m):
         # deleting the row of 2m+1 from odd_plus_rows(m) leaves the C0(m)
         # matrix; the minors walk classes the columns against all m+1 rows,
-        # so the two values come from walks of two different matrices
+        # so the two values come from walks of two different matrices.  An
+        # empty memo keeps count_c0 from reading C0(m) off those minors
+        monkeypatch.setattr(counts, "_memo", {})
         assert m > max(reference.TABLE_C0)
         assert count_c0(m) == permanent_minors(odd_plus_rows(m))[-1]
+
+    def test_read_from_the_minors_memo_to_20(self, monkeypatch):
+        # C0(n) is the last minor of C_(a)(n), behind C(2n+1), and the
+        # expansion along column n of the C_(a)(n-1), behind C(2n-1)
+        walk = counts.permanent_ryser
+
+        def refused(table):
+            raise AssertionError("C0 was walked though the memo held its minors")
+
+        for n in range(1, 21):
+            monkeypatch.setattr(counts, "_memo", {})
+            cold = count_c0(n)
+            for odd in (2 * n + 1, 2 * n - 1):
+                monkeypatch.setattr(counts, "_memo", {})
+                count_c(odd)
+                # C(1) walks no minors, so C0(1) after it walks its own table
+                if odd > 1:
+                    monkeypatch.setattr(counts, "permanent_ryser", refused)
+                assert count_c0(n) == cold, (n, odd)
+                monkeypatch.setattr(counts, "permanent_ryser", walk)
 
 
 class TestCa:
@@ -87,7 +108,10 @@ class TestOddFromOneWalk:
         for n in range(3, 36, 2):
             m = n // 2
             odds = range(1, n + 1, 2)
-            ca = {a: permanent_ryser(build_odd_plus_excluding(m, a)) for a in odds}
+            rows = odd_plus_rows(m)
+            # C_(a)(m): odd_plus_rows(m) without the row of a
+            minus = lambda a: rows[: a // 2] + rows[a // 2 + 1 :]
+            ca = {a: permanent_ryser(class_table(minus(a), [1] * m)) for a in odds}
             want = sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
             assert count_c(n) == want, n
             assert count_c1(m) == sum(ca.values())
@@ -261,6 +285,48 @@ class TestAntiSplit:
     @pytest.mark.parametrize("n", [31, 32, 33, 34])
     def test_split_equals_the_direct_walk_to_34(self, n):
         assert count_a(n) == permanent_ryser(build_anti(n))
+
+    def test_every_added_label_is_a_base_label_to_60(self):
+        # rad(k), k <= n // p < sqrt(n), has a row and a column class in the
+        # table of the base labels, so every residual table is derived
+        for n in range(1, 61):
+            primes = counts._anti_primes(n)
+            base = {x for x in anti_labels(n) if all(x % p for p in primes)}
+            for rows, cols in counts._anti_residuals(n, primes):
+                assert set(rows + cols) <= base, (n, rows, cols)
+
+    @staticmethod
+    def grown_against_scratch(monkeypatch, n):
+        """Each table _anti_split(n) walks, derived from the base table,
+        against the table built from scratch on its labels."""
+        walked = []
+
+        def counted(table):
+            walked.append(table)
+            return permanent_ryser(table)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(counts, "permanent_ryser", counted)
+            primes = counts._anti_primes(n)
+            counts._anti_split(n, primes)
+        base = [x for x in anti_labels(n) if all(x % p for p in primes)]
+        # the pairs in the order they are walked
+        pairs = dict.fromkeys(min(k, k[::-1]) for k in counts._anti_residuals(n, primes))
+        assert len(pairs) == len(walked), n
+        anti = lambda x, y: gcd(x, y) > 1
+        for (rows, cols), grown in zip(pairs, walked):
+            scratch = counts._table(base + list(rows), base + list(cols), anti)
+            assert class_shape(grown) == class_shape(scratch), (n, rows, cols)
+            assert permanent_ryser(grown) == permanent_ryser(scratch), (n, rows, cols)
+
+    def test_residual_tables_are_the_base_table_grown(self, monkeypatch):
+        for n in range(1, 25):
+            self.grown_against_scratch(monkeypatch, n)
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("n", range(25, 35))
+    def test_residual_tables_are_the_base_table_grown_to_34(self, monkeypatch, n):
+        self.grown_against_scratch(monkeypatch, n)
 
 
 def bit_table(matrix) -> ClassTable:

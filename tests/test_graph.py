@@ -13,8 +13,8 @@ from coprime_census.graph import (
     build_anti,
     build_full_coprime,
     build_gcd_k,
+    _from_predicate,
     build_odd_half,
-    build_odd_plus_excluding,
     odd_plus_rows,
     smallest_factor,
 )
@@ -86,34 +86,46 @@ class TestOddHalf:
                 assert zeros == n // p
 
 
+def excluding(n: int, a: int) -> tuple[int, ...]:
+    """The C_(a)(n) matrix: ``odd_plus_rows(n)`` without the row of a."""
+    rows = odd_plus_rows(n)
+    return rows[: a // 2] + rows[a // 2 + 1 :]
+
+
+def coprime(x: int, y: int) -> bool:
+    return gcd(x, y) == 1
+
+
 class TestOddPlusExcluding:
     def test_examples(self):
-        m = build_odd_plus_excluding(1, 1)
-        assert m.labels_col == (3,) and as_lists(m) == [[1]]
-        assert permanent_ryser(build_odd_plus_excluding(2, 3)) == 2
-        assert permanent_ryser(build_odd_plus_excluding(1, 3)) == 1
+        assert excluding(1, 1) == (0b1,)  # the row of 3 against column 1
+        assert permanent_dp(excluding(2, 3)) == 2
+        assert permanent_dp(excluding(1, 3)) == 1
 
     def test_rejects_bad_a(self):
         with pytest.raises(ValueError):
-            build_odd_plus_excluding(3, 4)
+            counts.count_c_a(3, 4)
         with pytest.raises(ValueError):
-            build_odd_plus_excluding(3, 9)
+            counts.count_c_a(3, 9)
 
     @given(st.integers(1, 25))
     @settings(max_examples=20)
     def test_column_labels(self, n):
-        odds = set(range(1, 2 * n + 2, 2))
-        for a in sorted(odds):
-            m = build_odd_plus_excluding(n, a)
-            assert set(m.labels_col) == odds - {a}
-            assert m.labels_row == tuple(range(1, n + 1))
+        # the rows left stand for the other odd numbers, in order
+        odds = range(1, 2 * n + 2, 2)
+        for a in odds:
+            kept = [v for v in odds if v != a]
+            want = _from_predicate(kept, range(1, n + 1), coprime).rows
+            assert excluding(n, a) == want
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_odd_plus_rows_without_a_is_the_transpose(self, n):
+        # of the matrix of [n] against the first n+1 odd numbers but a
         rows = odd_plus_rows(n)
         assert len(rows) == n + 1
         for i, a in enumerate(range(1, 2 * n + 2, 2)):
-            m = build_odd_plus_excluding(n, a)
+            cols = [v for v in range(1, 2 * n + 2, 2) if v != a]
+            m = _from_predicate(range(1, n + 1), cols, coprime)
             kept = rows[:i] + rows[i + 1 :]
             assert all(((kept[j] >> r) & 1) == bit(m, r, j) for r in range(n) for j in range(n))
         with pytest.raises(ValueError):

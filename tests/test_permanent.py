@@ -15,7 +15,6 @@ from coprime_census.graph import (
     build_full_coprime,
     build_gcd_k,
     build_odd_half,
-    build_odd_plus_excluding,
     odd_plus_rows,
 )
 from coprime_census.permanent import (
@@ -36,6 +35,17 @@ def matrix_from_rows(rows: list[int], n: int) -> BitMatrix:
 def transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Row bit-vectors of the transpose: bit i of result[j] is entry (i, j)."""
     return tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(width))
+
+
+def c_a_matrix(n: int, a: int) -> BitMatrix:
+    """The C_(a)(n) matrix: ``odd_plus_rows(n)`` without the row of a."""
+    i, rows, odds = a // 2, odd_plus_rows(n), tuple(range(1, 2 * n + 2, 2))
+    return BitMatrix(n, rows[:i] + rows[i + 1 :], odds[:i] + odds[i + 1 :], tuple(range(1, n + 1)))
+
+
+def class_shape(table: ClassTable) -> tuple[list[int], list[int]]:
+    """The multisets of row multiplicities and column sizes."""
+    return sorted(table.mult), sorted(table.sizes)
 
 
 def both_tables(rows: tuple[int, ...]) -> tuple[ClassTable, ClassTable]:
@@ -172,9 +182,7 @@ BUILDER_FAMILIES = {
     "gcd_3": lambda: [build_gcd_k(n, 3) for n in range(1, 17)],
     "gcd_5": lambda: [build_gcd_k(n, 5) for n in range(1, 17)],
     "odd_plus_excluding": lambda: [
-        build_odd_plus_excluding(n, a)
-        for n in range(1, 13)
-        for a in range(1, 2 * n + 2, 2)
+        c_a_matrix(n, a) for n in range(1, 13) for a in range(1, 2 * n + 2, 2)
     ],
 }
 
@@ -187,6 +195,10 @@ class TestClassWalk:
             table, transposed = both_tables(m.rows)
             assert _glynn_classes(table) == want, m.to_text()
             assert _glynn_classes(transposed) == want, m.to_text()
+            # the transpose read from the blocks has the classes of the one
+            # grouped from the transposed bits
+            assert class_shape(permanent._transpose(table)) == class_shape(transposed)
+            assert _glynn_classes(permanent._transpose(table)) == want, m.to_text()
 
     @pytest.mark.parametrize(
         "rows",
@@ -204,14 +216,15 @@ class TestClassWalk:
         "walk, widths",
         [
             (lambda: permanent_ryser(build_odd_half(9)), [9]),  # walks its column classes
-            (lambda: permanent_ryser(build_odd_plus_excluding(9, 19)), [9, 4]),  # its row classes
+            (lambda: permanent_ryser(matrix_from_rows(transpose(build_odd_half(9).rows, 9), 9)), [9]),
             (lambda: permanent_minors(odd_plus_rows(9)), [9]),
         ],
         ids=["ryser-rows", "ryser-cols", "minors"],
     )
     def test_bits_are_grouped_once_per_walk(self, monkeypatch, walk, widths):
         # one pass over the bits builds the table; a walk over the row
-        # classes transposes the table, a pass over its 4 row classes
+        # classes (the transpose of the C0(9) matrix) transposes the table
+        # from its blocks, with no second pass
         seen = []
 
         def counted(lines, group_widths):
@@ -387,9 +400,7 @@ def minors_by_dp(rows: tuple[int, ...]) -> list[int]:
 class TestMinors:
     def test_odd_plus_rows_give_every_c_a(self):
         for m in range(1, 17):
-            want = [
-                permanent_ryser(build_odd_plus_excluding(m, a)) for a in range(1, 2 * m + 2, 2)
-            ]
+            want = [permanent_ryser(c_a_matrix(m, a)) for a in range(1, 2 * m + 2, 2)]
             assert permanent_minors(odd_plus_rows(m)) == want, m
 
     @given(tall_class_matrices())
