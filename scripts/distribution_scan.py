@@ -27,9 +27,8 @@ def main() -> int:
         {Fraction(k, args.points) for k in range(1, args.points + 1)}
         | set(brackets)
     )
-    for alpha in grid:
-        est = dist.d_count(alpha, args.n)
-        print(f"{alpha},{est.count},{est.density:.6f},{brackets.get(alpha, '')}")
+    for est in dist.d_counts(grid, args.n):
+        print(f"{est.alpha},{est.count},{est.density:.6f},{brackets.get(est.alpha, '')}")
 
     sm = dist.second_moment(args.n)
     print(

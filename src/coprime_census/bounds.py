@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from itertools import chain
 
 import numpy as np
 
-from .arith import mertens_product, primes_upto
+from .arith import _odd_prime_fsum, mertens_product
 from .checks import BoundReport
 from .reference import BRACKETS
 
@@ -68,9 +67,6 @@ def _mcnew_log_factor(p: np.ndarray) -> np.ndarray:
     )
 
 
-_MCNEW_CHUNK = 1 << 16  # primes per float64 chunk of log factors
-
-
 def mcnew_product(P: int) -> float:
     """The conjectured limiting constant, a product over primes p <= P.
 
@@ -80,21 +76,16 @@ def mcnew_product(P: int) -> float:
     product carries a doubled "p" in its numerator; the factor here
     follows the n!/N_p display, which is the version that reproduces the
     closed forms at k = 3 and 5.)  The odd factors are accumulated as one
-    compensated sum of their logs, evaluated over float64 chunks of the
-    prime array (``math.fsum`` is correctly rounded, so the chunking
-    cannot change the result); the factor 2 at p = 2 scales the result
-    exactly.  The truncation tail beyond P is of order (log P)/P (each
-    log factor is O(log(p)/p^2)), so P = 1e7 pins the limit well below
-    1e-4.
+    compensated sum of their logs, evaluated over each segment of the odd
+    prime sieve as a float64 array (``math.fsum`` is correctly rounded,
+    so the segmentation cannot change the result); the factor 2 at p = 2
+    scales the result exactly.  The truncation tail beyond P is of order
+    (log P)/P (each log factor is O(log(p)/p^2)), so P = 1e7 pins the
+    limit well below 1e-4.
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    odd = primes_upto(int(P))[1:]
-    logs = (
-        _mcnew_log_factor(odd[lo : lo + _MCNEW_CHUNK].astype(np.float64)).tolist()
-        for lo in range(0, len(odd), _MCNEW_CHUNK)
-    )
-    return 2.0 * math.exp(math.fsum(chain.from_iterable(logs)))
+    return 2.0 * math.exp(_odd_prime_fsum(int(P), _mcnew_log_factor))
 
 
 # the literature upper bound at 1/2 caps every dyadic density bound

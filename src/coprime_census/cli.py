@@ -201,13 +201,10 @@ def cmd_dist(args) -> int:
             json.dumps({"n": args.n, "size": size, "verdict": verdict}, sort_keys=True)
         )
         return 0 if verdict == "EQUAL" else 1
-    alphas = args.alpha or ["0.5"]
-    rows = []
-    for a in alphas:
-        est = dist.d_count(dist.as_fraction(a), args.n)
-        rows.append(
-            {"alpha": str(est.alpha), "count": est.count, "density": est.density}
-        )
+    rows = [
+        {"alpha": str(est.alpha), "count": est.count, "density": est.density}
+        for est in dist.d_counts(args.alpha or ["0.5"], args.n)
+    ]
     _emit_rows(rows, args.format, sys.stdout)
     return 0
 
@@ -241,7 +238,11 @@ def cmd_verify(args) -> int:
 # the flags more than one subcommand reads; each subcommand takes only its own
 _SHARED_FLAGS = {
     "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="permanent dimension cap"),
-    "--sieve-limit": dict(type=int, default=DEFAULT_SIEVE_LIMIT, help="phi table cap"),
+    "--sieve-limit": dict(
+        type=int,
+        default=DEFAULT_SIEVE_LIMIT,
+        help="largest 2n a dist scan accepts, a guard on run time",
+    ),
     "--cache": dict(default=DEFAULT_CACHE, help="result cache path"),
     "--no-cache": dict(action="store_true", help="skip the cache"),
     "--verify-cache": dict(action="store_true", help="recompute cached entries and compare"),

@@ -3,10 +3,11 @@
 All threshold comparisons are exact: a cutoff alpha is carried as a
 rational and "phi(m)/m <= alpha" is decided by integer cross-
 multiplication, so boundary ratios (phi(3)/3 = 2/3 at alpha = 2/3, say)
-can never flip on floating-point noise.  The bulk scans share one numpy
-table of phi over the odd numbers, grown on demand, and walk it in
-chunks, so no full-length array but that table is formed; the second
-moment is summed exactly by int64 long division.
+can never flip on floating-point noise.  Every scan streams the segments
+of the odd sieve in ``arith`` (the pairs (m, phi(m)) or the odd primes),
+so no array as long as the range is formed and none outlives its
+segment; a run of several cutoffs counts them all in one pass.  The
+second moment is summed exactly by int64 long division.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import mertens_product, phi_array, primes_upto
+from .arith import _odd_phi, _odd_prime_fsum, _odd_primes, mertens_product
 from .checks import BoundReport
 
 __all__ = [
     "DistEstimate",
     "d_count",
+    "d_counts",
     "second_moment",
     "second_moment_constant",
     "top_interval_set",
@@ -37,24 +39,8 @@ __all__ = [
 # rate is not known, so bracket comparisons warn rather than fail
 BRACKET_DIAGNOSTIC_TOL = 0.004
 
-# odd m per chunk of every scan
-_CHUNK = 1 << 15
-
 # fixed-point scale of the second-moment terms
 _MOMENT_BITS = 80
-
-# phi(2i+1) for i < _phi_cache["n"]
-_phi_cache: dict[str, np.ndarray | int] = {"n": 0}
-
-
-def _ensure_phi(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if _phi_cache["n"] < n:
-        _phi_cache["phi"] = phi_array(n)
-        _phi_cache["n"] = n
-    return _phi_cache["phi"][:n]
-
 
 def as_fraction(alpha) -> Fraction:
     """Read a cutoff as an exact rational.
@@ -88,22 +74,22 @@ def _count_le(alpha: Fraction, m: np.ndarray, ph: np.ndarray) -> int:
     return sum(1 for a, b in zip(ph.tolist(), m.tolist()) if q * a <= p * b)
 
 
-def _odd_chunks(ph: np.ndarray):
-    """(m, phi(m)) int64 array pairs of at most _CHUNK entries, in order,
-    over the odd m < 2 * len(ph) whose totients the table slice ``ph``
-    holds."""
-    for lo in range(0, len(ph), _CHUNK):
-        pc = ph[lo : lo + _CHUNK]
-        yield np.arange(2 * lo + 1, 2 * (lo + len(pc)), 2, dtype=np.int64), pc
+def d_counts(alphas, n: int) -> list[DistEstimate]:
+    """Exact D(alpha, n) for each cutoff, in order, from one pass over the
+    odd m < 2n."""
+    cuts = [as_fraction(alpha) for alpha in alphas]
+    if not all(0 <= a <= 1 for a in cuts):
+        raise ValueError("alpha must lie in [0, 1]")
+    counts = [0] * len(cuts)
+    for m, ph in _odd_phi(n):
+        for i, a in enumerate(cuts):
+            counts[i] += _count_le(a, m, ph)
+    return [DistEstimate(a, n, c, c / n) for a, c in zip(cuts, counts)]
 
 
 def d_count(alpha, n: int) -> DistEstimate:
     """Exact D(alpha, n): odd m < 2n with phi(m)/m <= alpha."""
-    a = as_fraction(alpha)
-    if not 0 <= a <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    count = sum(_count_le(a, m, ph) for m, ph in _odd_chunks(_ensure_phi(n)))
-    return DistEstimate(alpha=a, n=n, count=count, density=count / n)
+    return d_counts([alpha], n)[0]
 
 
 def _scaled_sum(m: np.ndarray, ph: np.ndarray, w: int) -> int:
@@ -118,16 +104,14 @@ def _scaled_sum(m: np.ndarray, ph: np.ndarray, w: int) -> int:
     if w < 1:
         m, ph = m.astype(object), ph.astype(object)
         return int(((m * m << _MOMENT_BITS) // (ph * ph)).sum())
-    m2, p2 = m * m, ph * ph
-    q = m2 // p2
-    r = m2 - q * p2
+    p2 = ph * ph
+    q, r = np.divmod(m * m, p2)
     total = int(q.sum()) << _MOMENT_BITS
     done = 0
     while done < _MOMENT_BITS:
         step = min(w, _MOMENT_BITS - done)
         r <<= step
-        d = r // p2
-        r -= d * p2
+        d, r = np.divmod(r, p2)
         done += step
         total += int(d.sum()) << (_MOMENT_BITS - done)
     return total
@@ -139,16 +123,15 @@ def second_moment(n: int) -> float:
     Each term is accumulated as an exact scaled integer
     floor(m^2 * 2^80 / phi(m)^2); the total truncation error is below
     n / 2^80, far under float64 resolution of the result.  The terms are
-    summed in chunks of _CHUNK odd m by int64 long division with
-    digits of w = 62 - bitlen(max phi^2) bits (20 at n = 10^6), which
-    gives the same integer as dividing Python ints.  Everything fits in
-    int64 once w >= 1: some prime p in (n, 2n) has phi(p) >= n, so
-    m^2 < 4n^2 <= 4 max phi^2 < 2^63, and a digit sum over at most n
-    terms stays below n * 2^w < n * 2^62 / n^2.
+    summed one sieve segment at a time by int64 long division with
+    digits of w = 62 - bitlen((2n - 1)^2) bits (20 at n = 10^6), which
+    gives the same integer as dividing Python ints: long division is
+    exact at any digit width.  Everything fits in int64 once w >= 1:
+    m^2 and phi^2 are at most (2n - 1)^2 < 2^(62-w), and a digit sum
+    over at most n terms stays below n * 2^w <= n * 2^62 / (2n - 1)^2.
     """
-    ph = _ensure_phi(n)
-    w = 62 - (int(ph.max()) ** 2).bit_length()
-    acc = sum(_scaled_sum(m, pc, w) for m, pc in _odd_chunks(ph))
+    w = 62 - ((2 * n - 1) ** 2).bit_length()
+    acc = sum(_scaled_sum(m, ph, w) for m, ph in _odd_phi(n))
     return acc / 2**_MOMENT_BITS
 
 
@@ -156,9 +139,9 @@ def second_moment_constant(P: int) -> float:
     """prod over odd primes p <= P of (1 + (2p-1)/((p-1)^2 p))."""
     if P < 3:
         raise ValueError("P must be >= 3")
-    # float64 primes: (p-1)^2 * p overflows int64 once p passes ~2e6
-    p = primes_upto(P)[1:].astype(np.float64)
-    return math.exp(math.fsum(np.log1p((2.0 * p - 1.0) / ((p - 1.0) ** 2 * p))))
+    return math.exp(
+        _odd_prime_fsum(P, lambda p: np.log1p((2.0 * p - 1.0) / ((p - 1.0) ** 2 * p)))
+    )
 
 
 def top_interval_set(n: int) -> np.ndarray:
@@ -166,23 +149,26 @@ def top_interval_set(n: int) -> np.ndarray:
 
     The comparison is exact: phi/m > 1 - 1/sqrt(2n) iff 2n*(m - phi)^2 <
     m^2, iff (m - phi)^2 < ceil(m^2 / 2n) for the integer (m - phi)^2;
-    m^2 stays in int64 for the n < 1.5e9 accepted.  Each chunk's members
+    m^2 stays in int64 for the n < 1.5e9 accepted.  Each segment's members
     stay an int64 array, never Python ints.  :func:`top_interval_check`
     compares the result against :func:`top_interval_characterization`.
     """
     if n >= 1_500_000_000:
         raise ValueError(f"n={n} is too large for the top-interval set (n < 1.5e9)")
     found = []
-    for m, ph in _odd_chunks(_ensure_phi(n)):
+    for m, ph in _odd_phi(n):
         d = m - ph
         found.append(m[d * d < -(-(m * m) // (2 * n))])
     return np.concatenate(found)
 
 
 def top_interval_characterization(n: int) -> np.ndarray:
-    """{1} union {primes p with sqrt(2n) < p < 2n}, as a sorted int64 array."""
-    ps = primes_upto(2 * n - 1)
-    return np.concatenate(([1], ps[ps > math.isqrt(2 * n)]))
+    """{1} union {primes p with sqrt(2n) < p < 2n}, as a sorted int64 array.
+
+    2 is never past sqrt(2n), so the odd primes of the sieve suffice.
+    """
+    root = math.isqrt(2 * n)
+    return np.concatenate([[1], *(ps[ps > root] for ps in _odd_primes(2 * n - 1))])
 
 
 def top_interval_check(n: int) -> tuple[int, int]:

@@ -220,12 +220,12 @@ def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
         m_arr = np.arange(0, 10**6 + 1, dtype=np.int64)
         assert bool(np.all((4**w)[1:] < 4 * m_arr[1:]))
 
-        # density inequality on a 100-point grid at three scales
+        # density inequality on a 100-point grid at three scales, each grid
+        # counted in one pass
+        grid = [Fraction(k, 100) for k in range(1, 101)]
         for n in (10**4, 10**5, 10**6):
-            for k in range(1, 101):
-                alpha = Fraction(k, 100)
-                density = dist.d_count(alpha, n).density
-                assert density < 1.78 * float(alpha) ** 2, (n, k)
+            for est in dist.d_counts(grid, n):
+                assert est.density < 1.78 * float(est.alpha) ** 2, (n, est.alpha)
 
         # second moment scale bound and the limiting constant
         moments = {n: dist.second_moment(n) for n in (10**4, 10**5, 10**6)}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coprime_census import arith
 from coprime_census.arith import (
     coprime_count,
     mertens_product,
@@ -156,8 +157,8 @@ class TestBulkTables:
             assert int(w[m]) == omega_of(m)
 
     # limits on both sides of prime squares, where a prime moves between
-    # the slice pass (p <= sqrt(limit)) and the cofactor-grouped pass; the
-    # odd phi table runs to the largest odd m <= limit
+    # the sieving primes (p <= sqrt(limit)) and the one large factor left
+    # over (m // s); the odd phi table runs to the largest odd m <= limit
     @pytest.mark.parametrize(
         "limit",
         [1, 2, 3, 4, 8, 9, 10, 11, 24, 25, 26, 27, 48, 49, 50, 51, 120, 121, 122,
@@ -170,6 +171,23 @@ class TestBulkTables:
         odd = range(1, limit + 1, 2)
         assert phi.tolist() == [coprime_count(m, m) for m in odd]
         assert w[1:].tolist() == [omega_of(m) for m in range(1, limit + 1)]
+
+    def test_phi_matches_pointwise_at_the_segment_seams(self):
+        # 2n - 1 is the first prime square past three seams.  Every m within
+        # 2048 entries of a seam or of the end is checked: each window holds
+        # a prime square (257^2, 367^2, 443^2 and 449^2 = 2n - 1 at segments
+        # of 2^15) and products p*q whose larger prime is past sqrt(2n - 1),
+        # found only as the factor left over
+        seg = arith._SEGMENT
+        p = next(q for q in range(math.isqrt(6 * seg) + 1, 10**4) if trial_spf(q) == q)
+        n = (p * p + 1) // 2
+        phi = phi_array(n)
+        squares = {q * q for q in range(3, p + 1, 2) if trial_spf(q) == q}
+        for seam in (seg, 2 * seg, 3 * seg, n):
+            window = range(max(seam - 2048, 0), min(seam + 2048, n))
+            assert any(2 * i + 1 in squares for i in window), seam
+            got = [int(phi[i]) for i in window]
+            assert got == [coprime_count(2 * i + 1, 2 * i + 1) for i in window], seam
 
     def test_primes_upto_matches_trial_division(self):
         for limit in range(0, 201):

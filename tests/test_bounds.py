@@ -100,8 +100,8 @@ class TestMcNew:
         assert math.isclose(mcnew_product(P), math.exp(math.fsum(logs)), rel_tol=1e-13)
 
     def test_product_peak_memory_at_1e7(self, traced_peak_mib):
-        # the odd-only sieve and the prime array, then one chunk of logs
-        assert traced_peak_mib("bounds", "bounds.mcnew_product(10**7)") < 20
+        # one segment of the odd prime sieve and its logs at a time
+        assert traced_peak_mib("bounds", "bounds.mcnew_product(10**7)") < 2
 
     def test_factors_exceed_one_and_converge(self):
         # the factor at prime p is the ratio of the products up to p and p - 1

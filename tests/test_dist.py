@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coprime_census.arith import coprime_count, primes_upto
+from coprime_census import arith, dist
+from coprime_census.arith import coprime_count, phi_array, primes_upto
 from coprime_census.dist import (
     _scaled_sum,
     BRACKET_DIAGNOSTIC_TOL,
     as_fraction,
     d_count,
+    d_counts,
     ep_upper_check,
     second_moment,
     second_moment_constant,
@@ -60,12 +62,38 @@ class TestDCount:
 
     def test_monotone_in_alpha(self):
         n = 10**5
-        counts = [d_count(Fraction(k, 100), n).count for k in range(0, 101)]
+        counts = [est.count for est in d_counts([Fraction(k, 100) for k in range(101)], n)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_peak_memory_at_1e6(self, traced_peak_mib):
-        # the odd phi table (8 MB) and one chunk of cross-products
-        assert traced_peak_mib("dist", "dist.d_count(dist.Fraction(1, 2), 10**6)") < 16
+        # two sieve segments and one segment of cross-products; the odd phi
+        # table this scan used to hold was 8 MB
+        assert traced_peak_mib("dist", "dist.d_count(dist.Fraction(1, 2), 10**6)") < 4
+
+    def test_cutoffs_share_one_pass(self, monkeypatch):
+        passes = []
+        sieve = dist._odd_phi
+
+        def counted(n):
+            passes.append(n)
+            return sieve(n)
+
+        monkeypatch.setattr(dist, "_odd_phi", counted)
+        grid = [Fraction(k, 7) for k in range(8)]
+        got = d_counts(grid, 5000)
+        assert passes == [5000]
+        monkeypatch.undo()
+        assert got == [d_count(alpha, 5000) for alpha in grid]
+
+    def test_cross_products_past_int32_at_the_seams(self):
+        # 99,999 * m passes 2^31 for every m past 21,475, and 10^5 * phi(m)
+        # for every prime past it; the scan spans three sieve segments and
+        # part of a fourth
+        n = 3 * arith._SEGMENT + 1234
+        alpha = Fraction(99_999, 100_000)
+        phi = phi_array(n).tolist()
+        want = sum(1 for m, ph in zip(range(1, 2 * n, 2), phi) if 100_000 * ph <= 99_999 * m)
+        assert d_count(alpha, n).count == want
 
     def test_density_near_bracket_at_1e6(self):
         est = d_count(Fraction(1, 2), 10**6)
@@ -102,8 +130,13 @@ class TestSecondMoment:
             assert _scaled_sum(m, ph, w) == exact, w
 
     def test_peak_memory_at_1e6(self, traced_peak_mib):
-        # the odd phi table (8 MB) and one chunk of long division
-        assert traced_peak_mib("dist", "dist.second_moment(10**6)") < 16
+        # two sieve segments and one segment of long division
+        assert traced_peak_mib("dist", "dist.second_moment(10**6)") < 4
+
+    @pytest.mark.extended
+    def test_peak_memory_does_not_grow_with_n(self, traced_peak_mib):
+        # the same bound ten times further out: no table as long as the range
+        assert traced_peak_mib("dist", "dist.second_moment(10**7)") < 4
 
     def test_bound_at_1e5(self):
         n = 10**5
@@ -142,7 +175,7 @@ class TestTopInterval:
             assert top_interval_check(n) == (len(want), 0), n
 
     def test_check_counts_each_mismatch(self, monkeypatch):
-        from coprime_census import dist
+        from coprime_census import arith, dist
 
         want = top_interval_characterization(1000)  # 1 and the primes in (44, 2000)
         monkeypatch.setattr(dist, "top_interval_characterization", lambda n: want[1:])
@@ -151,9 +184,9 @@ class TestTopInterval:
         assert top_interval_check(1000) == (len(want), 1)
 
     def test_peak_memory_at_1e6(self, traced_peak_mib):
-        # the odd phi table (8 MB) and two int64 arrays of 148,711 entries;
+        # two int64 arrays of 148,711 entries and their symmetric difference;
         # as two sets of Python ints the check peaked past 18 MiB
-        assert traced_peak_mib("dist", "dist.top_interval_check(10**6)") < 16
+        assert traced_peak_mib("dist", "dist.top_interval_check(10**6)") < 8
 
     def test_rejects_n_past_int64(self):
         # m^2 would pass 2^63; refused before any table is built
