@@ -91,7 +91,7 @@ def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
         # sides of the square read no common memo: count_c0 may read C0(n)
         # from the minors memo, so the computed side walks the C0(n)
         # matrix itself and the claimed side squares C_(2n+1)(n), the last
-        # minor of the odd_plus_rows(n) walk
+        # minor of the ("ca", n) walk
         own = counts.compute("c0", n, method="permanent", **kw).value
         square = counts.count_c_a(n, 2 * n + 1, **kw) ** 2
         c_odd = counts.count_c(2 * n + 1, **kw)
@@ -118,7 +118,7 @@ def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
         records.append(make(f"anti gluing n={n}", a_n, ">=", counts.anti_lower(n)))
     for n in (22, 24):
         # count_a eliminates the primes in (sqrt(n), n/2] and sums the walks
-        # of the residuals; the claimed side walks build_anti(n) directly
+        # of the residuals; the claimed side walks the ("a", n) matrix directly
         direct = counts.compute("a", n, method="permanent", **kw).value
         records.append(make(f"anti split n={n}", counts.count_a(n, **kw), "==", direct))
 

@@ -14,11 +14,12 @@ from pathlib import Path
 
 # Without bytecode files each process compiles every package module it
 # imports, so a command imports the layers it runs where it runs them: a
-# cache-hit count loads graph (the --aux check and the ceiling) but not
-# permanent, counts or checks, and numpy (arith, bounds, dist) loads only
-# for dist and the lemmas, bounds and constants suites.
+# cache-hit count loads graph (the --aux check, the ceiling and the
+# --dump-matrix matrix) but not permanent, counts or checks, and numpy
+# (arith, bounds, dist) loads only for dist and the lemmas, bounds and
+# constants suites.
 from . import __version__
-from .graph import DEFAULT_CEILING, CapacityError, check_aux, check_ceiling, count_dimension
+from .graph import DEFAULT_CEILING, CapacityError, check_aux, check_ceiling, count_dimension, matrix
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -119,9 +120,7 @@ def cmd_count(args) -> int:
     if args.no_cache and args.verify_cache:
         raise ValueError("--verify-cache compares against the cache that --no-cache skips")
     if args.dump_matrix:
-        from . import counts
-
-        print(counts.matrix_for(kind, args.n, args.aux).to_text())
+        print(matrix(kind, args.n, args.aux).to_text())
 
     cache = None
     if not args.no_cache:

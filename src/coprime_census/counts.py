@@ -6,9 +6,9 @@
   exponentially cheaper than one (2m+1)-square permanent.
 * C0, C1, C_(a): the half-size coprime matching counts behind those
   reductions.  Every C_(a)(m) comes from one walk: the C_(a)(m) matrix
-  is the (m+1) x m odd-against-[m] matrix of ``odd_plus_rows(m)`` with
-  the row of a deleted, and ``permanent_minors`` returns
-  all m+1 of those permanents from one class walk.
+  is the (m+1) x m odd-against-[m] matrix ("ca", m) with the row of a
+  deleted, and ``permanent_minors`` returns all m+1 of those permanents
+  from one class walk.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.  Every prime in
   (sqrt(n), n/2] is eliminated before the walk: A(n) is a weighted sum
@@ -23,13 +23,13 @@
   r_n, t3: composite A(n) with u_n), row by row, and their comparison
   against reference.py.
 
-Every count hands the walk a class table built from its labels
-(:func:`_table`), never a bit matrix: each predicate here (gcd = 1,
-gcd > 1, no prime <= k shared) reads only the primes of its labels, so
-the labels are grouped by rad, the predicate runs once per pair of rad
-classes and classes with equal lines merge.  ``matrix_for`` keeps the
-bit matrices of ``graph`` for ``--method permanent`` and
-``--dump-matrix``, whose walks group the bits into the same table.
+Every count hands the walk a class table built from the labels and the
+predicate of its matrix, ``graph.incidence`` (:func:`_table`), never a
+bit matrix: each predicate (gcd = 1, gcd > 1, gcd with k! = 1) reads
+only the primes of its labels, so the labels are grouped by rad, the
+predicate runs once per pair of rad classes and classes with equal lines
+merge.  ``--method permanent`` walks the bits of ``graph.matrix``, the
+same definition, grouped into the same table.
 
 Two counts reuse class work already in memory.  ``count_c0(n)`` reads
 C0(n) off the C_(a) minors when the memo holds them, as the last minor
@@ -56,17 +56,12 @@ from math import gcd
 
 from .graph import (
     DEFAULT_CEILING,
-    BitMatrix,
     CapacityError,
-    anti_labels,
-    build_anti,
-    build_full_coprime,
-    build_gcd_k,
-    build_odd_half,
     check_aux,
     check_ceiling,
     count_dimension,
-    odd_plus_rows,
+    incidence,
+    matrix,
     smallest_factor,
 )
 from .permanent import ClassTable, class_table, permanent_dp, permanent_minors, permanent_ryser
@@ -88,7 +83,6 @@ __all__ = [
     "brute_constrained_count",
     "format_ratio",
     "check_aux",
-    "matrix_for",
     "compute",
 ]
 
@@ -139,7 +133,7 @@ def _rad(m: int) -> int:
     return r
 
 
-def _table(xs, ys, pred=lambda x, y: gcd(x, y) == 1):
+def _table(xs, ys, pred):
     """The class table of the matrix with bit (i, j) iff pred(xs[i], ys[j]).
 
     Every predicate here reads only the primes of its labels, so labels
@@ -161,20 +155,20 @@ def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """
 
     def count() -> int:
-        odds = range(1, 2 * n, 2)
         if ("ca", n) in _memo:
             return _memo[("ca", n)][-1]
+        odds, cols, coprime = incidence("c0", n)
         if ("ca", n - 1) in _memo:
-            return sum(c for a, c in zip(odds, _memo[("ca", n - 1)]) if gcd(a, n) == 1)
-        return permanent_ryser(_table(odds, range(1, n + 1)))
+            return sum(c for a, c in zip(odds, _memo[("ca", n - 1)]) if coprime(a, n))
+        return permanent_ryser(_table(odds, cols, coprime))
 
     return _memoized(("c0", n), ceiling, count)
 
 
 def _c_a_all(n: int, ceiling: int) -> tuple[int, ...]:
     """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk: the
-    minors of the first n+1 odd numbers against [n] (``odd_plus_rows``)."""
-    count = lambda: tuple(permanent_minors(_table(range(1, 2 * n + 2, 2), range(1, n + 1))))
+    minors of the first n+1 odd numbers against [n], ("ca", n)."""
+    count = lambda: tuple(permanent_minors(_table(*incidence("ca", n))))
     return _memoized(("ca", n), ceiling, count)
 
 
@@ -208,7 +202,7 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
         ca = dict(zip(range(1, n + 1, 2), _c_a_all(m, ceiling)))
         return sum(ca[a] * ca[b] for a in ca for b in ca if gcd(a, b) == 1)
 
-    oracle = lambda: brute_constrained_count(n, "coprime")
+    oracle = lambda: brute_constrained_count(n, "c")
     return _memoized(("c", n), ceiling, reduce, oracle)
 
 
@@ -220,10 +214,10 @@ def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     ceiling before any work.  :func:`_anti_split` eliminates every prime
     in (sqrt(n), n/2] (:func:`_anti_primes`) and sums the walks of the
     residuals they leave; at n <= 5 and n = 9 there is none, and that
-    is one class walk on the matrix of ``build_anti(n)``.
+    is one class walk on the matrix ("a", n).
     """
     count = lambda: _anti_split(n, _anti_primes(n))
-    oracle = lambda: brute_constrained_count(n, "anti")
+    oracle = lambda: brute_constrained_count(n, "a")
     return _memoized(("a", n), ceiling, count, oracle)
 
 
@@ -290,7 +284,7 @@ def _anti_primes(n: int) -> list[int]:
 def _anti_split(n: int, primes) -> int:
     """A(n) as the weighted sum of the permanents of the residuals left by
     eliminating ``primes``, each a table on the gcd > 1 predicate of
-    ``build_anti``; with none, the one residual is its matrix.  The
+    ("a", n); with none, the one residual is its matrix.  The
     predicate is symmetric, so the residual (rows Y, columns X) is the
     transpose of (X, Y): each such pair is walked once, with the two
     weights added.
@@ -302,12 +296,12 @@ def _anti_split(n: int, primes) -> int:
     as it is.  So each residual table is the base table with new counts,
     with no predicate call and no regrouping.
     """
-    base = [x for x in anti_labels(n) if all(x % p for p in primes)]
+    labels, _, anti = incidence("a", n)
+    base = [x for x in labels if all(x % p for p in primes)]
     pairs: dict[tuple, int] = {}
     for (rows, cols), weight in _anti_residuals(n, primes).items():
         key = min((rows, cols), (cols, rows))
         pairs[key] = pairs.get(key, 0) + weight
-    anti = lambda x, y: gcd(x, y) > 1
     table = _table(base, base, anti)
     # the row class and the column class of each label a residual adds;
     # a column class is its column's bits over the row classes
@@ -335,10 +329,8 @@ def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     prime above n divides no label, so k! stops at min(k, n)!."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    f = math.factorial(min(k, n))
-    labels = range(1, n + 1)
-    count = lambda: permanent_ryser(_table(labels, labels, lambda x, y: gcd(x, y, f) == 1))
-    oracle = lambda: brute_constrained_count(n, "gcd_k", k=k)
+    count = lambda: permanent_ryser(_table(*incidence("ck", n, k)))
+    oracle = lambda: brute_constrained_count(n, "ck", k=k)
     return _memoized(("ck", n, k), ceiling, count, oracle)
 
 
@@ -452,18 +444,18 @@ def check_table(
     return checks
 
 
-def _allowed_rows(n: int, constraint: str, k: int | None) -> tuple[int, ...]:
-    if constraint == "coprime":
+def _allowed_rows(n: int, kind: str, k: int | None) -> tuple[int, ...]:
+    if kind == "c":
         pred = lambda j, v: gcd(j, v) == 1
-    elif constraint == "anti":
+    elif kind == "a":
         pred = lambda j, v: j == 1 or gcd(j, v) > 1
-    elif constraint == "gcd_k":
+    elif kind == "ck":
         if k is None or k < 2:
-            raise ValueError("gcd_k constraint needs k >= 2")
+            raise ValueError("kind 'ck' needs k >= 2")
         # no prime <= k divides gcd(j, v) <= n iff no d in 2..min(k, n) does
         pred = lambda j, v: all(gcd(j, v) % d for d in range(2, min(k, n) + 1))
     else:
-        raise ValueError(f"unknown constraint {constraint!r}")
+        raise ValueError(f"the oracle has no kind {kind!r}")
     # bit v-1 of row j-1 set iff sigma(j) = v is allowed
     values = range(1, n + 1)
     return tuple(sum(1 << (v - 1) for v in values if pred(j, v)) for j in values)
@@ -474,34 +466,19 @@ def _check_brute(n: int) -> None:
         raise CapacityError(f"brute enumeration limited to n <= {_BRUTE_XCHECK_MAX}")
 
 
-def brute_constrained_count(
-    n: int, constraint: str, *, k: int | None = None
-) -> int:
-    """Count permutations satisfying a positional constraint, from gcd
-    predicates alone.
+def brute_constrained_count(n: int, kind: str, *, k: int | None = None) -> int:
+    """The count ``kind`` (c, a or ck with k) at n, over all of [n] and
+    from gcd predicates alone.
 
     Independent oracle: the allowed values of each position come from
-    gcd tests, not from the matrix builders, and are counted by
+    its own gcd tests, not from ``graph.incidence``, and are counted by
     ``permanent_dp``, which shares nothing with the class walk.
     Limited to n <= 12.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_brute(n)
-    return permanent_dp(_allowed_rows(n, constraint, k))
-
-
-def matrix_for(kind: str, n: int, aux: int | None = None) -> BitMatrix:
-    """The 0/1 matrix whose permanent is the count ``kind`` at (n, aux).
-
-    Defined for c, c0, a (the reduced matrix) and ck; c1 is a sum of
-    permanents, not one, so it is refused with ``ValueError``.
-    """
-    check_aux(kind, aux)
-    builders = {"c": build_full_coprime, "c0": build_odd_half, "a": build_anti, "ck": build_gcd_k}
-    if kind not in builders:
-        raise ValueError(f"kind {kind!r} is not the permanent of one matrix")
-    return builders[kind](n, aux) if kind == "ck" else builders[kind](n)
+    return permanent_dp(_allowed_rows(n, kind, k))
 
 
 def compute(
@@ -517,7 +494,7 @@ def compute(
     ``method`` selects the computation path:
 
     * "auto" (every kind): the memoized count_* reductions;
-    * "permanent" (c, c0, a, ck): ``permanent_ryser`` of ``matrix_for``,
+    * "permanent" (c, c0, a, ck): ``permanent_ryser`` of ``graph.matrix``,
       refused past ``ceiling`` before the matrix is built;
     * "brute" (every kind): ``permanent_dp``, on the gcd predicates of
       ``brute_constrained_count`` for c, a and ck and on the defining
@@ -541,21 +518,20 @@ def compute(
     elif method == "permanent":
         # the direct route builds the full C(n) matrix, not its reduction
         check_ceiling(n if kind == "c" else count_dimension(kind, n), ceiling)
-        value = permanent_ryser(matrix_for(kind, n, aux))
+        value = permanent_ryser(matrix(kind, n, aux))
     else:
         # every brute route runs permanent_dp over n rows
         if n > ceiling:
             raise CapacityError(f"brute dimension {n} exceeds ceiling {ceiling}")
         _check_brute(n)
         if kind == "c0":
-            value = permanent_dp(matrix_for(kind, n).rows)
+            value = permanent_dp(matrix("c0", n).rows)
         elif kind == "c1":
-            # C_(a)(n): odd_plus_rows(n) without the row of a
-            rows = odd_plus_rows(n)
+            # C_(a)(n): the ("ca", n) matrix without the row of a
+            rows = matrix("ca", n).rows
             value = sum(permanent_dp(rows[:i] + rows[i + 1 :]) for i in range(n + 1))
         else:
-            constraint = {"c": "coprime", "a": "anti", "ck": "gcd_k"}[kind]
-            value = brute_constrained_count(n, constraint, k=aux)
+            value = brute_constrained_count(n, kind, k=aux)
     if value < 0:
         raise AssertionError("counts are nonnegative")
     if kind == "c" and value < 1:

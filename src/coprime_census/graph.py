@@ -1,10 +1,11 @@
-"""Builders for the 0/1 incidence matrices whose permanents we count.
+"""The 0/1 incidence matrices whose permanents we count, and their size rule.
 
-Every builder is a pure function of its arguments; the produced
-:class:`BitMatrix` is immutable, carries explicit row/column labels, and
-sets bit (i, j) exactly when the builder's arithmetic predicate holds on
-``(labels_row[i], labels_col[j])``.  :func:`odd_plus_rows` is the one
-non-square matrix, given by its row bit-vectors alone.
+Each count's matrix is defined once, by :func:`incidence`: its row
+labels, its column labels and the arithmetic predicate that sets entry
+(i, j) on ``(labels_row[i], labels_col[j])``.  The count layer groups
+those labels into the class tables it walks; :func:`matrix` sets the
+bits of the same definition into an immutable :class:`BitMatrix` for
+``--method permanent``, the brute routes and ``--dump-matrix``.
 
 The size rule lives here too: :func:`count_dimension` and the ceiling
 that caps it.  The count layer and the CLI's cache-hit branch are its
@@ -15,7 +16,7 @@ checks ``--ceiling`` without loading the permanent engine.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from math import factorial, gcd
 
 __all__ = [
     "smallest_factor",
@@ -25,19 +26,16 @@ __all__ = [
     "check_ceiling",
     "count_dimension",
     "BitMatrix",
-    "build_full_coprime",
-    "build_odd_half",
-    "odd_plus_rows",
     "anti_labels",
-    "build_anti",
-    "build_gcd_k",
+    "incidence",
+    "matrix",
 ]
 
 
 def smallest_factor(m: int) -> int:
     """Smallest prime factor of ``m >= 2``, by trial division.
 
-    The one scalar factoring rule: builders, table lists and
+    The one scalar factoring rule: matrix labels, table lists and
     ``arith.coprime_count`` (so phi(m) = F(m, m)) use it on numbers up to
     a few hundred, where trial division beats a sieve and keeps numpy
     unloaded.  Its test oracle is ``arith.primes_upto``, the numpy sieve.
@@ -56,7 +54,7 @@ def smallest_factor(m: int) -> int:
 
 def check_aux(kind: str, aux: int | None) -> None:
     """Refuse an ``aux`` the count does not read: k is for kind 'ck' only,
-    whose matrix :func:`build_gcd_k` is the one builder that reads it."""
+    the one :func:`incidence` that reads it."""
     if kind == "ck" and aux is None:
         raise ValueError("kind 'ck' needs --aux K")
     if kind != "ck" and aux is not None:
@@ -89,7 +87,8 @@ def count_dimension(kind: str, n: int) -> int:
 
 
 class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
-    """Square 0/1 matrix with rows stored as integer bit-vectors.
+    """0/1 matrix of n columns and any number of rows, stored as integer
+    bit-vectors.
 
     Bit j of ``rows[i]`` is entry (i, j).  ``labels_row[i]`` and
     ``labels_col[j]`` record which integer each index stands for.
@@ -104,10 +103,8 @@ class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
         labels_row: tuple[int, ...],
         labels_col: tuple[int, ...],
     ):
-        if len(rows) != n:
-            raise ValueError("row count does not match dimension")
-        if len(labels_row) != n or len(labels_col) != n:
-            raise ValueError("label count does not match dimension")
+        if len(labels_row) != len(rows) or len(labels_col) != n:
+            raise ValueError("label count does not match the matrix shape")
         mask = (1 << n) - 1
         for r in rows:
             if r & ~mask:
@@ -117,7 +114,8 @@ class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
     def to_text(self) -> str:
         """Canonical textual dump (stable format, used by --dump-matrix).
 
-        Two label lines followed by n lines of n characters from {0,1}::
+        Two label lines followed by one line of n characters from {0,1}
+        per row::
 
             rows: <labels_row, space separated>
             cols: <labels_col, space separated>
@@ -133,54 +131,6 @@ class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
         return "\n".join(lines)
 
 
-def _from_predicate(row_labels, col_labels, pred) -> BitMatrix:
-    rows = []
-    for a in row_labels:
-        mask = 0
-        for j, b in enumerate(col_labels):
-            if pred(a, b):
-                mask |= 1 << j
-        rows.append(mask)
-    return BitMatrix(
-        n=len(row_labels),
-        rows=tuple(rows),
-        labels_row=tuple(row_labels),
-        labels_col=tuple(col_labels),
-    )
-
-
-def build_full_coprime(n: int) -> BitMatrix:
-    """n x n matrix over labels 1..n with bit (i, j) iff gcd(i, j) = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    labels = range(1, n + 1)
-    return _from_predicate(labels, labels, lambda a, b: gcd(a, b) == 1)
-
-
-def build_odd_half(n: int) -> BitMatrix:
-    """Rows labeled 1,3,...,2n-1; columns 1..n; bit iff coprime."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _from_predicate(
-        range(1, 2 * n, 2), range(1, n + 1), lambda a, b: gcd(a, b) == 1
-    )
-
-
-def odd_plus_rows(n: int) -> tuple[int, ...]:
-    """The (n+1) x n matrix of the first n+1 odd numbers against 1..n.
-
-    Row i stands for 2i+1, and its bit j - 1 is set iff gcd(2i+1, j) = 1.
-    Deleting the row of a leaves the matrix of C_(a)(n): the first n+1
-    odd numbers but a against 1..n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(
-        sum(1 << (j - 1) for j in range(1, n + 1) if gcd(v, j) == 1)
-        for v in range(1, 2 * n + 2, 2)
-    )
-
-
 def anti_labels(n: int) -> list[int]:
     """2..n with the primes in (n/2, n] removed.
 
@@ -193,27 +143,53 @@ def anti_labels(n: int) -> list[int]:
     return [m for m in range(2, n + 1) if not (2 * m > n and smallest_factor(m) == m)]
 
 
-def build_anti(n: int) -> BitMatrix:
-    """Reduced anti-coprime matrix on :func:`anti_labels`: bit iff gcd > 1."""
-    labels = anti_labels(n)
-    return _from_predicate(labels, labels, lambda x, y: gcd(x, y) > 1)
+def _coprime(x: int, y: int) -> bool:
+    return gcd(x, y) == 1
 
 
-def build_gcd_k(n: int, k: int) -> BitMatrix:
-    """n x n matrix with bit (i, j) iff gcd(i, j, k!) = 1.
+def _share_a_prime(x: int, y: int) -> bool:
+    return gcd(x, y) > 1
 
-    Evaluated as "no prime p <= k divides both i and j", which avoids
-    forming k! at all.  A prime above n divides no label, so only primes
-    up to min(k, n) are listed.
+
+def incidence(kind: str, n: int, aux: int | None = None):
+    """``(row labels, column labels, pred)`` of the 0/1 matrix behind the
+    count ``kind`` at (n, aux): entry (i, j) is set iff
+    ``pred(rows[i], cols[j])``.
+
+    * c: [n] against [n], gcd = 1;
+    * c0: the first n odd numbers against [n], gcd = 1;
+    * ca: the first n + 1 odd numbers against [n], gcd = 1, the (n+1) x n
+      matrix whose row minors are the C_(a)(n);
+    * a: :func:`anti_labels` against themselves, gcd > 1;
+    * ck (aux = k >= 2): [n] against [n], gcd(x, y, min(k, n)!) = 1 (a
+      prime above n divides no label).
+
+    c1 is a sum of permanents, not one, so it and every unknown kind
+    raise ``ValueError``.
     """
+    check_aux(kind, aux)
+    if kind not in ("c", "c0", "ca", "a", "ck"):
+        raise ValueError(f"kind {kind!r} is not the permanent of one matrix")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    small_primes = [p for p in range(2, min(k, n) + 1) if smallest_factor(p) == p]
+    span = range(1, n + 1)
+    if kind == "c0":
+        return range(1, 2 * n, 2), span, _coprime
+    if kind == "ca":
+        return range(1, 2 * n + 2, 2), span, _coprime
+    if kind == "a":
+        labels = anti_labels(n)
+        return labels, labels, _share_a_prime
+    if kind == "ck":
+        if aux < 2:
+            raise ValueError("k must be >= 2")
+        f = factorial(min(aux, n))
+        return span, span, lambda x, y: gcd(x, y, f) == 1
+    return span, span, _coprime
 
-    def pred(a: int, b: int) -> bool:
-        g = gcd(a, b)
-        return all(g % p for p in small_primes)
 
-    return _from_predicate(range(1, n + 1), range(1, n + 1), pred)
+def matrix(kind: str, n: int, aux: int | None = None) -> BitMatrix:
+    """The :class:`BitMatrix` of :func:`incidence`, one bit per cell."""
+    xs, ys, pred = incidence(kind, n, aux)
+    rows = tuple(sum(pred(x, y) << j for j, y in enumerate(ys)) for x in xs)
+    return BitMatrix(len(ys), rows, tuple(xs), tuple(ys))

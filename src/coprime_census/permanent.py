@@ -211,10 +211,12 @@ def permanent_ryser(matrix) -> int:
     """Exact permanent via Glynn's formula over classes of identical lines
     (:func:`_glynn_classes`).
 
-    ``matrix`` is a :class:`ClassTable`, or a square 0/1 matrix with
-    ``rows`` and ``n`` (a ``graph.BitMatrix``), whose bits are grouped
-    into one.  The walk runs over the column classes of the table or of
-    its transpose (per(A) = per(A^T), read from the table's blocks by
+    ``matrix`` is a :class:`ClassTable`, or a 0/1 matrix with ``rows``
+    and ``n`` (a ``graph.BitMatrix``), whose bits are grouped into one.
+    Either must be square: a matrix with more rows than columns is
+    :func:`permanent_minors`'s, and ``ValueError`` is raised.  The walk
+    runs over the column classes of the table or of its transpose
+    (per(A) = per(A^T), read from the table's blocks by
     :func:`_transpose`), the side with fewer terms
     (:func:`_half`), the columns on a tie: at most 2^(n-1) terms,
     reached only when all columns and all rows differ.
@@ -222,6 +224,8 @@ def permanent_ryser(matrix) -> int:
     table = matrix
     if not isinstance(table, ClassTable):
         table = class_table(matrix.rows, [1] * matrix.n)
+    if sum(table.mult) != table.n:
+        raise ValueError(f"permanent of {sum(table.mult)} rows by {table.n} columns")
     if table.n and _half(table.mult)[1] < _half(table.sizes)[1]:
         table = _transpose(table)
     return _glynn_classes(table)

@@ -8,9 +8,8 @@ against these tables, read by ``verify --suite tables`` and the
 acceptance gate: a recomputed row matches when its count equals the
 value here and its ratio, printed by ``counts.format_ratio``, equals the
 4-decimal string here.  ``BRACKETS`` is the one copy of the literature
-brackets; the lower-bound assembly in ``bounds``, ``verify --suite
-lemmas`` and the density grid of ``scripts/distribution_scan.py`` read
-it directly.
+brackets; the lower-bound assembly in ``bounds`` and the bracket
+records of ``verify --suite lemmas`` read it directly.
 
 Five published entries fail verification and are recorded in the errata
 maps below; everywhere the toolkit checks tables it asserts the

@@ -19,7 +19,7 @@ import pytest
 
 from coprime_census import checks, counts, dist, reference
 from coprime_census.arith import coprime_count, omega_array
-from coprime_census.graph import build_full_coprime
+from coprime_census.graph import matrix
 from coprime_census.permanent import permanent_ryser
 
 
@@ -109,7 +109,7 @@ def test_criterion_3_table3():
 def test_criterion_4_c24_two_paths(c0_values):
     with criterion(4, "C(24) via reduction and via the direct 24x24 permanent"):
         via_reduction = counts.count_c(24)
-        direct = permanent_ryser(build_full_coprime(24))
+        direct = permanent_ryser(matrix("c", 24))
         assert via_reduction == direct == 1142807773593600
         assert str(via_reduction) == str(direct) == "1142807773593600"
         assert via_reduction == c0_values[12] ** 2
@@ -119,12 +119,12 @@ def test_criterion_5_oracle_equivalence():
     with criterion(5, "brute enumeration equals reduction paths for n <= 10"):
         mismatches = 0
         for n in range(1, 11):
-            if counts.brute_constrained_count(n, "coprime") != counts.count_c(n):
+            if counts.brute_constrained_count(n, "c") != counts.count_c(n):
                 mismatches += 1
-            if counts.brute_constrained_count(n, "anti") != counts.count_a(n):
+            if counts.brute_constrained_count(n, "a") != counts.count_a(n):
                 mismatches += 1
             for k in (2, 3, 5):
-                brute = counts.brute_constrained_count(n, "gcd_k", k=k)
+                brute = counts.brute_constrained_count(n, "ck", k=k)
                 if brute != counts.count_ck(n, k):
                     mismatches += 1
         assert mismatches == 0
@@ -261,10 +261,9 @@ def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
 
 def test_criterion_10_determinism(tmp_path):
     with criterion(10, "subset walk vs class walk, determinism and cache round-trip"):
-        from coprime_census.graph import build_odd_half
         from coprime_census.permanent import permanent_dp
 
-        assert permanent_dp(build_odd_half(17).rows) == counts.count_c0(17)
+        assert permanent_dp(matrix("c0", 17).rows) == counts.count_c0(17)
 
         import json
         import subprocess
@@ -304,7 +303,7 @@ def test_published_errata_remain_disproven(c0_values, a_values, c_odd_values):
     """
     published_c11, corrected_c11 = reference.ERRATA_COUNTS[("c", 11)]
     assert c_odd_values[11] == corrected_c11 == 129744
-    assert counts.brute_constrained_count(11, "coprime") == corrected_c11
+    assert counts.brute_constrained_count(11, "c") == corrected_c11
     assert published_c11 != corrected_c11
 
     r13 = counts.growth_ratio(13, c_odd_values[13])

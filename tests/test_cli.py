@@ -68,7 +68,7 @@ def loaded_by(argv: list[str], cwd) -> set[str]:
 def test_count_and_table_never_load_numpy(tmp_path):
     """count, table and the verify tables suite run on the pure-Python stack
     without dataclasses or numpy; a cache hit loads none of permanent,
-    counts and checks."""
+    counts and checks, and nor does its --dump-matrix, which reads graph."""
     runs = [
         ["count", "--kind", "c0", "--n", "10", "--no-cache"],
         ["count", "--kind", "c", "--n", "11", "--no-cache"],
@@ -85,6 +85,7 @@ def test_count_and_table_never_load_numpy(tmp_path):
     hit = ["count", "--kind", "c0", "--n", "12", "--cache", str(tmp_path / "c.jsonl")]
     assert "coprime_census.counts" in loaded_by(hit, tmp_path)  # the miss fills it
     assert loaded_by(hit, tmp_path) == set()
+    assert loaded_by(hit + ["--dump-matrix"], tmp_path) == set()
 
 
 def test_dist_and_bounds_never_load_the_counting_stack(tmp_path):
@@ -110,7 +111,7 @@ class TestCount:
         assert json.loads(res.stdout)["value"] == "318695040"
 
     def test_a24_permanent_prints_the_auto_value(self, tmp_path):
-        # auto eliminates 11, 7 and 5; --method permanent walks build_anti(24)
+        # auto eliminates 11, 7 and 5; --method permanent walks matrix("a", 24)
         out = []
         for method in ("auto", "permanent"):
             res = run_cli(
@@ -162,7 +163,7 @@ class TestCount:
         assert "ceiling" in res.stderr
 
     def test_capacity_refusal_for_anti(self, tmp_path):
-        # build_anti(20) has dimension 15; a subprocess has an empty memo
+        # matrix("a", 20) has dimension 15; a subprocess has an empty memo
         res = run_cli(
             "count", "--kind", "a", "--n", "20", "--ceiling", "10", "--no-cache",
             cwd=tmp_path,
@@ -640,7 +641,7 @@ class TestVerify:
     def test_anti_split_check_reads_a_second_walk(self, monkeypatch):
         from coprime_census import checks, counts
 
-        # a wrong A(22) in the memo; the claimed side walks build_anti(22)
+        # a wrong A(22) in the memo; the claimed side walks matrix("a", 22)
         monkeypatch.setattr(counts, "_memo", {("a", 22): 27628410817})
         failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
         assert failed == ["anti split n=22"]

@@ -20,16 +20,11 @@ from coprime_census.counts import (
     count_ratio,
     format_ratio,
     growth_ratio,
-    matrix_for,
 )
 from coprime_census.graph import (
-    _from_predicate,
     anti_labels,
-    build_anti,
-    build_gcd_k,
-    build_odd_half,
     count_dimension,
-    odd_plus_rows,
+    matrix,
     smallest_factor,
 )
 from coprime_census.permanent import (
@@ -51,13 +46,13 @@ class TestC0:
     @pytest.mark.extended
     @pytest.mark.parametrize("m", [26, 27, 28])
     def test_past_the_table_equals_the_last_minor(self, monkeypatch, m):
-        # deleting the row of 2m+1 from odd_plus_rows(m) leaves the C0(m)
+        # deleting the row of 2m+1 from the ("ca", m) matrix leaves the C0(m)
         # matrix; the minors walk classes the columns against all m+1 rows,
         # so the two values come from walks of two different matrices.  An
         # empty memo keeps count_c0 from reading C0(m) off those minors
         monkeypatch.setattr(counts, "_memo", {})
         assert m > max(reference.TABLE_C0)
-        assert count_c0(m) == permanent_minors(odd_plus_rows(m))[-1]
+        assert count_c0(m) == permanent_minors(matrix("ca", m).rows)[-1]
 
     def test_read_from_the_minors_memo_to_20(self, monkeypatch):
         # C0(n) is the last minor of C_(a)(n), behind C(2n+1), and the
@@ -108,8 +103,8 @@ class TestOddFromOneWalk:
         for n in range(3, 36, 2):
             m = n // 2
             odds = range(1, n + 1, 2)
-            rows = odd_plus_rows(m)
-            # C_(a)(m): odd_plus_rows(m) without the row of a
+            rows = matrix("ca", m).rows
+            # C_(a)(m): the ("ca", m) matrix without the row of a
             minus = lambda a: rows[: a // 2] + rows[a // 2 + 1 :]
             ca = {a: permanent_ryser(class_table(minus(a), [1] * m)) for a in odds}
             want = sum(ca[a] * ca[b] for a in odds for b in odds if gcd(a, b) == 1)
@@ -217,7 +212,7 @@ def eliminable(n: int) -> list[int]:
 class TestAntiSplit:
     def test_every_elimination_equals_the_direct_walk(self):
         for n in range(1, 31):
-            direct = permanent_ryser(build_anti(n))
+            direct = permanent_ryser(matrix("a", n))
             primes = eliminable(n)
             # every prefix up to n = 24, then all the primes
             tried = range(1, len(primes) + 1) if n <= 24 else [len(primes)]
@@ -228,7 +223,7 @@ class TestAntiSplit:
     def test_split_equals_the_oracle(self):
         for n in range(1, 13):
             split = counts._anti_split(n, eliminable(n))
-            assert split == brute_constrained_count(n, "anti"), n
+            assert split == brute_constrained_count(n, "a"), n
 
     @pytest.mark.parametrize("n, p", [(6, 3), (10, 5), (14, 7), (24, 11), (34, 17)])
     def test_one_prime_in_the_top_third_has_two_patterns(self, n, p):
@@ -284,7 +279,7 @@ class TestAntiSplit:
     @pytest.mark.extended
     @pytest.mark.parametrize("n", [31, 32, 33, 34])
     def test_split_equals_the_direct_walk_to_34(self, n):
-        assert count_a(n) == permanent_ryser(build_anti(n))
+        assert count_a(n) == permanent_ryser(matrix("a", n))
 
     def test_every_added_label_is_a_base_label_to_60(self):
         # rad(k), k <= n // p < sqrt(n), has a row and a column class in the
@@ -329,9 +324,9 @@ class TestAntiSplit:
         self.grown_against_scratch(monkeypatch, n)
 
 
-def bit_table(matrix) -> ClassTable:
+def bit_table(bits) -> ClassTable:
     """The class table grouped from the bits of a square matrix."""
-    return class_table(matrix.rows, [1] * matrix.n)
+    return class_table(bits.rows, [1] * bits.n)
 
 
 def class_shape(table: ClassTable) -> tuple[list[int], list[int]]:
@@ -359,14 +354,14 @@ def walked_tables(monkeypatch):
 
 class TestLabelTables:
     """The tables the counts build from rad classes of their labels have
-    the class shape of the tables grouped from the builders' bits, and
-    the same permanents."""
+    the class shape of the tables grouped from the bits of
+    ``graph.matrix``, and the same permanents."""
 
     def test_c0_to_24(self, walked_tables):
         for m in range(1, 25):
             walked_tables.clear()
             value = count_c0(m)
-            bits = bit_table(build_odd_half(m))
+            bits = bit_table(matrix("c0", m))
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
             assert value == permanent_ryser(bits), m
 
@@ -374,7 +369,7 @@ class TestLabelTables:
         for m in range(1, 21):
             walked_tables.clear()
             values = [count_c_a(m, a) for a in range(1, 2 * m + 2, 2)]
-            rows = odd_plus_rows(m)
+            rows = matrix("ca", m).rows
             bits = class_table(rows, [1] * m)
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
             assert values == permanent_minors(rows), m
@@ -384,7 +379,7 @@ class TestLabelTables:
         for n in range(1, 17):
             walked_tables.clear()
             value = count_ck(n, k)
-            bits = bit_table(build_gcd_k(n, k))
+            bits = bit_table(matrix("ck", n, k))
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], (n, k)
             assert value == permanent_ryser(bits), (n, k)
 
@@ -396,7 +391,8 @@ class TestLabelTables:
             for rows, cols in counts._anti_residuals(n, primes):
                 xs, ys = base + list(rows), base + list(cols)
                 table = counts._table(xs, ys, anti)
-                bits = bit_table(_from_predicate(xs, ys, anti))
+                rows = [sum(anti(x, y) << j for j, y in enumerate(ys)) for x in xs]
+                bits = class_table(rows, [1] * len(ys))
                 assert class_shape(table) == class_shape(bits), (n, rows, cols)
                 assert permanent_ryser(table) == permanent_ryser(bits), (n, rows, cols)
 
@@ -406,7 +402,7 @@ class TestLabelTables:
         labels = range(1, 13)
         table = counts._table(labels, labels, lambda x, y: gcd(x, y, 6) == 1)
         assert max(table.mult) == 4
-        assert class_shape(table) == class_shape(bit_table(build_gcd_k(12, 3)))
+        assert class_shape(table) == class_shape(bit_table(matrix("ck", 12, 3)))
 
 
 class TestTermCounts:
@@ -450,7 +446,7 @@ class TestCk:
     def test_dominates_full_constraint(self):
         for n in range(1, 11):
             c = count_c(n)
-            # k = 10^8 lists primes only up to n in the builder and the oracle
+            # k = 10^8 stops at min(k, n)! in the matrix and at min(k, n) in the oracle
             for k in (2, 3, 5, 10**8):
                 ck = count_ck(n, k)
                 assert ck >= c
@@ -518,29 +514,37 @@ class TestCheckTable:
         assert checks[0][9][0].value == 565920
 
 
+ORACLE_CASES = (
+    [("c", None, n) for n in range(1, 13)]
+    + [("a", None, n) for n in range(1, 13)]
+    + [("ck", k, n) for k in (2, 3) for n in range(1, 13)]
+)
+# each oracle test id also names the predicate it tests
+ORACLE_RULES = {"c": "coprime", "a": "anti", "ck": "gcd_k"}
+
+
 class TestBruteConstrained:
     def test_examples(self):
-        assert brute_constrained_count(5, "coprime") == 28
-        assert brute_constrained_count(6, "anti") == 8
-        assert brute_constrained_count(3, "coprime") == 3
+        assert brute_constrained_count(5, "c") == 28
+        assert brute_constrained_count(6, "a") == 8
+        assert brute_constrained_count(3, "c") == 3
 
     @pytest.mark.parametrize(
-        "kind,aux,constraint,n",
-        [("c", None, "coprime", n) for n in range(1, 13)]
-        + [("a", None, "anti", n) for n in range(1, 13)]
-        + [("ck", k, "gcd_k", n) for k in (2, 3) for n in range(1, 13)],
+        "kind,aux,n",
+        ORACLE_CASES,
+        ids=[f"{k}-{a}-{ORACLE_RULES[k]}-{n}" for k, a, n in ORACLE_CASES],
     )
-    def test_matches_ryser(self, kind, aux, constraint, n):
-        want = permanent_ryser(matrix_for(kind, n, aux))
-        assert brute_constrained_count(n, constraint, k=aux) == want
+    def test_matches_ryser(self, kind, aux, n):
+        want = permanent_ryser(matrix(kind, n, aux))
+        assert brute_constrained_count(n, kind, k=aux) == want
 
     def test_refusals(self):
         with pytest.raises(CapacityError):
-            brute_constrained_count(13, "coprime")
-        with pytest.raises(ValueError):
+            brute_constrained_count(13, "c")
+        with pytest.raises(ValueError, match="no kind 'nonsense'"):
             brute_constrained_count(5, "nonsense")
-        with pytest.raises(ValueError):
-            brute_constrained_count(5, "gcd_k")
+        with pytest.raises(ValueError, match="needs k >= 2"):
+            brute_constrained_count(5, "ck")
 
 
 class TestCompute:
@@ -597,7 +601,7 @@ class TestCompute:
             raise AssertionError("the matrix was built")
 
         # nor is any prime picked or any residual built for A(n)
-        for builder in ("build_anti", "build_full_coprime", "_anti_primes", "_anti_split"):
+        for builder in ("incidence", "matrix", "_anti_primes", "_anti_split"):
             monkeypatch.setattr(counts, builder, unbuilt)
         with pytest.raises(CapacityError, match="exceeds ceiling 40"):
             run()

@@ -1,10 +1,7 @@
 import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,22 +235,3 @@ class TestAsFraction:
         with pytest.raises(ValueError, match="zero denominator"):
             as_fraction("1/0")
 
-
-class TestDistributionScan:
-    def test_csv_brackets_and_second_moment(self, tmp_path):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "distribution_scan.py"
-        res = subprocess.run(
-            [sys.executable, str(script), "--n", "2000", "--points", "4"],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-        )
-        assert res.returncode == 0, res.stderr
-        lines = res.stdout.splitlines()
-        assert lines[0] == "alpha,count,density,bracket"
-        cells = {Fraction(row.split(",")[0]): row.split(",")[3] for row in lines[1:]}
-        for alpha, lower, upper in BRACKETS:
-            assert cells[alpha] == f"({lower};{upper})", alpha
-        # the grid k/4 that is not a bracket alpha has an empty cell
-        assert cells[Fraction(1, 4)] == ""
-        assert res.stderr.startswith("second moment at n=2000: ")

@@ -8,16 +8,7 @@ from hypothesis import strategies as st
 
 from coprime_census import counts
 from coprime_census.arith import primes_upto
-from coprime_census.graph import (
-    BitMatrix,
-    build_anti,
-    build_full_coprime,
-    build_gcd_k,
-    _from_predicate,
-    build_odd_half,
-    odd_plus_rows,
-    smallest_factor,
-)
+from coprime_census.graph import BitMatrix, incidence, matrix, smallest_factor
 from coprime_census.permanent import permanent_dp, permanent_ryser
 
 
@@ -26,7 +17,12 @@ def bit(m: BitMatrix, i: int, j: int) -> int:
 
 
 def as_lists(m: BitMatrix) -> list[list[int]]:
-    return [[bit(m, i, j) for j in range(m.n)] for i in range(m.n)]
+    return [[bit(m, i, j) for j in range(m.n)] for i in range(len(m.rows))]
+
+
+def bit_rows(xs, ys, pred) -> tuple[int, ...]:
+    """Row bit-vectors of the matrix with bit (i, j) iff pred(xs[i], ys[j])."""
+    return tuple(sum(pred(x, y) << j for j, y in enumerate(ys)) for x in xs)
 
 
 def prime_set(limit: int) -> set[int]:
@@ -37,15 +33,15 @@ def prime_set(limit: int) -> set[int]:
 
 class TestFullCoprime:
     def test_one(self):
-        assert as_lists(build_full_coprime(1)) == [[1]]
+        assert as_lists(matrix("c", 1)) == [[1]]
 
     def test_two(self):
-        assert as_lists(build_full_coprime(2)) == [[1, 1], [1, 0]]
+        assert as_lists(matrix("c", 2)) == [[1, 1], [1, 0]]
 
     @given(st.integers(1, 40))
     @settings(max_examples=25)
     def test_symmetric_with_unit_border(self, n):
-        m = build_full_coprime(n)
+        m = matrix("c", n)
         assert m.labels_row == m.labels_col == tuple(range(1, n + 1))
         for i in range(n):
             assert bit(m, i, 0) == 1 and bit(m, 0, i) == 1
@@ -55,7 +51,7 @@ class TestFullCoprime:
     @given(st.integers(1, 30))
     @settings(max_examples=25)
     def test_predicate(self, n):
-        m = build_full_coprime(n)
+        m = matrix("c", n)
         for i in range(n):
             for j in range(n):
                 assert bit(m, i, j) == (gcd(i + 1, j + 1) == 1)
@@ -63,21 +59,21 @@ class TestFullCoprime:
 
 class TestOddHalf:
     def test_one(self):
-        assert as_lists(build_odd_half(1)) == [[1]]
+        assert as_lists(matrix("c0", 1)) == [[1]]
 
     def test_labels(self):
-        m = build_odd_half(4)
+        m = matrix("c0", 4)
         assert m.labels_row == (1, 3, 5, 7)
         assert m.labels_col == (1, 2, 3, 4)
 
     def test_permanents_match_published(self):
-        assert permanent_ryser(build_odd_half(3)) == 4
-        assert permanent_ryser(build_odd_half(10)) == 565920
+        assert permanent_ryser(matrix("c0", 3)) == 4
+        assert permanent_ryser(matrix("c0", 10)) == 565920
 
     @given(st.integers(1, 60))
     @settings(max_examples=30)
     def test_row_structure(self, n):
-        m = build_odd_half(n)
+        m = matrix("c0", n)
         assert m.rows[0] == (1 << n) - 1  # the 1-row is all ones
         primes = prime_set(2 * n)
         for i, p in enumerate(m.labels_row):
@@ -87,8 +83,8 @@ class TestOddHalf:
 
 
 def excluding(n: int, a: int) -> tuple[int, ...]:
-    """The C_(a)(n) matrix: ``odd_plus_rows(n)`` without the row of a."""
-    rows = odd_plus_rows(n)
+    """The C_(a)(n) matrix: the ("ca", n) matrix without the row of a."""
+    rows = matrix("ca", n).rows
     return rows[: a // 2] + rows[a // 2 + 1 :]
 
 
@@ -115,44 +111,47 @@ class TestOddPlusExcluding:
         odds = range(1, 2 * n + 2, 2)
         for a in odds:
             kept = [v for v in odds if v != a]
-            want = _from_predicate(kept, range(1, n + 1), coprime).rows
+            want = bit_rows(kept, range(1, n + 1), coprime)
             assert excluding(n, a) == want
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_odd_plus_rows_without_a_is_the_transpose(self, n):
         # of the matrix of [n] against the first n+1 odd numbers but a
-        rows = odd_plus_rows(n)
+        rows = matrix("ca", n).rows
         assert len(rows) == n + 1
+        # the last row, of 2n+1, deleted leaves the C0(n) matrix
+        assert rows[:-1] == matrix("c0", n).rows
         for i, a in enumerate(range(1, 2 * n + 2, 2)):
             cols = [v for v in range(1, 2 * n + 2, 2) if v != a]
-            m = _from_predicate(range(1, n + 1), cols, coprime)
+            t = bit_rows(range(1, n + 1), cols, coprime)
             kept = rows[:i] + rows[i + 1 :]
-            assert all(((kept[j] >> r) & 1) == bit(m, r, j) for r in range(n) for j in range(n))
+            for r in range(n):
+                assert all(((kept[j] >> r) & 1) == ((t[r] >> j) & 1) for j in range(n))
         with pytest.raises(ValueError):
-            odd_plus_rows(0)
+            matrix("ca", 0)
 
 
 class TestAnti:
     def test_reduction_small(self):
-        m = build_anti(4)
+        m = matrix("a", 4)
         assert m.labels_row == (2, 4)
         assert permanent_ryser(m) == 2
 
     def test_published_values(self):
-        assert permanent_ryser(build_anti(6)) == 8
-        assert permanent_ryser(build_anti(9)) == 72
+        assert permanent_ryser(matrix("a", 6)) == 8
+        assert permanent_ryser(matrix("a", 9)) == 72
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
-            build_anti(0)
+            matrix("a", 0)
         # n = 1: 1 is a forced fixed point, leaving the 0 x 0 matrix
-        m = build_anti(1)
+        m = matrix("a", 1)
         assert m.n == 0 and m.labels_row == () and permanent_ryser(m) == 1
 
     @given(st.integers(2, 40))
     @settings(max_examples=25)
     def test_removed_indices_are_forced_fixed_points(self, n):
-        m = build_anti(n)
+        m = matrix("a", n)
         removed = set(range(2, n + 1)) - set(m.labels_row)
         assert removed == {p for p in prime_set(n) if 2 * p > n}
         for i, a in enumerate(m.labels_row):
@@ -162,41 +161,85 @@ class TestAnti:
 
 class TestGcdK:
     def test_published_values(self):
-        assert permanent_ryser(build_gcd_k(6, 2)) == 36
-        assert permanent_ryser(build_gcd_k(6, 3)) == 16
+        assert permanent_ryser(matrix("ck", 6, 2)) == 36
+        assert permanent_ryser(matrix("ck", 6, 3)) == 16
 
     def test_large_k_is_full_coprimality(self):
-        assert build_gcd_k(4, 7).rows == build_full_coprime(4).rows
-        assert permanent_dp(build_gcd_k(4, 7).rows) == permanent_dp(build_full_coprime(4).rows)
+        assert matrix("ck", 4, 7).rows == matrix("c", 4).rows
+        assert permanent_dp(matrix("ck", 4, 7).rows) == permanent_dp(matrix("c", 4).rows)
         # primes above n are never listed, so k = 10^8 costs no more than k = n
-        assert build_gcd_k(12, 10**8).rows == build_full_coprime(12).rows
+        assert matrix("ck", 12, 10**8).rows == matrix("c", 12).rows
 
     @given(st.integers(1, 20), st.integers(2, 8))
     @settings(max_examples=40)
     def test_entrywise_against_full(self, n, k):
-        m = build_gcd_k(n, k)
+        m = matrix("ck", n, k)
         if k >= n:
-            assert m.rows == build_full_coprime(n).rows
-        full = build_full_coprime(n)
+            assert m.rows == matrix("c", n).rows
+        full = matrix("c", n)
         for i in range(n):
             # relaxing the constraint can only add ones
             assert m.rows[i] & full.rows[i] == full.rows[i]
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
-            build_gcd_k(4, 1)
+            matrix("ck", 4, 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 10**8])
+    def test_bits_equal_the_prime_rule(self, k):
+        # gcd(i, j, min(k, n)!) = 1 iff no prime <= min(k, n) divides gcd(i, j)
+        primes = sorted(prime_set(30))
+        for n in range(1, 31):
+            small = [p for p in primes if p <= min(k, n)]
+            m = matrix("ck", n, k)
+            for i in range(n):
+                for j in range(n):
+                    g = gcd(i + 1, j + 1)
+                    assert bit(m, i, j) == all(g % p for p in small), (n, k, i, j)
 
 
 class TestBitMatrix:
     def test_dump_format(self):
-        m = build_odd_half(3)
+        m = matrix("c0", 3)
         assert m.to_text() == "rows: 1 3 5\ncols: 1 2 3\n111\n110\n111"
+        # one line per row, also past the n columns
+        tall = matrix("ca", 3)
+        assert tall.to_text() == "rows: 1 3 5 7\ncols: 1 2 3\n111\n110\n111\n111"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BitMatrix(n=2, rows=(1,), labels_row=(1, 2), labels_col=(1, 2))
         with pytest.raises(ValueError):
             BitMatrix(n=1, rows=(2,), labels_row=(1,), labels_col=(1,))
+        with pytest.raises(ValueError):
+            BitMatrix(n=1, rows=(1,), labels_row=(1,), labels_col=(1, 2))
+        # n columns, any number of labelled rows
+        assert BitMatrix(n=1, rows=(1, 1), labels_row=(1, 3), labels_col=(1,)).n == 1
+
+
+class TestIncidence:
+    @pytest.mark.parametrize(
+        "kind, n, aux, rows, cols",
+        [
+            ("c", 4, None, [1, 2, 3, 4], [1, 2, 3, 4]),
+            ("c0", 4, None, [1, 3, 5, 7], [1, 2, 3, 4]),
+            ("ca", 4, None, [1, 3, 5, 7, 9], [1, 2, 3, 4]),
+            # 7 is the one prime in (5, 10]; 1 is always fixed
+            ("a", 10, None, [2, 3, 4, 5, 6, 8, 9, 10], [2, 3, 4, 5, 6, 8, 9, 10]),
+            ("a", 1, None, [], []),
+            ("ck", 4, 3, [1, 2, 3, 4], [1, 2, 3, 4]),
+        ],
+    )
+    def test_labels_at_small_n(self, kind, n, aux, rows, cols):
+        xs, ys, _ = incidence(kind, n, aux)
+        assert (list(xs), list(ys)) == (rows, cols)
+        m = matrix(kind, n, aux)
+        assert (list(m.labels_row), list(m.labels_col), m.n) == (rows, cols, len(cols))
+
+    @pytest.mark.parametrize("kind", ["c1", "zz"])
+    def test_refuses_kinds_that_are_not_one_matrix(self, kind):
+        with pytest.raises(ValueError, match="not the permanent of one matrix"):
+            matrix(kind, 3)
 
 
 class TestSmallestFactor:
@@ -222,7 +265,7 @@ class TestSmallestFactor:
         assert counts.table_rows("t3", 200) == t3
         for n in range(2, 201):
             want = [m for m in range(2, n + 1) if not (m in primes and 2 * m > n)]
-            assert list(build_anti(n).labels_row) == want, n
+            assert incidence("a", n)[0] == want, n
             sizes = Counter(spf[m] for m in range(2, n + 1))
             lower = math.prod(math.factorial(c) for c in sizes.values())
             assert counts.anti_lower(n) == lower, n

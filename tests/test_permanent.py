@@ -9,14 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coprime_census import permanent
-from coprime_census.graph import (
-    BitMatrix,
-    build_anti,
-    build_full_coprime,
-    build_gcd_k,
-    build_odd_half,
-    odd_plus_rows,
-)
+from coprime_census.graph import BitMatrix, matrix
 from coprime_census.permanent import (
     ClassTable,
     _glynn_classes,
@@ -38,9 +31,9 @@ def transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
 
 
 def c_a_matrix(n: int, a: int) -> BitMatrix:
-    """The C_(a)(n) matrix: ``odd_plus_rows(n)`` without the row of a."""
-    i, rows, odds = a // 2, odd_plus_rows(n), tuple(range(1, 2 * n + 2, 2))
-    return BitMatrix(n, rows[:i] + rows[i + 1 :], odds[:i] + odds[i + 1 :], tuple(range(1, n + 1)))
+    """The C_(a)(n) matrix: the ("ca", n) matrix without the row of a."""
+    i, (_, rows, odds, cols) = a // 2, matrix("ca", n)
+    return BitMatrix(n, rows[:i] + rows[i + 1 :], odds[:i] + odds[i + 1 :], cols)
 
 
 def class_shape(table: ClassTable) -> tuple[list[int], list[int]]:
@@ -94,17 +87,27 @@ class TestRyser:
         assert permanent_ryser(m) == 1
 
     def test_published_c0_18(self):
-        assert permanent_ryser(build_odd_half(18)) == 79772814777600
+        assert permanent_ryser(matrix("c0", 18)) == 79772814777600
 
     def test_ceiling_refusal(self):
         # the count layer refuses past --ceiling; the engine has no cap of
         # its own, so the all-ones matrix past the default 40 is walked
         assert permanent_ryser(matrix_from_rows([(1 << 41) - 1] * 41, 41)) == math.factorial(41)
         with pytest.raises(TypeError):
-            permanent_ryser(build_full_coprime(9), ceiling=8)
+            permanent_ryser(matrix("c", 9), ceiling=8)
+
+    def test_refuses_a_non_square_matrix(self):
+        # the (n+1) x n matrix is permanent_minors's: the walk would return
+        # its minors, not one permanent
+        tall = matrix("ca", 3)
+        with pytest.raises(ValueError, match="4 rows by 3 columns"):
+            permanent_ryser(tall)
+        with pytest.raises(ValueError, match="4 rows by 3 columns"):
+            permanent_ryser(class_table(tall.rows, [1] * 3))
+        assert permanent_minors(tall.rows)[-1] == permanent_ryser(matrix("c0", 3))
 
     def test_subset_walk_equals_class_walk(self):
-        m = build_odd_half(16)
+        m = matrix("c0", 16)
         assert permanent_dp(m.rows) == permanent_ryser(m)
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
@@ -135,9 +138,9 @@ class TestBrute:
         assert permanent_dp(()) == 1
 
     def test_published_values(self):
-        assert permanent_dp(build_full_coprime(9).rows) == 3600
-        assert permanent_dp(build_full_coprime(7).rows) == 256
-        assert permanent_dp(build_full_coprime(16).rows) == 9552**2  # C0(8)^2
+        assert permanent_dp(matrix("c", 9).rows) == 3600
+        assert permanent_dp(matrix("c", 7).rows) == 256
+        assert permanent_dp(matrix("c", 16).rows) == 9552**2  # C0(8)^2
 
     def test_refuses_wide_rows(self):
         with pytest.raises(ValueError):
@@ -173,14 +176,14 @@ class TestThreeWayAgreement:
         assert checked >= 500
 
 
-# every builder's matrices up to dimension 16, by family
+# every kind's matrices up to dimension 16, by family
 BUILDER_FAMILIES = {
-    "odd_half": lambda: [build_odd_half(n) for n in range(1, 17)],
-    "full_coprime": lambda: [build_full_coprime(n) for n in range(1, 17)],
-    "anti": lambda: [m for m in map(build_anti, range(2, 22)) if m.n <= 16],
-    "gcd_2": lambda: [build_gcd_k(n, 2) for n in range(1, 17)],
-    "gcd_3": lambda: [build_gcd_k(n, 3) for n in range(1, 17)],
-    "gcd_5": lambda: [build_gcd_k(n, 5) for n in range(1, 17)],
+    "odd_half": lambda: [matrix("c0", n) for n in range(1, 17)],
+    "full_coprime": lambda: [matrix("c", n) for n in range(1, 17)],
+    "anti": lambda: [m for m in (matrix("a", n) for n in range(2, 22)) if m.n <= 16],
+    "gcd_2": lambda: [matrix("ck", n, 2) for n in range(1, 17)],
+    "gcd_3": lambda: [matrix("ck", n, 3) for n in range(1, 17)],
+    "gcd_5": lambda: [matrix("ck", n, 5) for n in range(1, 17)],
     "odd_plus_excluding": lambda: [
         c_a_matrix(n, a) for n in range(1, 13) for a in range(1, 2 * n + 2, 2)
     ],
@@ -215,9 +218,9 @@ class TestClassWalk:
     @pytest.mark.parametrize(
         "walk, widths",
         [
-            (lambda: permanent_ryser(build_odd_half(9)), [9]),  # walks its column classes
-            (lambda: permanent_ryser(matrix_from_rows(transpose(build_odd_half(9).rows, 9), 9)), [9]),
-            (lambda: permanent_minors(odd_plus_rows(9)), [9]),
+            (lambda: permanent_ryser(matrix("c0", 9)), [9]),  # walks its column classes
+            (lambda: permanent_ryser(matrix_from_rows(transpose(matrix("c0", 9).rows, 9), 9)), [9]),
+            (lambda: permanent_minors(matrix("ca", 9).rows), [9]),
         ],
         ids=["ryser-rows", "ryser-cols", "minors"],
     )
@@ -244,7 +247,7 @@ class TestClassWalk:
 
     def test_the_fastest_class_hits_the_fewest_rows(self):
         # C0(18): the walk's first step moves the class with the fewest hits
-        table = class_table(build_odd_half(18).rows, [1] * 18)
+        table = class_table(matrix("c0", 18).rows, [1] * 18)
         _, sums = traced_walk(lambda: _glynn_classes(table))
         moved = sum(a != b for a, b in zip(sums[0], sums[1]))
         assert moved == min(col.bit_count() for col in table.cols) < max(
@@ -330,15 +333,15 @@ class TestGlynnHalfWalk:
         assert permanent_ryser(matrix_from_rows(list(rows), len(rows))) == permanent_dp(rows)
 
     def test_half_the_terms(self):
-        m = build_odd_half(18)
+        m = matrix("c0", 18)
         value, sums = traced_walk(lambda: permanent_ryser(m))
         assert value == 79772814777600
         cols = Counter(transpose(m.rows, m.n)).values()
         assert len(sums) == 2592 == math.prod(c + 1 for c in cols) // 2
-        value, sums = traced_walk(lambda: permanent_minors(odd_plus_rows(15)))
-        cols = Counter(transpose(odd_plus_rows(15), 15)).values()
+        value, sums = traced_walk(lambda: permanent_minors(matrix("ca", 15).rows))
+        cols = Counter(transpose(matrix("ca", 15).rows, 15)).values()
         assert len(sums) == 900 == math.prod(c + 1 for c in cols) // 2
-        assert value[-1] == permanent_ryser(build_odd_half(15))
+        assert value[-1] == permanent_ryser(matrix("c0", 15))
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
@@ -371,7 +374,7 @@ class TestGlynnHalfWalk:
         assert sums == [(4,), (2,), (0,), (-2,)]
 
     def test_minors_meet_zero_and_negative_sums(self):
-        rows = odd_plus_rows(7)
+        rows = matrix("ca", 7).rows
         minors, sums = traced_walk(lambda: permanent_minors(rows))
         assert minors == minors_by_dp(rows)
         assert any(0 in s for s in sums) and any(min(s) < 0 for s in sums)
@@ -401,7 +404,7 @@ class TestMinors:
     def test_odd_plus_rows_give_every_c_a(self):
         for m in range(1, 17):
             want = [permanent_ryser(c_a_matrix(m, a)) for a in range(1, 2 * m + 2, 2)]
-            assert permanent_minors(odd_plus_rows(m)) == want, m
+            assert permanent_minors(matrix("ca", m).rows) == want, m
 
     @given(tall_class_matrices())
     @settings(max_examples=300, deadline=None)
@@ -420,4 +423,4 @@ class TestMinors:
         with pytest.raises(ValueError):
             permanent_minors((0b11, 0b01))  # 2 x 2 is not (n+1) x n
         with pytest.raises(TypeError):  # the count layer owns the ceiling
-            permanent_minors(odd_plus_rows(9), ceiling=8)
+            permanent_minors(matrix("ca", 9).rows, ceiling=8)
