@@ -1,24 +1,21 @@
-"""Closed-form growth constants and the lower-bound assembly checks.
+"""Closed-form growth constants and the sums of the lower-bound assembly.
 
-The assembly re-verifies, numerically and at stated tolerances, the
-chain of inequalities behind the n!/1.864^n matching lower bound: three
-interval contributions expressed through f(x) = x*log(x) and bounded
-densities, the Rosser--Schoenfeld brackets for the odd Mertens product,
-and the final exponentiation.  This is a high-precision floating-point
-re-verification, not interval arithmetic; every routine documents its
-truncation and rounding error, which sits orders of magnitude below the
-4-decimal thresholds being checked.
+The three E-sums are the interval contributions behind the n!/1.864^n
+matching lower bound, expressed through f(x) = x*log(x) and bounded
+densities; ``checks.bounds`` sets each against its claimed threshold and
+assembles them into e^0.6226 > 1.8637.  This is a high-precision
+floating-point re-verification, not interval arithmetic; every routine
+documents its truncation and rounding error, which sits orders of
+magnitude below the 4-decimal thresholds being checked.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 
 import numpy as np
 
-from .arith import _odd_prime_fsum, mertens_product
-from .checks import BoundReport
+from .arith import _odd_prime_fsum
 from .reference import BRACKETS
 
 __all__ = [
@@ -28,8 +25,6 @@ __all__ = [
     "esum_dyadic",
     "esum_middle",
     "esum_tail",
-    "assemble_lower_bound",
-    "rs_bracket_check",
     "f_xlogx",
 ]
 
@@ -102,7 +97,7 @@ def _dyadic_density_bound(i: int) -> float:
 _DYADIC_LAST = 29
 
 
-def esum_dyadic() -> BoundReport:
+def esum_dyadic() -> float:
     """Contribution of the dyadic split points in (0, 1/4].
 
     Term i is f(a - db(i)) - f(a - db(i-1)) at a = 1/2^i, with db the
@@ -115,29 +110,17 @@ def esum_dyadic() -> BoundReport:
 
         |remainder| < 5.34 log 2 * 4^-(K+1) * (4(K+2)/3 + 4/9),
 
-    1.341e-16 at K = 29, which the notes round up.
+    1.341e-16 at K = 29.
     """
-    k = _DYADIC_LAST
     terms = [
         f_xlogx(0.5**i - _dyadic_density_bound(i))
         - f_xlogx(0.5**i - _dyadic_density_bound(i - 1))
-        for i in range(2, k + 1)
+        for i in range(2, _DYADIC_LAST + 1)
     ]
-    remainder = 5.34 * math.log(2.0) * 4.0 ** -(k + 1) * (4 * (k + 2) / 3 + 4 / 9)
-    return BoundReport.make(
-        name="esum-dyadic",
-        computed=math.fsum(terms),
-        relation=">",
-        claimed=-0.0538,
-        notes=(
-            f"split points 1/2^i for i=2..{k}, remainder past {k} below "
-            f"{math.ceil(remainder * 1e18) / 1e18:.3g}; "
-            f"bound min(1.78/4^i, {_DYADIC_CAP})"
-        ),
-    )
+    return math.fsum(terms)
 
 
-def esum_middle() -> BoundReport:
+def esum_middle() -> float:
     """Contribution of the split points 1/4, 0.5, 0.6, ..., 0.99.
 
     Each point a contributes f(a - d(a)) - f(a - d(a+)), where d is the
@@ -149,14 +132,7 @@ def esum_middle() -> BoundReport:
     points = [0.25] + [float(alpha) for alpha, _, _ in BRACKETS[:-1]]
     dens = [_DYADIC_CAP] + [upper for _, _, upper in BRACKETS]
     terms = [f(a - d) - f(a - d1) for a, d, d1 in zip(points, dens, dens[1:])]
-    value = math.fsum(terms)
-    return BoundReport.make(
-        name="esum-middle",
-        computed=value,
-        relation=">",
-        claimed=-0.2873,
-        notes="14-term expression over split points 1/4, .5, .6, .7, .8, .9, .99",
-    )
+    return math.fsum(terms)
 
 
 def _tail_g(i: float) -> float:
@@ -174,7 +150,7 @@ _TAIL_SEED = float(BRACKETS[-1][0]) - BRACKETS[-1][2]
 _TAIL_DIRECT = 40
 
 
-def esum_tail() -> BoundReport:
+def esum_tail() -> float:
     """Contribution of the split points 1 - 10^-i for i >= 4, all of them.
 
     The density bound at 0.999 is the upper end of the last literature
@@ -190,88 +166,20 @@ def esum_tail() -> BoundReport:
 
     The feasibility inequality 10^(1-i) < g(i) is checked for i = 4..K.
     Past K it follows by induction from g(i+1)/g(i) > L/(L + log 10) > 1/10,
-    with L = log 2 + i log 10, checked at K (the bound grows with i).
+    with L = log 2 + i log 10, checked at K (the bound grows with i).  A
+    failed check raises ``RuntimeError``.
     """
     f = f_xlogx
     terms = []
-    need_ok = True
     for i in range(4, _TAIL_DIRECT + 1):
         eps = 10.0 ** (1 - i)
+        if not eps < _tail_g(i):
+            raise RuntimeError(f"tail feasibility 10^(1-i) < g(i) fails at i={i}")
         x = _TAIL_SEED if i == 4 else _tail_g(i - 1) - eps
         y = _tail_g(i) - eps
         terms.append(f(x) - f(y))
-        need_ok = need_ok and eps < _tail_g(i)
     L = math.log(2.0) + _TAIL_DIRECT * math.log(10.0)
-    need_ok = need_ok and L / (L + math.log(10.0)) > 0.1
+    if not L / (L + math.log(10.0)) > 0.1:
+        raise RuntimeError(f"tail feasibility fails past i={_TAIL_DIRECT}")
     terms.append(f(_tail_g(_TAIL_DIRECT)))
-    value = math.fsum(terms)
-    notes = (
-        f"indices 4..{_TAIL_DIRECT} summed, i > {_TAIL_DIRECT} telescoped to "
-        f"f(g({_TAIL_DIRECT})); shifts past {_TAIL_DIRECT} below 1e-30; "
-        f"feasibility 10^(1-i) < g(i) holds for all i: {need_ok}"
-    )
-    report = BoundReport.make(
-        name="esum-tail", computed=value, relation=">", claimed=-0.2814, notes=notes
-    )
-    return report if need_ok else report._replace(passed=False)
-
-
-def assemble_lower_bound(
-    dyadic: BoundReport, middle: BoundReport, tail: BoundReport
-) -> BoundReport:
-    """Combine the three interval contributions into the final constant.
-
-    Checks that 0.0538 + 0.2873 + 0.2815 <= 0.6226 exactly in decimal
-    (the tail's -0.2814 is padded by 1e-4 to absorb the last interval)
-    and that e^0.6226 > 1.8637, which yields the matching lower bound
-    constant 1.864 and, after squaring and doubling, the 3.73 of the
-    permutation bound.
-    """
-    for rep in (dyadic, middle, tail):
-        if not rep.passed:
-            raise RuntimeError(f"sub-report failed: {rep.name}")
-    parts = [Decimal("0.0538"), Decimal("0.2873"), Decimal("0.2815")]
-    budget = Decimal("0.6226")
-    if sum(parts) > budget:
-        raise RuntimeError("interval contributions exceed the 0.6226 budget")
-    value = math.exp(0.6226)
-    theorem_constant = 1.864
-    notes = (
-        f"0.0538 + 0.2873 + 0.2815 = {sum(parts)} <= {budget}; "
-        f"matching bound constant {theorem_constant} "
-        f"(square {theorem_constant**2:.6f}, doubled {2 * theorem_constant:.6f} "
-        f"vs permutation bound constant 3.73)"
-    )
-    return BoundReport.make(
-        name="assembly-e^0.6226",
-        computed=value,
-        relation=">",
-        claimed=1.8637,
-        notes=notes,
-    )
-
-
-_RS_GRID = (300.0, 1e4, 1e6)  # the lower bracket is cited for x >= 285 only
-
-
-def rs_bracket_check() -> list[BoundReport]:
-    """Verify the odd Mertens product sits inside the classical brackets.
-
-    2/(e^gamma log x) * (1 -+ 1/(2 log^2 x)) at each x of ``_RS_GRID``.
-    """
-    reports = []
-    for x in _RS_GRID:
-        m = mertens_product(x)
-        lx = math.log(x)
-        main = 2.0 / (_E_GAMMA * lx)
-        for side, relation, sign in (("lower", ">", -1.0), ("upper", "<", 1.0)):
-            reports.append(
-                BoundReport.make(
-                    name=f"mertens-{side}(x={x:g})",
-                    computed=m,
-                    relation=relation,
-                    claimed=main * (1.0 + sign / (2.0 * lx * lx)),
-                    notes=f"odd Mertens product vs classical {side} bracket",
-                )
-            )
-    return reports
+    return math.fsum(terms)

@@ -176,6 +176,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    if args.format is not None and (args.second_moment or args.top_set):
+        raise ValueError("--format is read only by the --alpha scan; this mode prints JSON")
     from . import dist
 
     if 2 * args.n > args.sieve_limit:
@@ -204,7 +206,7 @@ def cmd_dist(args) -> int:
         {"alpha": str(est.alpha), "count": est.count, "density": est.density}
         for est in dist.d_counts(args.alpha or ["0.5"], args.n)
     ]
-    _emit_rows(rows, args.format, sys.stdout)
+    _emit_rows(rows, args.format or "csv", sys.stdout)
     return 0
 
 
@@ -288,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--alpha", action="append", help="cutoff (repeatable)")
     mode.add_argument("--second-moment", action="store_true")
     mode.add_argument("--top-set", action="store_true")
+    # None marks --format left at its default: only the --alpha scan reads it
+    p_dist.set_defaults(format=None)
 
     p_verify = add("verify", cmd_verify, "verification suites", "--ceiling")
     p_verify.add_argument(

@@ -20,8 +20,8 @@
 * anti_lower(n): the gluing lower bound for A(n) built from
   smallest-prime-factor classes.
 * The three published tables (t1: C0(n) with r_2n, t2: odd C(n) with
-  r_n, t3: composite A(n) with u_n), row by row, and their comparison
-  against reference.py.
+  r_n, t3: composite A(n) with u_n), row by row; ``checks.tables``
+  compares them against reference.py.
 
 Every count hands the walk a class table built from the labels and the
 predicate of its matrix, ``graph.incidence`` (:func:`_table`), never a
@@ -78,11 +78,10 @@ __all__ = [
     "growth_ratio",
     "count_ratio",
     "TableRow",
+    "table_row",
     "table_rows",
-    "check_table",
     "brute_constrained_count",
     "format_ratio",
-    "check_aux",
     "compute",
 ]
 
@@ -393,7 +392,8 @@ class TableRow(namedtuple("TableRow", "n value ratio")):
 _TABLE_COUNTS = {"t1": ("c0", count_c0), "t2": ("c", count_c), "t3": ("a", count_a)}
 
 
-def _table_row(which: str, n: int, *, ceiling: int) -> TableRow:
+def table_row(which: str, n: int, *, ceiling: int) -> TableRow:
+    """Row n of table t1, t2 or t3."""
     kind, count = _TABLE_COUNTS[which]
     value = count(n, ceiling=ceiling)
     return TableRow(n, value, count_ratio(kind, n, value))
@@ -419,29 +419,7 @@ def table_rows(
         raise ValueError(
             f"table {which} has no row n <= {max_n}; its first row is n={first}"
         )
-    return [_table_row(which, n, ceiling=ceiling) for n in ns]
-
-
-def check_table(
-    which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING
-) -> list[tuple[TableRow, bool]]:
-    """Recompute the reference rows n <= max_n of a table; flag each match.
-
-    A row matches when its value equals the reference value and its ratio
-    prints as the reference string.  At the five errata rows the
-    reference holds the corrected entry, so the check asserts the
-    correction rather than the published typo.
-    """
-    from . import reference  # only this check reads the published rows
-
-    published = {"t1": reference.TABLE_C0, "t2": reference.TABLE_C_ODD, "t3": reference.TABLE_A}
-    checks = []
-    for n, (want, want_ratio) in published[which].items():
-        if n <= max_n:
-            row = _table_row(which, n, ceiling=ceiling)
-            passed = row.value == want and format_ratio(row.ratio) == want_ratio
-            checks.append((row, passed))
-    return checks
+    return [table_row(which, n, ceiling=ceiling) for n in ns]
 
 
 def _allowed_rows(n: int, kind: str, k: int | None) -> tuple[int, ...]:

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _odd_phi, _odd_prime_fsum, _odd_primes, mertens_product
-from .checks import BoundReport
+from .arith import _odd_phi, _odd_prime_fsum, _odd_primes
 
 __all__ = [
     "DistEstimate",
@@ -30,14 +29,8 @@ __all__ = [
     "top_interval_set",
     "top_interval_characterization",
     "top_interval_check",
-    "ep_upper_check",
     "as_fraction",
 ]
-
-# diagnostic tolerance when comparing finite-n densities against the
-# literature brackets for the limit (reference.BRACKETS); the convergence
-# rate is not known, so bracket comparisons warn rather than fail
-BRACKET_DIAGNOSTIC_TOL = 0.004
 
 # fixed-point scale of the second-moment terms
 _MOMENT_BITS = 80
@@ -182,20 +175,3 @@ def top_interval_check(n: int) -> tuple[int, int]:
     missed = np.setxor1d(got, top_interval_characterization(n), assume_unique=True)
     return len(got), len(missed)
 
-
-def ep_upper_check(x, n: int) -> BoundReport:
-    """Check 1 - delta(1 - 1/x, n) <= M(x) - 1/sqrt(n) at finite n."""
-    xf = as_fraction(x)
-    if not 2 <= xf <= math.log(n):
-        raise ValueError(f"x={x} outside the valid range [2, log n]")
-    alpha = 1 - 1 / xf
-    lhs = 1.0 - d_count(alpha, n).density
-    mprod = 1.0 if xf < 3 else mertens_product(float(xf))
-    rhs = mprod - 1.0 / math.sqrt(n)
-    return BoundReport.make(
-        name=f"tail-upper(x={x}, n={n})",
-        computed=lhs,
-        relation="<=",
-        claimed=rhs,
-        notes="1 - delta(1-1/x, n) vs M(x) - 1/sqrt(n)",
-    )

@@ -30,10 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 
-from .graph import CapacityError
-
 __all__ = [
-    "CapacityError",
     "ClassTable",
     "class_table",
     "permanent_ryser",

@@ -3,13 +3,14 @@ and the literature brackets for the density of phi(m)/m.
 
 Sources: OEIS A005326 (coprime permutations of [n]) and A009679
 (partitions of [2n] into coprime pairs), plus the published table of
-anti-coprime counts.  ``counts.check_table`` is the one comparison
-against these tables, read by ``verify --suite tables`` and the
-acceptance gate: a recomputed row matches when its count equals the
-value here and its ratio, printed by ``counts.format_ratio``, equals the
-4-decimal string here.  ``BRACKETS`` is the one copy of the literature
-brackets; the lower-bound assembly in ``bounds`` and the bracket
-records of ``verify --suite lemmas`` read it directly.
+anti-coprime counts.  ``checks.tables`` is the one comparison against
+these tables, read by ``verify --suite tables`` and the acceptance gate:
+a recomputed row matches when its count equals the value here and its
+ratio, printed by ``counts.format_ratio``, equals the 4-decimal string
+here.  ``BRACKETS`` is the one copy of the literature brackets; the
+E-sums in ``bounds`` take their upper ends as density bounds, and the
+bracket records of ``verify --suite lemmas`` read it directly.  No
+compute module reads the tables.
 
 Five published entries fail verification and are recorded in the errata
 maps below; everywhere the toolkit checks tables it asserts the

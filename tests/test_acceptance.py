@@ -3,7 +3,7 @@
 Heavy counts are shared through module fixtures (and the library's
 in-process memo), so the whole gate runs in a few minutes on two cores.
 Criteria touching the published tables assert the records of
-``counts.check_table`` (exact value, ratio as printed at 4 decimals)
+``checks.tables`` (exact value, ratio as printed at 4 decimals)
 except at the five recorded errata entries, where the independently
 proven corrections are asserted instead (see reference.py and the test
 for the errata themselves).  Criteria 7 and 8 assert the records of the
@@ -19,7 +19,7 @@ import pytest
 
 from coprime_census import checks, counts, dist, reference
 from coprime_census.arith import coprime_count, omega_array
-from coprime_census.graph import matrix
+from coprime_census.graph import DEFAULT_CEILING, matrix
 from coprime_census.permanent import permanent_ryser
 
 
@@ -50,11 +50,12 @@ def a_values():
 
 
 def assert_table(which: str, max_n: int) -> dict[int, counts.TableRow]:
-    """Every reference row n <= max_n of a table passes ``check_table``."""
-    checks = counts.check_table(which, max_n)
-    failed = [row.printed() for row, passed in checks if not passed]
-    assert checks and not failed, f"{which} rows differ from reference: {failed}"
-    return {row.n: row for row, _ in checks}
+    """Every reference row n <= max_n of a table passes ``checks.tables``."""
+    records = [r for r in checks.tables(max_n, DEFAULT_CEILING) if r.name.startswith(f"{which} ")]
+    failed = [r for r in records if not r.passed]
+    assert records and not failed, f"{which} rows differ from reference: {failed}"
+    ns = [int(r.name.partition("=")[2]) for r in records]
+    return {n: counts.table_row(which, n, ceiling=DEFAULT_CEILING) for n in ns}
 
 
 def assert_ratio_erratum(row: counts.TableRow, sym: str, index: int):
@@ -248,7 +249,7 @@ def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
 
         # tail upper estimate at the lemma's admissible x values
         for x in (2, 5, 10, 13):
-            assert dist.ep_upper_check(x, 10**6).passed
+            assert checks.tail_upper(x, 10**6).passed
 
         # observational trend stand-ins for the asymptotic statements
         for n in range(12, 26):

@@ -1,25 +1,22 @@
 import decimal
 import math
-import re
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from coprime_census import bounds, checks
 from coprime_census.arith import primes_upto
 from coprime_census.bounds import (
-    _RS_GRID,
     EULER_GAMMA,
-    assemble_lower_bound,
     ck_closed,
     esum_dyadic,
     esum_middle,
     esum_tail,
     f_xlogx,
     mcnew_product,
-    rs_bracket_check,
 )
-from coprime_census.checks import BoundReport
+from coprime_census.checks import _RS_GRID, BoundReport
 from coprime_census.reference import BRACKETS
 
 
@@ -116,21 +113,17 @@ class TestMcNew:
 
 class TestEsums:
     def test_dyadic(self):
-        rep = esum_dyadic()
-        assert rep.passed
-        assert -0.0538 < rep.computed < 0.0
+        value = esum_dyadic()
+        assert -0.0538 < value < 0.0
         # frozen from the defining series (independent evaluation)
-        assert math.isclose(rep.computed, -0.0537288245, abs_tol=1e-9)
+        assert math.isclose(value, -0.0537288245, abs_tol=1e-9)
 
     def test_dyadic_remainder_bound(self):
         # the terms past the last summed index, summed directly to i = 80 at
         # 60 digits (float64 loses them to cancellation near i = 50), stay
-        # inside the remainder bound the notes state
-        rep = esum_dyadic()
-        last, bound = re.search(
-            r"i=2\.\.(\d+), remainder past \1 below ([0-9.e-]+);", rep.notes
-        ).groups()
-        last, bound = int(last), float(bound)
+        # inside the remainder bound esum_dyadic documents
+        last = bounds._DYADIC_LAST
+        bound = 5.34 * math.log(2.0) * 4.0 ** -(last + 1) * (4 * (last + 2) / 3 + 4 / 9)
         ctx = decimal.Context(prec=60)
 
         def f(x):
@@ -152,12 +145,12 @@ class TestEsums:
             - f_xlogx(0.5**i - min(1.78 / 4.0 ** (i - 1), cap))
             for i in range(2, last + 1)
         ]
-        assert math.fsum(summed) == rep.computed
+        assert math.fsum(summed) == esum_dyadic()
 
     def test_middle(self):
-        rep = esum_middle()
-        assert rep.passed
-        assert math.isclose(rep.computed, -0.2872508215, abs_tol=1e-9)
+        value = esum_middle()
+        assert value > -0.2873
+        assert math.isclose(value, -0.2872508215, abs_tol=1e-9)
 
     def test_middle_first_pair_cancels(self):
         assert f_xlogx(0.25 - 0.02352) - f_xlogx(0.25 - 0.02352) == 0.0
@@ -170,28 +163,35 @@ class TestEsums:
         assert pair > 0
 
     def test_tail(self):
-        rep = esum_tail()
-        assert rep.passed
-        assert -0.2814 < rep.computed < -0.28
-        assert rep.computed == -0.28131280167725964
-        assert "holds for all i: True" in rep.notes
+        value = esum_tail()
+        assert -0.2814 < value < -0.28
+        assert value == -0.28131280167725964
+
+    def test_tail_refuses_an_infeasible_shift(self, monkeypatch):
+        # g(i) below the shift 10^(1-i) leaves no mass for the term
+        monkeypatch.setattr(bounds, "_tail_g", lambda i: 10.0 ** (1 - i) / 2)
+        with pytest.raises(RuntimeError, match="feasibility"):
+            esum_tail()
 
     def test_tail_terms_all_negative(self):
         # partial sums only decrease, so every truncation stays above the
         # infinite sum that esum_tail telescopes to, and the 1e-12
         # truncation is within its remainder bound 2.91e-6 of it
-        full = esum_tail().computed
+        full = esum_tail()
         coarse, fine, finest = (direct_tail_sum(tol) for tol in (1e-6, 1e-10, 1e-12))
         assert full < finest < fine < coarse < 0.0
         assert finest - full < 2.91e-6
 
 class TestAssembly:
     def test_passes(self):
-        rep = assemble_lower_bound(esum_dyadic(), esum_middle(), esum_tail())
-        assert rep.passed
+        by_name = {rep.name: rep for rep in checks.bounds()}
+        assert len(by_name) == 10 and all(rep.passed for rep in by_name.values())
+        rep = by_name["assembly-e^0.6226"]
         assert math.isclose(rep.computed, math.exp(0.6226), rel_tol=1e-15)
         assert rep.computed > 1.8637
-        assert "1.864" in rep.notes and "3.73" in rep.notes
+        sums = {"esum-dyadic": esum_dyadic, "esum-middle": esum_middle, "esum-tail": esum_tail}
+        for name, esum in sums.items():
+            assert by_name[name].computed == esum()
 
     def test_budget_is_exact_in_decimal(self):
         from decimal import Decimal
@@ -199,16 +199,15 @@ class TestAssembly:
         parts = [Decimal("0.0538"), Decimal("0.2873"), Decimal("0.2815")]
         assert sum(parts) == Decimal("0.6226")
 
-    def test_fails_loudly_on_failed_subreport(self):
-        bad = BoundReport.make("stub", computed=-1.0, relation=">", claimed=0.0)
-        assert not bad.passed
-        with pytest.raises(RuntimeError):
-            assemble_lower_bound(bad, esum_middle(), esum_tail())
+    def test_fails_loudly_on_failed_subreport(self, monkeypatch):
+        monkeypatch.setattr(bounds, "esum_middle", lambda: -1.0)
+        with pytest.raises(RuntimeError, match="sub-report failed: esum-middle"):
+            checks.bounds()
 
 
 class TestRsBrackets:
     def test_grid_passes(self):
-        reports = rs_bracket_check()
+        reports = [rep for rep in checks.bounds() if rep.name.startswith("mertens-")]
         assert len(reports) == 6
         assert all(r.passed for r in reports)
 

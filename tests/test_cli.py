@@ -48,6 +48,7 @@ watched = (
     "coprime_census.permanent",
     "coprime_census.counts",
     "coprime_census.checks",
+    "coprime_census.reference",
     "dataclasses",
     "numpy",
 )
@@ -67,8 +68,9 @@ def loaded_by(argv: list[str], cwd) -> set[str]:
 
 def test_count_and_table_never_load_numpy(tmp_path):
     """count, table and the verify tables suite run on the pure-Python stack
-    without dataclasses or numpy; a cache hit loads none of permanent,
-    counts and checks, and nor does its --dump-matrix, which reads graph."""
+    without dataclasses or numpy, and only the suite reads the reference
+    tables; a cache hit loads none of permanent, counts and checks, and nor
+    does its --dump-matrix, which reads graph."""
     runs = [
         ["count", "--kind", "c0", "--n", "10", "--no-cache"],
         ["count", "--kind", "c", "--n", "11", "--no-cache"],
@@ -81,7 +83,10 @@ def test_count_and_table_never_load_numpy(tmp_path):
         ["verify", "--suite", "tables", "--max", "12"],
     ]
     for argv in runs:
-        assert not loaded_by(argv, tmp_path) & {"dataclasses", "numpy"}, argv
+        loaded = loaded_by(argv, tmp_path)
+        assert not loaded & {"dataclasses", "numpy"}, argv
+        if argv[0] != "verify":
+            assert "coprime_census.reference" not in loaded, argv
     hit = ["count", "--kind", "c0", "--n", "12", "--cache", str(tmp_path / "c.jsonl")]
     assert "coprime_census.counts" in loaded_by(hit, tmp_path)  # the miss fills it
     assert loaded_by(hit, tmp_path) == set()
@@ -89,11 +94,20 @@ def test_count_and_table_never_load_numpy(tmp_path):
 
 
 def test_dist_and_bounds_never_load_the_counting_stack(tmp_path):
-    """dist and the bounds suite use the check records of ``checks`` but
-    load neither counts nor permanent."""
-    for argv in (["dist", "--n", "1000", "--alpha", "0.5"], ["verify", "--suite", "bounds"]):
+    """dist and the bounds suite load neither counts nor permanent, and
+    dist, which builds no check record, loads neither checks nor the
+    reference tables."""
+    dist_runs = [
+        ["dist", "--n", "1000", "--alpha", "0.5"],
+        ["dist", "--n", "1000", "--top-set"],
+        ["dist", "--n", "1000", "--second-moment"],
+    ]
+    for argv in (*dist_runs, ["verify", "--suite", "bounds"]):
         loaded = loaded_by(argv, tmp_path)
         assert not loaded & {"coprime_census.counts", "coprime_census.permanent"}, argv
+    for argv in dist_runs:
+        loaded = loaded_by(argv, tmp_path)
+        assert not loaded & {"coprime_census.checks", "coprime_census.reference"}, argv
 
 
 class TestCount:
@@ -257,6 +271,9 @@ class TestCount:
             ["count", "--kind", "c0", "--n", "6", "--format", "json"],
             ["table", "--which", "t1", "--max", "3", "--verify-cache"],
             ["dist", "--n", "100", "--ceiling", "3"],
+            ["dist", "--n", "1000", "--top-set", "--format", "csv"],
+            ["dist", "--n", "1000", "--second-moment", "--format", "csv"],
+            ["dist", "--n", "1000", "--second-moment", "--format", "json"],
             ["dist", "--n", "100", "--threads", "0"],
             ["count", "--kind", "c0", "--n", "5", "--threads", "2", "--no-cache"],
             ["table", "--which", "t1", "--max", "3", "--threads", "2"],
@@ -274,6 +291,9 @@ class TestCount:
             "count-format",
             "table-verify-cache",
             "dist-ceiling",
+            "dist-top-set-format",
+            "dist-second-moment-format",
+            "dist-second-moment-format-json",
             "dist-threads",
             "count-threads",
             "table-threads",
@@ -504,6 +524,16 @@ class TestDist:
         row = json.loads(res.stdout)
         assert row["alpha"] == "1/2"
         assert 0.018 < row["density"] < 0.028
+
+    @pytest.mark.parametrize("alpha", [["--alpha", "0.5"], []], ids=["alpha", "no-mode"])
+    def test_cutoff_scan_prints_csv_by_default(self, tmp_path, alpha):
+        res = run_cli("dist", "--n", "1000", *alpha, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("alpha,count,density\n")
+        [row] = csv.DictReader(io.StringIO(res.stdout))
+        from coprime_census import dist
+
+        assert (row["alpha"], int(row["count"])) == ("1/2", dist.d_count(0.5, 1000).count)
 
     def test_second_moment_mode(self, tmp_path):
         res = run_cli(

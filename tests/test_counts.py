@@ -3,13 +3,12 @@ from math import gcd
 
 import pytest
 
-from coprime_census import counts, reference
+from coprime_census import checks, counts, reference
 from coprime_census.counts import (
     CapacityError,
     CountResult,
     anti_lower,
     brute_constrained_count,
-    check_table,
     compute,
     count_a,
     count_c,
@@ -22,6 +21,7 @@ from coprime_census.counts import (
     growth_ratio,
 )
 from coprime_census.graph import (
+    DEFAULT_CEILING,
     anti_labels,
     count_dimension,
     matrix,
@@ -485,33 +485,46 @@ class TestRatios:
 
 class TestCheckTable:
     def test_pinned_rows(self):
-        got = {
-            (which, row.n): (row.value, format_ratio(row.ratio), passed)
-            for which in ("t1", "t2", "t3")
-            for row, passed in check_table(which, 10)
-        }
-        assert got[("t1", 6)] == (252, "2.1044", True)
-        assert got[("t2", 9)] == (3600, "1.6696", True)
-        assert got[("t3", 10)] == (408, "2.4826", True)
+        got = {rec.name: (rec.computed, rec.passed) for rec in checks.tables(10, DEFAULT_CEILING)}
+        assert got["t1 n=6"] == ("C0=252 r=2.1044", True)
+        assert got["t2 n=9"] == ("C=3600 r=1.6696", True)
+        assert got["t3 n=10"] == ("A=408 u=2.4826", True)
 
     def test_only_reference_rows_are_computed(self, monkeypatch):
-        for name in ("TABLE_C0", "TABLE_C_ODD", "TABLE_A"):
-            rows = {n: ref for n, ref in getattr(reference, name).items() if n <= 10}
-            monkeypatch.setattr(reference, name, rows)
+        short = {
+            which: (shown, {n: ref for n, ref in rows.items() if n <= 10})
+            for which, (shown, rows) in checks._TABLES.items()
+        }
+        monkeypatch.setattr(checks, "_TABLES", short)
         computed = []
-        row_of = counts._table_row
+        row_of = counts.table_row
 
         def spy(which, n, *, ceiling):
             computed.append((which, n))
             return row_of(which, n, ceiling=ceiling)
 
-        monkeypatch.setattr(counts, "_table_row", spy)
-        checks = [check_table(which, 40) for which in ("t1", "t2", "t3")]
+        monkeypatch.setattr(counts, "table_row", spy)
+        records = checks.tables(40, DEFAULT_CEILING)
         # t1: n = 1..10, t2: odd n <= 9, t3: composite n <= 10
-        assert [len(c) for c in checks] == [10, 5, 5]
+        assert [sum(r.name.startswith(w) for r in records) for w in short] == [10, 5, 5]
         assert len(computed) == 20 and max(n for _, n in computed) == 10
-        assert all(passed for c in checks for _, passed in c)
-        assert checks[0][9][0].value == 565920
+        assert all(r.passed for r in records)
+        assert records[9].computed == "C0=565920 r=2.2082"
+
+    def test_a_wrong_count_or_ratio_fails_its_row(self, monkeypatch):
+        row_of = counts.table_row
+        wrong = {
+            ("t1", 6): lambda row: row._replace(value=row.value + 1),
+            ("t2", 9): lambda row: row._replace(ratio=row.ratio + 1e-4),
+        }
+
+        def skewed(which, n, *, ceiling):
+            row = row_of(which, n, ceiling=ceiling)
+            return wrong.get((which, n), lambda r: r)(row)
+
+        monkeypatch.setattr(counts, "table_row", skewed)
+        failed = [r.name for r in checks.tables(10, DEFAULT_CEILING) if not r.passed]
+        assert failed == ["t1 n=6", "t2 n=9"]
 
 
 ORACLE_CASES = (

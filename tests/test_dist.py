@@ -6,15 +6,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from coprime_census import arith, dist
+from coprime_census import arith, checks, dist
 from coprime_census.arith import coprime_count, phi_array, primes_upto
 from coprime_census.dist import (
     _scaled_sum,
-    BRACKET_DIAGNOSTIC_TOL,
     as_fraction,
     d_count,
     d_counts,
-    ep_upper_check,
     second_moment,
     second_moment_constant,
     top_interval_characterization,
@@ -172,7 +170,7 @@ class TestTopInterval:
             assert top_interval_check(n) == (len(want), 0), n
 
     def test_check_counts_each_mismatch(self, monkeypatch):
-        from coprime_census import arith, dist
+        from coprime_census import arith, checks, dist
 
         want = top_interval_characterization(1000)  # 1 and the primes in (44, 2000)
         monkeypatch.setattr(dist, "top_interval_characterization", lambda n: want[1:])
@@ -199,12 +197,13 @@ class TestTopInterval:
 class TestEpBounds:
     def test_upper_examples(self):
         for x in (2, 5):
-            rep = ep_upper_check(x, 10**5)
+            rep = checks.tail_upper(x, 10**5)
             assert rep.passed, rep
+            assert rep.name == f"tail upper x={x}"
 
     def test_upper_range_check(self):
         with pytest.raises(ValueError):
-            ep_upper_check(13, 1000)  # 13 > log(1000)
+            checks.tail_upper(13, 1000)  # 13 > log(1000)
 
 
 class TestBracketTable:
@@ -219,7 +218,7 @@ class TestBracketTable:
             assert lower < upper
 
     def test_diagnostic_tolerance_is_flagged(self):
-        assert BRACKET_DIAGNOSTIC_TOL == 0.004
+        assert checks.BRACKET_DIAGNOSTIC_TOL == 0.004
 
 
 class TestAsFraction:

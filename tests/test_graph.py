@@ -260,7 +260,7 @@ class TestSmallestFactor:
         primes = set(ps)
         spf = {m: next(p for p in ps if m % p == 0) for m in range(2, 201)}
         # table_rows with the row count stubbed out yields its n list
-        monkeypatch.setattr(counts, "_table_row", lambda which, n, ceiling: n)
+        monkeypatch.setattr(counts, "table_row", lambda which, n, ceiling: n)
         t3 = [n for n in range(4, 201) if n not in primes]
         assert counts.table_rows("t3", 200) == t3
         for n in range(2, 201):
