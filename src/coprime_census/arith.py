@@ -3,14 +3,15 @@
 The coprime count F(m, n) by trial division (``coprime_count(m, m)`` is
 phi(m)), and one segmented sieve over the odd numbers that every numeric
 scan streams.  It walks the odd m a fixed _SEGMENT at a time and yields
-either the odd primes or the pairs (m, phi(m)) of each segment, so no
-scan forms an array as long as its range.  The public tables (the
-primes, phi over the odd m, omega) and the odd Mertens product are read
-from the same segments.  Everything integer-valued is exact; real-valued
-products are accumulated as compensated sums of logs (``math.fsum`` over
-float64 terms, correctly rounded, so the segmentation cannot change
-them), which keeps the relative error of every documented quantity below
-~1e-13 -- far inside the 1e-12 contract.
+either the odd primes (:func:`odd_primes`) or the pairs (m, phi(m)) of
+each segment (:func:`odd_phi`), so no scan forms an array as long as its
+range; ``dist`` and ``bounds`` read it directly.  The prime table, the
+odd Mertens product and the omega table the tests check against are
+read from the same segments.  Everything integer-valued is exact;
+real-valued products are accumulated as compensated sums of logs
+(``math.fsum`` over float64 terms, correctly rounded, so the
+segmentation cannot change them), which keeps the relative error of
+every documented quantity below ~1e-13 -- far inside the 1e-12 contract.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ __all__ = [
     "coprime_count",
     "mertens_product",
     "primes_upto",
-    "phi_array",
-    "omega_array",
+    "odd_primes",
+    "odd_phi",
+    "odd_prime_fsum",
 ]
 
 # odd m per segment of every streamed scan
@@ -68,14 +70,14 @@ def _walk(count: int, starts: np.ndarray, steps: np.ndarray):
         off = np.where(off < width, (off - width) % steps, off - width)
 
 
-def _odd_primes(limit: int):
+def odd_primes(limit: int):
     """The odd primes <= limit as int64 arrays, one segment at a time, in order.
 
     Each segment is sieved by the odd primes p <= sqrt(limit), read from
     this same sieve, each from p^2 on.
     """
     root = math.isqrt(max(limit, 0))
-    below = _odd_primes(root) if root >= 3 else ()
+    below = odd_primes(root) if root >= 3 else ()
     base = np.concatenate([np.empty(0, dtype=np.int64), *below])
     ps = base.tolist()
     for lo, width, offsets in _walk((limit + 1) // 2, base * base // 2, base):
@@ -104,7 +106,7 @@ def _odd_factors(n: int, factor):
     """
     top = 2 * n - 1
     powers, columns = [], []
-    for ps in _odd_primes(math.isqrt(top)):
+    for ps in odd_primes(math.isqrt(top)):
         for p in ps.tolist():
             q, k = p, 1
             while q <= top:
@@ -121,7 +123,7 @@ def _odd_factors(n: int, factor):
         yield m, rows[0], rows[1]
 
 
-def _odd_phi(n: int):
+def odd_phi(n: int):
     """(m, phi(m)) int64 array pairs over the odd m < 2n, one segment at a
     time, in order."""
     if n < 1:
@@ -135,7 +137,7 @@ def _odd_phi(n: int):
         yield m, s
 
 
-def _odd_prime_fsum(limit: int, term) -> float:
+def odd_prime_fsum(limit: int, term) -> float:
     """Compensated sum of term(p) over the odd primes p <= limit.
 
     ``term`` maps a float64 array of primes to float64 terms; the primes
@@ -144,7 +146,7 @@ def _odd_prime_fsum(limit: int, term) -> float:
     """
     return math.fsum(
         chain.from_iterable(
-            term(ps.astype(np.float64)).tolist() for ps in _odd_primes(limit)
+            term(ps.astype(np.float64)).tolist() for ps in odd_primes(limit)
         )
     )
 
@@ -153,7 +155,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as a read-only int64 array: 2, then the odd
     primes of the segmented sieve."""
     head = np.array([2] if limit >= 2 else [], dtype=np.int64)
-    out = np.concatenate([head, *_odd_primes(limit)])
+    out = np.concatenate([head, *odd_primes(limit)])
     out.setflags(write=False)
     return out
 
@@ -166,15 +168,10 @@ def mertens_product(x: float) -> float:
     """
     if x < 3:
         raise ValueError("mertens_product requires x >= 3")
-    return math.exp(_odd_prime_fsum(int(math.floor(x)), lambda p: np.log1p(-1.0 / p)))
+    return math.exp(odd_prime_fsum(int(math.floor(x)), lambda p: np.log1p(-1.0 / p)))
 
 
-def phi_array(n: int) -> np.ndarray:
-    """phi(2i+1) for i = 0..n-1, the odd m < 2n, as an int64 array."""
-    return np.concatenate([ph for _, ph in _odd_phi(n)])
-
-
-def omega_array(limit: int) -> np.ndarray:
+def _omega_array(limit: int) -> np.ndarray:
     """omega(m) for m = 0..limit as an int8 array."""
     if limit < 1:
         raise ValueError("limit must be >= 1")

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .arith import _odd_prime_fsum
+from .arith import odd_prime_fsum
 from .reference import BRACKETS
 
 __all__ = [
@@ -25,13 +25,12 @@ __all__ = [
     "esum_dyadic",
     "esum_middle",
     "esum_tail",
-    "f_xlogx",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
 _E_GAMMA = math.exp(EULER_GAMMA)
 
-def f_xlogx(x: float) -> float:
+def _f_xlogx(x: float) -> float:
     """f(x) = x*log(x), extended by continuity with f(0) = 0."""
     return 0.0 if x == 0.0 else x * math.log(x)
 
@@ -80,7 +79,7 @@ def mcnew_product(P: int) -> float:
     """
     if P < 2:
         raise ValueError("P must be >= 2")
-    return 2.0 * math.exp(_odd_prime_fsum(int(P), _mcnew_log_factor))
+    return 2.0 * math.exp(odd_prime_fsum(int(P), _mcnew_log_factor))
 
 
 # the literature upper bound at 1/2 caps every dyadic density bound
@@ -113,8 +112,8 @@ def esum_dyadic() -> float:
     1.341e-16 at K = 29.
     """
     terms = [
-        f_xlogx(0.5**i - _dyadic_density_bound(i))
-        - f_xlogx(0.5**i - _dyadic_density_bound(i - 1))
+        _f_xlogx(0.5**i - _dyadic_density_bound(i))
+        - _f_xlogx(0.5**i - _dyadic_density_bound(i - 1))
         for i in range(2, _DYADIC_LAST + 1)
     ]
     return math.fsum(terms)
@@ -128,7 +127,7 @@ def esum_middle() -> float:
     The first pair cancels by construction: the density bound used at
     1/4 is the dyadic cap, which is the bracket's upper end at 0.5.
     """
-    f = f_xlogx
+    f = _f_xlogx
     points = [0.25] + [float(alpha) for alpha, _, _ in BRACKETS[:-1]]
     dens = [_DYADIC_CAP] + [upper for _, _, upper in BRACKETS]
     terms = [f(a - d) - f(a - d1) for a, d, d1 in zip(points, dens, dens[1:])]
@@ -169,7 +168,7 @@ def esum_tail() -> float:
     with L = log 2 + i log 10, checked at K (the bound grows with i).  A
     failed check raises ``RuntimeError``.
     """
-    f = f_xlogx
+    f = _f_xlogx
     terms = []
     for i in range(4, _TAIL_DIRECT + 1):
         eps = 10.0 ** (1 - i)

@@ -35,10 +35,10 @@ def _now() -> str:
 class ResultCache:
     """Append-only JSONL store of count records, exclusive while open.
 
-    Duplicate (kind, n, aux) keys resolve last-writer-wins with a warning
-    on load; contention on the advisory lock fails fast.  A line that is
-    not a record (a truncated append, say) is refused with its path and
-    line number, and the file is left as it is.  A path that cannot be
+    Duplicate (kind, n, aux) keys resolve last-writer-wins, with a warning
+    on load when their values differ; contention on the advisory lock
+    fails fast.  A line that is not a record (a truncated append, say) is
+    refused with its path and line number, and the file is left as it is.  A path that cannot be
     opened (a missing directory, a directory) is a usage error.
     """
 
@@ -62,14 +62,14 @@ class ResultCache:
             try:
                 rec = json.loads(line)
                 key = (rec["kind"], rec["n"], rec.get("aux"))
-                duplicate = key in self.records
-                int(rec["value"])  # every record carries an exact value
+                value = int(rec["value"])  # every record carries an exact value
+                differs = key in self.records and int(self.records[key]["value"]) != value
             except (ValueError, KeyError, TypeError) as exc:
                 self._fh.close()
                 raise RuntimeError(
                     f"corrupt cache {path} line {lineno}: {exc!r}"
                 ) from None
-            if duplicate:
+            if differs:
                 print(
                     f"warning: duplicate cache key {key}, keeping the later record",
                     file=sys.stderr,
@@ -119,35 +119,37 @@ def cmd_count(args) -> int:
     check_aux(kind, args.aux)
     if args.no_cache and args.verify_cache:
         raise ValueError("--verify-cache compares against the cache that --no-cache skips")
-    if args.dump_matrix:
-        print(matrix(kind, args.n, args.aux).to_text())
+    # built first, so a kind with no matrix is refused before any work;
+    # printed only once the count is admitted
+    dump = matrix(kind, args.n, args.aux).to_text() if args.dump_matrix else None
 
     cache = None
     if not args.no_cache:
         cache = ResultCache(Path(args.cache))
     try:
         cached = cache.get(kind, args.n, args.aux) if cache else None
+        current = cached is not None and cached.get("engine_version") == __version__
         # a named method is a request to compute, and a record from another
         # engine version is suspect: both check it like --verify-cache
-        if (
-            cached is not None
-            and not args.verify_cache
-            and args.method == "auto"
-            and cached.get("engine_version") == __version__
-        ):
+        hit = current and not args.verify_cache and args.method == "auto"
+        if hit:
             # the ceiling a computed count would be refused under
             check_ceiling(count_dimension(kind, args.n), args.ceiling)
+        else:
+            from . import counts
+
+            result = counts.compute(
+                kind,
+                args.n,
+                args.aux,
+                method=args.method,
+                ceiling=args.ceiling,
+            )
+        if dump is not None:
+            print(dump)
+        if hit:
             print(json.dumps(cached, sort_keys=True))
             return 0
-        from . import counts
-
-        result = counts.compute(
-            kind,
-            args.n,
-            args.aux,
-            method=args.method,
-            ceiling=args.ceiling,
-        )
         if cached is not None and cached["value"] != str(result.value):
             print(
                 f"cache mismatch for ({kind}, {args.n}, {args.aux}): "
@@ -158,7 +160,9 @@ def cmd_count(args) -> int:
         ratio = counts.count_ratio(kind, args.n, result.value)
         shown = None if ratio is None else counts.format_ratio(ratio)
         rec = _record(kind, args.n, args.aux, result.value, shown)
-        if cache and cached is None:
+        # a matching record from another engine version is replaced, so
+        # the key hits again
+        if cache and not current:
             cache.append(rec)
         print(json.dumps(rec, sort_keys=True))
         return 0
@@ -178,14 +182,13 @@ def cmd_table(args) -> int:
 def cmd_dist(args) -> int:
     if args.format is not None and (args.second_moment or args.top_set):
         raise ValueError("--format is read only by the --alpha scan; this mode prints JSON")
+    if 2 * args.n > args.sieve_limit:
+        raise CapacityError(
+            f"n={args.n} scans the odd m below 2n = {2 * args.n} > --sieve-limit "
+            f"{args.sieve_limit}"
+        )
     from . import dist
 
-    if 2 * args.n > args.sieve_limit:
-        print(
-            f"n={args.n} needs phi up to {2 * args.n} > --sieve-limit {args.sieve_limit}",
-            file=sys.stderr,
-        )
-        return 3
     if args.second_moment:
         val = dist.second_moment(args.n)
         print(

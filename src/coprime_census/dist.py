@@ -18,16 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _odd_phi, _odd_prime_fsum, _odd_primes
+from .arith import odd_phi, odd_prime_fsum, odd_primes
 
 __all__ = [
     "DistEstimate",
     "d_count",
     "d_counts",
     "second_moment",
-    "second_moment_constant",
-    "top_interval_set",
-    "top_interval_characterization",
     "top_interval_check",
     "as_fraction",
 ]
@@ -74,7 +71,7 @@ def d_counts(alphas, n: int) -> list[DistEstimate]:
     if not all(0 <= a <= 1 for a in cuts):
         raise ValueError("alpha must lie in [0, 1]")
     counts = [0] * len(cuts)
-    for m, ph in _odd_phi(n):
+    for m, ph in odd_phi(n):
         for i, a in enumerate(cuts):
             counts[i] += _count_le(a, m, ph)
     return [DistEstimate(a, n, c, c / n) for a, c in zip(cuts, counts)]
@@ -124,54 +121,54 @@ def second_moment(n: int) -> float:
     over at most n terms stays below n * 2^w <= n * 2^62 / (2n - 1)^2.
     """
     w = 62 - ((2 * n - 1) ** 2).bit_length()
-    acc = sum(_scaled_sum(m, ph, w) for m, ph in _odd_phi(n))
+    acc = sum(_scaled_sum(m, ph, w) for m, ph in odd_phi(n))
     return acc / 2**_MOMENT_BITS
 
 
-def second_moment_constant(P: int) -> float:
+def _second_moment_constant(P: int) -> float:
     """prod over odd primes p <= P of (1 + (2p-1)/((p-1)^2 p))."""
     if P < 3:
         raise ValueError("P must be >= 3")
     return math.exp(
-        _odd_prime_fsum(P, lambda p: np.log1p((2.0 * p - 1.0) / ((p - 1.0) ** 2 * p)))
+        odd_prime_fsum(P, lambda p: np.log1p((2.0 * p - 1.0) / ((p - 1.0) ** 2 * p)))
     )
 
 
-def top_interval_set(n: int) -> np.ndarray:
+def _top_interval_set(n: int) -> np.ndarray:
     """Odd m < 2n with phi(m)/m > 1 - 1/sqrt(2n), as a sorted int64 array.
 
     The comparison is exact: phi/m > 1 - 1/sqrt(2n) iff 2n*(m - phi)^2 <
     m^2, iff (m - phi)^2 < ceil(m^2 / 2n) for the integer (m - phi)^2;
     m^2 stays in int64 for the n < 1.5e9 accepted.  Each segment's members
     stay an int64 array, never Python ints.  :func:`top_interval_check`
-    compares the result against :func:`top_interval_characterization`.
+    compares the result against :func:`_top_interval_characterization`.
     """
     if n >= 1_500_000_000:
         raise ValueError(f"n={n} is too large for the top-interval set (n < 1.5e9)")
     found = []
-    for m, ph in _odd_phi(n):
+    for m, ph in odd_phi(n):
         d = m - ph
         found.append(m[d * d < -(-(m * m) // (2 * n))])
     return np.concatenate(found)
 
 
-def top_interval_characterization(n: int) -> np.ndarray:
+def _top_interval_characterization(n: int) -> np.ndarray:
     """{1} union {primes p with sqrt(2n) < p < 2n}, as a sorted int64 array.
 
     2 is never past sqrt(2n), so the odd primes of the sieve suffice.
     """
     root = math.isqrt(2 * n)
-    return np.concatenate([[1], *(ps[ps > root] for ps in _odd_primes(2 * n - 1))])
+    return np.concatenate([[1], *(ps[ps > root] for ps in odd_primes(2 * n - 1))])
 
 
 def top_interval_check(n: int) -> tuple[int, int]:
-    """The size of :func:`top_interval_set` and the number of m in only one
-    of it and :func:`top_interval_characterization`.
+    """The size of :func:`_top_interval_set` and the number of m in only one
+    of it and :func:`_top_interval_characterization`.
 
     Both are sorted int64 arrays (about 149K entries, 1.2 MB each, at
     n = 10^6), so the symmetric difference forms no Python int per member.
     """
-    got = top_interval_set(n)
-    missed = np.setxor1d(got, top_interval_characterization(n), assume_unique=True)
+    got = _top_interval_set(n)
+    missed = np.setxor1d(got, _top_interval_characterization(n), assume_unique=True)
     return len(got), len(missed)
 

@@ -4,8 +4,8 @@ Both engines walk a matrix as its class table (:class:`ClassTable`):
 classes of identical rows with their multiplicities, classes of
 identical columns with their sizes, and which blocks are all ones.  The
 count layer builds each table from the labels of its matrix; given a
-plain 0/1 matrix, the engines group its bits into the same table with
-:func:`class_table`.
+plain 0/1 matrix, :func:`permanent_ryser` groups its bits into the same
+table with :func:`class_table`.
 
 * :func:`permanent_ryser` -- Glynn's formula in class-compressed form:
   the sum runs over how many columns of each class carry a -1, over
@@ -228,23 +228,19 @@ def permanent_ryser(matrix) -> int:
     return _glynn_classes(table)
 
 
-def permanent_minors(rows) -> list[int]:
+def permanent_minors(table: ClassTable) -> list[int]:
     """Permanents of an (n+1) x n 0/1 matrix with one row deleted, for
     every row, from one class walk.
 
-    ``rows`` is a :class:`ClassTable` with n + 1 rows, or the n + 1 row
-    bit-vectors (bit j of ``rows[i]`` is entry (i, j)); entry i of the
-    result is the permanent of the n-square matrix without row i.
-    Glynn's class walk (:func:`_glynn_classes`) runs over the column
-    classes, so it costs prod(c_col + 1) / 2 terms for all rows together
-    when a class has odd size.
+    ``table`` is the :class:`ClassTable` of the matrix, with n + 1 rows;
+    any other shape raises ``ValueError``.  Entry i of the result is the
+    permanent of the n-square matrix without input row i.  Glynn's class
+    walk (:func:`_glynn_classes`) runs over the column classes, so it
+    costs prod(c_col + 1) / 2 terms for all rows together when a class
+    has odd size.
     """
-    table = rows
-    if not isinstance(table, ClassTable):
-        n = len(rows) - 1
-        if n < 0 or max(rows) >> n:
-            raise ValueError("rows must be n+1 bit-vectors of width n")
-        table = class_table(rows, [1] * n)
+    if sum(table.mult) != table.n + 1:
+        raise ValueError(f"minors of {sum(table.mult)} rows by {table.n} columns")
     return _glynn_classes(table)
 
 

@@ -13,9 +13,10 @@ bracket records of ``verify --suite lemmas`` read it directly.  No
 compute module reads the tables.
 
 Five published entries fail verification and are recorded in the errata
-maps below; everywhere the toolkit checks tables it asserts the
-*corrected* value and, for errata rows, that the published entry indeed
-disagrees (so a silent regression toward the typo would be caught):
+maps below.  ``checks.tables`` asserts the *corrected* value; the
+acceptance gate (``tests/test_acceptance.py``) also asserts, for each
+errata row, that the published entry indeed disagrees (so a silent
+regression toward the typo would be caught):
 
 * C(11): published 129,774; the subset-DP oracle on gcd predicates and
   the permanent double sum both give 129,744 (digit transposition).

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from coprime_census import checks, counts, dist, reference
-from coprime_census.arith import coprime_count, omega_array
+from coprime_census.arith import _omega_array, coprime_count
 from coprime_census.graph import DEFAULT_CEILING, matrix
 from coprime_census.permanent import permanent_ryser
 
@@ -217,7 +217,7 @@ def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
         # sqrt(m) > 2^(omega(m)-1) for all m <= 1e6, exact
         import numpy as np
 
-        w = omega_array(10**6).astype(np.int64)
+        w = _omega_array(10**6).astype(np.int64)
         m_arr = np.arange(0, 10**6 + 1, dtype=np.int64)
         assert bool(np.all((4**w)[1:] < 4 * m_arr[1:]))
 
@@ -236,16 +236,16 @@ def test_criterion_9_distribution_suite(c0_values, a_values, omega_of):
             "  note: the 1.78n moment bound holds at every tested scale, "
             "smallest tested n = 10^4"
         )
-        assert dist.second_moment_constant(10**6) < 1.7725
+        assert dist._second_moment_constant(10**6) < 1.7725
         assert (
-            abs(dist.second_moment_constant(10**7) - dist.second_moment_constant(10**6))
+            abs(dist._second_moment_constant(10**7) - dist._second_moment_constant(10**6))
             < 1e-6
         )
 
         # top-interval characterization, exhaustively at three scales
         for n in (10**3, 10**4, 10**5):
-            got = dist.top_interval_set(n).tolist()
-            assert got == dist.top_interval_characterization(n).tolist()
+            got = dist._top_interval_set(n).tolist()
+            assert got == dist._top_interval_characterization(n).tolist()
 
         # tail upper estimate at the lemma's admissible x values
         for x in (2, 5, 10, 13):

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 from coprime_census import arith
 from coprime_census.arith import (
+    _omega_array,
     coprime_count,
     mertens_product,
-    omega_array,
-    phi_array,
+    odd_phi,
     primes_upto,
 )
 from coprime_census.graph import smallest_factor
+
+
+def phi_table(n: int) -> np.ndarray:
+    """phi over the odd m < 2n, the segments of ``odd_phi`` joined."""
+    return np.concatenate([ph for _, ph in odd_phi(n)])
 
 
 def trial_spf(m: int) -> int:
@@ -67,17 +72,17 @@ class TestEulerPhi:
 
 class TestOmega:
     def test_examples(self):
-        w = omega_array(12)
+        w = _omega_array(12)
         assert int(w[1]) == 0
         assert int(w[12]) == 2
 
     def test_primorial(self):
-        assert int(omega_array(30030)[30030]) == 6
+        assert int(_omega_array(30030)[30030]) == 6
 
     def test_matches_the_dividing_primes(self):
         # the primes of the numpy sieve that divide m
         ps = primes_upto(2000).tolist()
-        w = omega_array(1999)
+        w = _omega_array(1999)
         for m in range(1, 2000):
             assert int(w[m]) == sum(1 for p in ps if m % p == 0)
 
@@ -142,17 +147,17 @@ class TestBulkTables:
     coprime_count(m, m), omega(m) by repeated smallest_factor division."""
 
     def test_phi_array_matches_pointwise(self):
-        phi = phi_array(1500)
+        phi = phi_table(1500)
         assert len(phi) == 1500
         for i, m in enumerate(range(1, 3000, 2)):
             assert int(phi[i]) == coprime_count(m, m)
 
     def test_phi_array_rejects_empty(self):
         with pytest.raises(ValueError):
-            phi_array(0)
+            next(odd_phi(0))
 
     def test_omega_array_matches_pointwise(self, omega_of):
-        w = omega_array(3000)
+        w = _omega_array(3000)
         for m in range(1, 3001):
             assert int(w[m]) == omega_of(m)
 
@@ -165,8 +170,8 @@ class TestBulkTables:
          123, 10**5 + 3],
     )
     def test_tables_match_pointwise_around_prime_squares(self, limit, omega_of):
-        phi = phi_array((limit + 1) // 2)
-        w = omega_array(limit)
+        phi = phi_table((limit + 1) // 2)
+        w = _omega_array(limit)
         assert len(w) == limit + 1 and int(w[0]) == 0
         odd = range(1, limit + 1, 2)
         assert phi.tolist() == [coprime_count(m, m) for m in odd]
@@ -181,7 +186,7 @@ class TestBulkTables:
         seg = arith._SEGMENT
         p = next(q for q in range(math.isqrt(6 * seg) + 1, 10**4) if trial_spf(q) == q)
         n = (p * p + 1) // 2
-        phi = phi_array(n)
+        phi = phi_table(n)
         squares = {q * q for q in range(3, p + 1, 2) if trial_spf(q) == q}
         for seam in (seg, 2 * seg, 3 * seg, n):
             window = range(max(seam - 2048, 0), min(seam + 2048, n))

@@ -8,12 +8,12 @@ import pytest
 from coprime_census import bounds, checks
 from coprime_census.arith import primes_upto
 from coprime_census.bounds import (
+    _f_xlogx,
     EULER_GAMMA,
     ck_closed,
     esum_dyadic,
     esum_middle,
     esum_tail,
-    f_xlogx,
     mcnew_product,
 )
 from coprime_census.checks import _RS_GRID, BoundReport
@@ -141,8 +141,8 @@ class TestEsums:
         # the summed part is the float sum of the defining terms
         cap = BRACKETS[0][2]
         summed = [
-            f_xlogx(0.5**i - min(1.78 / 4.0**i, cap))
-            - f_xlogx(0.5**i - min(1.78 / 4.0 ** (i - 1), cap))
+            _f_xlogx(0.5**i - min(1.78 / 4.0**i, cap))
+            - _f_xlogx(0.5**i - min(1.78 / 4.0 ** (i - 1), cap))
             for i in range(2, last + 1)
         ]
         assert math.fsum(summed) == esum_dyadic()
@@ -153,12 +153,12 @@ class TestEsums:
         assert math.isclose(value, -0.2872508215, abs_tol=1e-9)
 
     def test_middle_first_pair_cancels(self):
-        assert f_xlogx(0.25 - 0.02352) - f_xlogx(0.25 - 0.02352) == 0.0
+        assert _f_xlogx(0.25 - 0.02352) - _f_xlogx(0.25 - 0.02352) == 0.0
 
     def test_middle_half_pair_sign(self):
         # f is decreasing below 1/e and increasing above; this pair mixes
         # both regions and comes out positive by direct evaluation
-        pair = f_xlogx(0.5 - 0.02352) - f_xlogx(0.5 - 0.1624)
+        pair = _f_xlogx(0.5 - 0.02352) - _f_xlogx(0.5 - 0.1624)
         assert math.isclose(pair, 0.0133690, abs_tol=1e-6)
         assert pair > 0
 
@@ -230,6 +230,6 @@ class TestBoundReport:
 
 
 def test_f_xlogx_continuity_at_zero():
-    assert f_xlogx(0.0) == 0.0
-    assert f_xlogx(1.0) == 0.0
-    assert f_xlogx(0.5) < 0
+    assert _f_xlogx(0.0) == 0.0
+    assert _f_xlogx(1.0) == 0.0
+    assert _f_xlogx(0.5) < 0

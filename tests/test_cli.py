@@ -56,13 +56,13 @@ print(json.dumps([rc, [m for m in watched if m in sys.modules]]))
 """
 
 
-def loaded_by(argv: list[str], cwd) -> set[str]:
+def loaded_by(argv: list[str], cwd, code: int = 0) -> set[str]:
     res = subprocess.run(
         [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, cwd=cwd
     )
     assert res.returncode == 0, res.stderr
     rc, loaded = json.loads(res.stdout)
-    assert rc == 0, argv
+    assert rc == code, argv
     return set(loaded)
 
 
@@ -409,6 +409,48 @@ class TestCache:
         again = run_cli("count", *argv, "--ceiling", "40", cwd=tmp_path)
         assert again.stdout == seed.stdout
 
+    def test_dump_is_printed_only_for_an_admitted_count(self, tmp_path):
+        argv = ["count", "--kind", "c0", "--n", "12", "--dump-matrix", "--ceiling", "5"]
+        fresh = run_cli(*argv, "--no-cache", cwd=tmp_path)
+        assert (fresh.returncode, fresh.stdout) == (3, ""), fresh.stderr
+        assert "exceeds ceiling 5" in fresh.stderr
+        seed = run_cli("count", "--kind", "c0", "--n", "12", cwd=tmp_path)
+        assert seed.returncode == 0, seed.stderr
+        hit = run_cli(*argv, cwd=tmp_path)
+        assert (hit.returncode, hit.stdout, hit.stderr) == (3, "", fresh.stderr)
+
+    def test_matching_record_from_another_engine_version_is_refreshed(self, tmp_path):
+        seed = run_cli("count", "--kind", "c0", "--n", "6", cwd=tmp_path)
+        assert seed.returncode == 0, seed.stderr
+        cache_file = tmp_path / "coprime-census.cache.jsonl"
+        rec = json.loads(cache_file.read_text())
+        rec["engine_version"] = "0.1.0"
+        stale = json.dumps(rec, sort_keys=True) + "\n"
+        cache_file.write_text(stale)
+        first = run_cli("count", "--kind", "c0", "--n", "6", cwd=tmp_path)
+        second = run_cli("count", "--kind", "c0", "--n", "6", cwd=tmp_path)
+        assert (first.returncode, first.stderr) == (0, ""), first.stderr
+        # the recomputed record is appended and served verbatim by the hit
+        assert (second.returncode, second.stdout, second.stderr) == (0, first.stdout, "")
+        assert cache_file.read_text() == stale + first.stdout
+
+    @pytest.mark.parametrize("later, warned", [("9552", False), ("9553", True)])
+    def test_duplicate_keys_warn_only_when_values_differ(self, tmp_path, capsys, later, warned):
+        from coprime_census.cli import ResultCache
+
+        rec = {"kind": "c0", "n": 8, "aux": None, "value": "9552", "ratio": None,
+               "timestamp": "", "engine_version": coprime_census.__version__}
+        cache_file = tmp_path / "seeded.jsonl"
+        cache_file.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in (rec, {**rec, "value": later}))
+        )
+        cache = ResultCache(cache_file)
+        try:
+            assert cache.get("c0", 8, None)["value"] == later
+        finally:
+            cache.close()
+        assert ("duplicate cache key" in capsys.readouterr().err) == warned
+
     @pytest.mark.parametrize("damage", ["truncated", "no-value"])
     def test_corrupt_line_names_the_file_and_line(self, tmp_path, damage):
         seed = run_cli("count", "--kind", "c0", "--n", "5", cwd=tmp_path)
@@ -562,7 +604,11 @@ class TestDist:
             "--no-cache",
             cwd=tmp_path,
         )
-        assert res.returncode == 3
+        assert (res.returncode, res.stdout) == (3, ""), res.stderr
+        assert res.stderr.startswith("capacity refusal:")
+        # refused before the scan's imports
+        argv = ["dist", "--n", "60000", "--sieve-limit", "100000"]
+        assert "numpy" not in loaded_by(argv, tmp_path, code=3)
 
 
     def test_zero_denominator_is_a_usage_error(self, tmp_path):

@@ -52,7 +52,7 @@ class TestC0:
         # empty memo keeps count_c0 from reading C0(m) off those minors
         monkeypatch.setattr(counts, "_memo", {})
         assert m > max(reference.TABLE_C0)
-        assert count_c0(m) == permanent_minors(matrix("ca", m).rows)[-1]
+        assert count_c0(m) == permanent_minors(bit_table(matrix("ca", m)))[-1]
 
     def test_read_from_the_minors_memo_to_20(self, monkeypatch):
         # C0(n) is the last minor of C_(a)(n), behind C(2n+1), and the
@@ -325,7 +325,7 @@ class TestAntiSplit:
 
 
 def bit_table(bits) -> ClassTable:
-    """The class table grouped from the bits of a square matrix."""
+    """The class table grouped from the bits of a matrix."""
     return class_table(bits.rows, [1] * bits.n)
 
 
@@ -369,10 +369,9 @@ class TestLabelTables:
         for m in range(1, 21):
             walked_tables.clear()
             values = [count_c_a(m, a) for a in range(1, 2 * m + 2, 2)]
-            rows = matrix("ca", m).rows
-            bits = class_table(rows, [1] * m)
+            bits = bit_table(matrix("ca", m))
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
-            assert values == permanent_minors(rows), m
+            assert values == permanent_minors(bits), m
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_ck_to_16(self, walked_tables, k):

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from coprime_census import arith, checks, dist
-from coprime_census.arith import coprime_count, phi_array, primes_upto
+from coprime_census.arith import coprime_count, odd_phi, primes_upto
 from coprime_census.dist import (
     _scaled_sum,
+    _second_moment_constant,
+    _top_interval_characterization,
+    _top_interval_set,
     as_fraction,
     d_count,
     d_counts,
     second_moment,
-    second_moment_constant,
-    top_interval_characterization,
     top_interval_check,
-    top_interval_set,
 )
 from coprime_census.reference import BRACKETS
 
@@ -67,13 +67,13 @@ class TestDCount:
 
     def test_cutoffs_share_one_pass(self, monkeypatch):
         passes = []
-        sieve = dist._odd_phi
+        sieve = dist.odd_phi
 
         def counted(n):
             passes.append(n)
             return sieve(n)
 
-        monkeypatch.setattr(dist, "_odd_phi", counted)
+        monkeypatch.setattr(dist, "odd_phi", counted)
         grid = [Fraction(k, 7) for k in range(8)]
         got = d_counts(grid, 5000)
         assert passes == [5000]
@@ -86,7 +86,7 @@ class TestDCount:
         # part of a fourth
         n = 3 * arith._SEGMENT + 1234
         alpha = Fraction(99_999, 100_000)
-        phi = phi_array(n).tolist()
+        phi = [v for _, ph in odd_phi(n) for v in ph.tolist()]
         want = sum(1 for m, ph in zip(range(1, 2 * n, 2), phi) if 100_000 * ph <= 99_999 * m)
         assert d_count(alpha, n).count == want
 
@@ -139,10 +139,10 @@ class TestSecondMoment:
         assert 1.5 * n < val < 1.78 * n
 
     def test_constant_small(self):
-        assert math.isclose(second_moment_constant(3), 1 + 5 / 12, rel_tol=1e-14)
+        assert math.isclose(_second_moment_constant(3), 1 + 5 / 12, rel_tol=1e-14)
 
     def test_constant_below_limit(self):
-        assert second_moment_constant(10**5) < 1.7725
+        assert _second_moment_constant(10**5) < 1.7725
 
     @pytest.mark.parametrize("P", [7, 1009, 10**5])
     def test_constant_matches_scalar_fsum(self, P):
@@ -152,30 +152,30 @@ class TestSecondMoment:
             for p in primes_upto(P)[1:].tolist()
         ]
         assert math.isclose(
-            second_moment_constant(P), math.exp(math.fsum(logs)), rel_tol=1e-13
+            _second_moment_constant(P), math.exp(math.fsum(logs)), rel_tol=1e-13
         )
 
 
 class TestTopInterval:
     def test_example(self):
-        got = top_interval_set(5)
+        got = _top_interval_set(5)
         assert got.dtype == np.int64 and got.tolist() == [1, 5, 7]
 
     def test_characterization_small(self):
         # p^2 = 2n + 1 at n = 4, 12, 24, 60 and p^2 = 2n - 1 at n = 5, 13,
         # 25, 61; at n = 1.1e6, 2n * (2n)^2 passes 2^63
         for n in (2, 4, 5, 10, 12, 13, 24, 25, 50, 60, 61, 1000, 1_100_000):
-            got, want = top_interval_set(n), top_interval_characterization(n)
+            got, want = _top_interval_set(n), _top_interval_characterization(n)
             assert np.array_equal(got, want), n
             assert top_interval_check(n) == (len(want), 0), n
 
     def test_check_counts_each_mismatch(self, monkeypatch):
         from coprime_census import arith, checks, dist
 
-        want = top_interval_characterization(1000)  # 1 and the primes in (44, 2000)
-        monkeypatch.setattr(dist, "top_interval_characterization", lambda n: want[1:])
+        want = _top_interval_characterization(1000)  # 1 and the primes in (44, 2000)
+        monkeypatch.setattr(dist, "_top_interval_characterization", lambda n: want[1:])
         assert top_interval_check(1000) == (len(want), 1)
-        monkeypatch.setattr(dist, "top_interval_characterization", lambda n: np.append(want, 2001))
+        monkeypatch.setattr(dist, "_top_interval_characterization", lambda n: np.append(want, 2001))
         assert top_interval_check(1000) == (len(want), 1)
 
     def test_peak_memory_at_1e6(self, traced_peak_mib):
@@ -186,10 +186,10 @@ class TestTopInterval:
     def test_rejects_n_past_int64(self):
         # m^2 would pass 2^63; refused before any table is built
         with pytest.raises(ValueError, match="too large"):
-            top_interval_set(1_500_000_000)
+            _top_interval_set(1_500_000_000)
 
     def test_characterization_has_one_and_primes(self):
-        got = top_interval_characterization(50).tolist()
+        got = _top_interval_characterization(50).tolist()
         assert got[0] == 1
         assert all(v > 10 for v in got[1:])
 
