@@ -14,12 +14,11 @@ from pathlib import Path
 
 # Without bytecode files each process compiles every package module it
 # imports, so a command imports the layers it runs where it runs them: a
-# cache-hit count loads graph (the --aux check, the ceiling and the
-# --dump-matrix matrix) but not permanent, counts or checks, and numpy
-# (arith, bounds, dist) loads only for dist and the lemmas, bounds and
-# constants suites.
+# cache-hit count loads graph (admit and the --dump-matrix matrix) but not
+# permanent, counts or checks, and numpy (arith, bounds, dist) loads only
+# for dist and the lemmas, bounds and constants suites.
 from . import __version__
-from .graph import DEFAULT_CEILING, CapacityError, check_aux, check_ceiling, count_dimension, matrix
+from .graph import DEFAULT_CEILING, KINDS, CapacityError, admit, incidence, matrix
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -115,13 +114,13 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
 
 def cmd_count(args) -> int:
     kind = args.kind
-    # before the cache, so no record is ever served under an --aux it ignores
-    check_aux(kind, args.aux)
     if args.no_cache and args.verify_cache:
         raise ValueError("--verify-cache compares against the cache that --no-cache skips")
-    # built first, so a kind with no matrix is refused before any work;
-    # printed only once the count is admitted
-    dump = matrix(kind, args.n, args.aux).to_text() if args.dump_matrix else None
+    if args.dump_matrix:
+        incidence(kind, args.n, args.aux)  # c1 has no matrix to dump
+    # before the cache is opened, so a refused request neither creates the
+    # file nor is served from it
+    admit(kind, args.n, args.aux, method=args.method, ceiling=args.ceiling)
 
     cache = None
     if not args.no_cache:
@@ -132,10 +131,7 @@ def cmd_count(args) -> int:
         # a named method is a request to compute, and a record from another
         # engine version is suspect: both check it like --verify-cache
         hit = current and not args.verify_cache and args.method == "auto"
-        if hit:
-            # the ceiling a computed count would be refused under
-            check_ceiling(count_dimension(kind, args.n), args.ceiling)
-        else:
+        if not hit:
             from . import counts
 
             result = counts.compute(
@@ -145,8 +141,8 @@ def cmd_count(args) -> int:
                 method=args.method,
                 ceiling=args.ceiling,
             )
-        if dump is not None:
-            print(dump)
+        if args.dump_matrix:
+            print(matrix(kind, args.n, args.aux).to_text())
         if hit:
             print(json.dumps(cached, sort_keys=True))
             return 0
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     count_flags = ("--ceiling", "--cache", "--verify-cache")
     p_count = add("count", cmd_count, "compute one count", *count_flags)
-    p_count.add_argument("--kind", required=True, choices=("c", "c0", "c1", "a", "ck"))
+    p_count.add_argument("--kind", required=True, choices=KINDS)
     p_count.add_argument("--n", required=True, type=int)
     p_count.add_argument("--aux", type=int, help="k for kind=ck")
     p_count.add_argument(

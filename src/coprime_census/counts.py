@@ -8,7 +8,7 @@
   reductions.  Every C_(a)(m) comes from one walk: the C_(a)(m) matrix
   is the (m+1) x m odd-against-[m] matrix ("ca", m) with the row of a
   deleted, and ``permanent_minors`` returns all m+1 of those permanents
-  from one class walk.
+  from one class walk, memoized under ("c1", m), the count it serves.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.  Every prime in
   (sqrt(n), n/2] is eliminated before the walk: A(n) is a weighted sum
@@ -42,8 +42,9 @@ the C0(n) matrix itself (``compute(..., method="permanent")``) against
 the last minor.
 
 All values are exact integers and are memoized in-process by
-(kind, n, aux), the C_(a)(m) as one tuple under ("ca", m); a memoized
-value is still refused past a smaller ceiling.  The persistent cache
+(kind, n, aux), the C_(a)(m) as one tuple under ("c1", m).  Every
+request, memoized or not, is first admitted by ``graph.admit``, the one
+rule for a well-formed count within the ceiling.  The persistent cache
 lives in the CLI layer.
 """
 
@@ -52,18 +53,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, namedtuple
-from math import gcd
+from math import gcd, inf
 
-from .graph import (
-    DEFAULT_CEILING,
-    CapacityError,
-    check_aux,
-    check_ceiling,
-    count_dimension,
-    incidence,
-    matrix,
-    smallest_factor,
-)
+from .graph import BRUTE_MAX, DEFAULT_CEILING, admit, incidence, matrix, smallest_factor
 from .permanent import ClassTable, class_table, permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
@@ -85,34 +77,28 @@ __all__ = [
     "compute",
 ]
 
-_BRUTE_XCHECK_MAX = 12  # the one size limit of every brute route
-
 _memo: dict[tuple, int | tuple[int, ...]] = {}
 
 
 class CountResult(namedtuple("CountResult", "kind n aux value method")):
-    """One computed count: which function (c | c0 | c1 | ca | a | ck |
-    anti-lower), at which argument, via which path."""
+    """One computed count: which kind (c | c0 | c1 | a | ck), at which
+    (n, aux), via which method (auto | permanent | brute)."""
 
     __slots__ = ()
 
 
 def _memoized(key: tuple, ceiling: int, count, oracle=None):
-    """``count()`` memoized under ``key = (kind, n, ...)``, refused past the
-    ceiling.
+    """``count()`` memoized under ``key = (kind, n[, aux])``.
 
-    The largest permanent dimension behind the value,
-    ``count_dimension(kind, n)``, is checked on hits as well as misses, so
-    a value memoized under one ceiling is never returned past a smaller
-    one.  For n <= 12, ``oracle()`` (``brute_constrained_count``)
-    cross-checks the value once per key.  n < 1 raises ``ValueError``.
+    ``graph.admit`` checks the request the key names on hits as well as
+    misses, so a value memoized under one ceiling is never returned past
+    a smaller one.  For n <= ``BRUTE_MAX``, ``oracle()``
+    (``brute_constrained_count``) cross-checks the value once per key.
     """
-    if key[1] < 1:
-        raise ValueError("n must be >= 1")
-    check_ceiling(count_dimension(key[0], key[1]), ceiling)
+    admit(*key, ceiling=ceiling)
     if key not in _memo:
         value = count()
-        if oracle is not None and key[1] <= _BRUTE_XCHECK_MAX:
+        if oracle is not None and key[1] <= BRUTE_MAX:
             check = oracle()
             if check != value:
                 raise AssertionError(f"{key} value {value} != oracle {check}")
@@ -148,17 +134,17 @@ def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of coprime matchings from the first n odd numbers into [n].
 
     Read from the C_(a) minors when the memo holds them: C0(n) is
-    C_(2n+1)(n), the last of ("ca", n), and the sum of C_(a)(n-1) over
+    C_(2n+1)(n), the last of ("c1", n), and the sum of C_(a)(n-1) over
     the odd a < 2n coprime to n, its expansion along column n.  Otherwise
     one walk of its own table.
     """
 
     def count() -> int:
-        if ("ca", n) in _memo:
-            return _memo[("ca", n)][-1]
+        if ("c1", n) in _memo:
+            return _memo[("c1", n)][-1]
         odds, cols, coprime = incidence("c0", n)
-        if ("ca", n - 1) in _memo:
-            return sum(c for a, c in zip(odds, _memo[("ca", n - 1)]) if coprime(a, n))
+        if ("c1", n - 1) in _memo:
+            return sum(c for a, c in zip(odds, _memo[("c1", n - 1)]) if coprime(a, n))
         return permanent_ryser(_table(odds, cols, coprime))
 
     return _memoized(("c0", n), ceiling, count)
@@ -166,9 +152,10 @@ def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
 
 def _c_a_all(n: int, ceiling: int) -> tuple[int, ...]:
     """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk: the
-    minors of the first n+1 odd numbers against [n], ("ca", n)."""
+    minors of the first n+1 odd numbers against [n], ("ca", n),
+    memoized under ("c1", n)."""
     count = lambda: tuple(permanent_minors(_table(*incidence("ca", n))))
-    return _memoized(("ca", n), ceiling, count)
+    return _memoized(("c1", n), ceiling, count)
 
 
 def count_c_a(n: int, a: int, *, ceiling: int = DEFAULT_CEILING) -> int:
@@ -326,8 +313,6 @@ def _anti_split(n: int, primes) -> int:
 def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1; a
     prime above n divides no label, so k! stops at min(k, n)!."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     count = lambda: permanent_ryser(_table(*incidence("ck", n, k)))
     oracle = lambda: brute_constrained_count(n, "ck", k=k)
     return _memoized(("ck", n, k), ceiling, count, oracle)
@@ -404,7 +389,9 @@ def table_rows(
 ) -> list[TableRow]:
     """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite n).
 
-    A table with no row n <= max_n raises ``ValueError``.
+    A table with no row n <= max_n raises ``ValueError``.  Every row is
+    admitted before any is computed, so a table past the ceiling is
+    refused, at its first row past it, with no work done.
     """
     if which == "t1":
         ns = range(1, max_n + 1)
@@ -419,44 +406,43 @@ def table_rows(
         raise ValueError(
             f"table {which} has no row n <= {max_n}; its first row is n={first}"
         )
+    kind = _TABLE_COUNTS[which][0]
+    for n in ns:
+        admit(kind, n, ceiling=ceiling)
     return [table_row(which, n, ceiling=ceiling) for n in ns]
 
 
 def _allowed_rows(n: int, kind: str, k: int | None) -> tuple[int, ...]:
-    if kind == "c":
-        pred = lambda j, v: gcd(j, v) == 1
+    """Bit v-1 of row i set iff the i-th row label may take the value v
+    in [n]: the labels are [n], or the first n odd numbers for c0 and the
+    first n+1 for c1."""
+    values = labels = range(1, n + 1)
+    pred = lambda j, v: gcd(j, v) == 1
+    if kind in ("c0", "c1"):
+        labels = range(1, 2 * (n + (kind == "c1")), 2)
     elif kind == "a":
         pred = lambda j, v: j == 1 or gcd(j, v) > 1
     elif kind == "ck":
-        if k is None or k < 2:
-            raise ValueError("kind 'ck' needs k >= 2")
         # no prime <= k divides gcd(j, v) <= n iff no d in 2..min(k, n) does
         pred = lambda j, v: all(gcd(j, v) % d for d in range(2, min(k, n) + 1))
-    else:
-        raise ValueError(f"the oracle has no kind {kind!r}")
-    # bit v-1 of row j-1 set iff sigma(j) = v is allowed
-    values = range(1, n + 1)
-    return tuple(sum(1 << (v - 1) for v in values if pred(j, v)) for j in values)
-
-
-def _check_brute(n: int) -> None:
-    if n > _BRUTE_XCHECK_MAX:
-        raise CapacityError(f"brute enumeration limited to n <= {_BRUTE_XCHECK_MAX}")
+    return tuple(sum(1 << (v - 1) for v in values if pred(j, v)) for j in labels)
 
 
 def brute_constrained_count(n: int, kind: str, *, k: int | None = None) -> int:
-    """The count ``kind`` (c, a or ck with k) at n, over all of [n] and
-    from gcd predicates alone.
+    """The count ``kind`` at n (``k`` the aux of ck), from gcd predicates
+    alone.
 
-    Independent oracle: the allowed values of each position come from
+    Independent oracle: the allowed values of each row label come from
     its own gcd tests, not from ``graph.incidence``, and are counted by
-    ``permanent_dp``, which shares nothing with the class walk.
-    Limited to n <= 12.
+    ``permanent_dp``, which shares nothing with the class walk; C1(n)
+    sums the n+1 row-deleted DPs, the C_(a)(n).  Admitted as a brute
+    request with no ceiling, so limited to n <= 12.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_brute(n)
-    return permanent_dp(_allowed_rows(n, kind, k))
+    admit(kind, n, k, method="brute", ceiling=inf)
+    rows = _allowed_rows(n, kind, k)
+    if kind == "c1":
+        return sum(permanent_dp(rows[:i] + rows[i + 1 :]) for i in range(n + 1))
+    return permanent_dp(rows)
 
 
 def compute(
@@ -469,47 +455,21 @@ def compute(
 ) -> CountResult:
     """Dispatch a named count; the CLI's single entry point.
 
-    ``method`` selects the computation path:
+    ``graph.admit`` refuses a malformed request, or one past ``ceiling``,
+    before any work.  ``method`` selects the computation path:
 
     * "auto" (every kind): the memoized count_* reductions;
-    * "permanent" (c, c0, a, ck): ``permanent_ryser`` of ``graph.matrix``,
-      refused past ``ceiling`` before the matrix is built;
-    * "brute" (every kind): ``permanent_dp``, on the gcd predicates of
-      ``brute_constrained_count`` for c, a and ck and on the defining
-      matrices for c0 and c1; n past ``ceiling`` or past 12 raises
-      ``CapacityError``.
-
-    n < 1, a pair outside the table, an ``aux`` on a kind other than ck,
-    or a ck without one raises ``ValueError``.
+    * "permanent" (c, c0, a, ck): ``permanent_ryser`` of ``graph.matrix``;
+    * "brute" (every kind, n <= 12): ``brute_constrained_count``.
     """
-
-    if kind not in ("c", "c0", "c1", "a", "ck"):
-        raise ValueError(f"unknown kind {kind!r}")
-    check_aux(kind, aux)
-    if method not in ("auto", "permanent", "brute") or (kind, method) == ("c1", "permanent"):
-        raise ValueError(f"kind {kind!r} has no method {method!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    admit(kind, n, aux, method=method, ceiling=ceiling)
     if method == "auto":
         count = {"c": count_c, "c0": count_c0, "c1": count_c1, "a": count_a, "ck": count_ck}[kind]
         value = count(n, aux, ceiling=ceiling) if kind == "ck" else count(n, ceiling=ceiling)
     elif method == "permanent":
-        # the direct route builds the full C(n) matrix, not its reduction
-        check_ceiling(n if kind == "c" else count_dimension(kind, n), ceiling)
         value = permanent_ryser(matrix(kind, n, aux))
     else:
-        # every brute route runs permanent_dp over n rows
-        if n > ceiling:
-            raise CapacityError(f"brute dimension {n} exceeds ceiling {ceiling}")
-        _check_brute(n)
-        if kind == "c0":
-            value = permanent_dp(matrix("c0", n).rows)
-        elif kind == "c1":
-            # C_(a)(n): the ("ca", n) matrix without the row of a
-            rows = matrix("ca", n).rows
-            value = sum(permanent_dp(rows[:i] + rows[i + 1 :]) for i in range(n + 1))
-        else:
-            value = brute_constrained_count(n, kind, k=aux)
+        value = brute_constrained_count(n, kind, k=aux)
     if value < 0:
         raise AssertionError("counts are nonnegative")
     if kind == "c" and value < 1:

@@ -5,26 +5,27 @@ labels, its column labels and the arithmetic predicate that sets entry
 (i, j) on ``(labels_row[i], labels_col[j])``.  The count layer groups
 those labels into the class tables it walks; :func:`matrix` sets the
 bits of the same definition into an immutable :class:`BitMatrix` for
-``--method permanent``, the brute routes and ``--dump-matrix``.
+``--method permanent`` and ``--dump-matrix``.
 
-The size rule lives here too: :func:`count_dimension` and the ceiling
-that caps it.  The count layer and the CLI's cache-hit branch are its
-only callers (the permanent engines take no cap), so a cached count
-checks ``--ceiling`` without loading the permanent engine.
+The admission rule lives here too: :func:`admit` refuses a count
+request that is malformed or past ``--ceiling``.  Every count route (the
+count layer, the CLI before it opens the cache, :func:`incidence`) calls
+it before any work, so a cached count is checked without loading the
+permanent engine, which takes no cap.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial, gcd
+from math import factorial, gcd, inf
 
 __all__ = [
     "smallest_factor",
-    "check_aux",
+    "KINDS",
     "CapacityError",
     "DEFAULT_CEILING",
-    "check_ceiling",
-    "count_dimension",
+    "BRUTE_MAX",
+    "admit",
     "BitMatrix",
     "anti_labels",
     "incidence",
@@ -52,38 +53,55 @@ def smallest_factor(m: int) -> int:
     return m
 
 
-def check_aux(kind: str, aux: int | None) -> None:
-    """Refuse an ``aux`` the count does not read: k is for kind 'ck' only,
-    the one :func:`incidence` that reads it."""
-    if kind == "ck" and aux is None:
-        raise ValueError("kind 'ck' needs --aux K")
-    if kind != "ck" and aux is not None:
-        raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
-
-
+KINDS = ("c", "c0", "c1", "a", "ck")
 DEFAULT_CEILING = 40
+BRUTE_MAX = 12  # the one size limit of every brute route
 
 
 class CapacityError(ValueError):
     """Raised when a computation would exceed an explicit size ceiling."""
 
 
-def check_ceiling(dim: int, ceiling: int) -> None:
-    """Refuse a permanent of dimension ``dim`` past ``ceiling``."""
+def admit(
+    kind: str,
+    n: int,
+    aux: int | None = None,
+    *,
+    method: str = "auto",
+    ceiling: int = DEFAULT_CEILING,
+) -> None:
+    """Refuse the count ``kind`` at (n, aux) by ``method`` unless it is
+    well formed and within ``ceiling``.
+
+    ``ValueError`` for a kind outside :data:`KINDS`, a method outside
+    auto | permanent | brute (or permanent for c1, a sum of
+    permanents), a ck without aux = k >= 2 or an aux on any other kind,
+    and n < 1.  ``CapacityError`` when the largest permanent behind the
+    count is larger than ``ceiling``: dimension n // 2 for C(n) by its
+    reduction, the reduced matrix on :func:`anti_labels` for A(n) unless
+    brute, and n otherwise (a brute DP runs over n rows); and for brute
+    past n = 12.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"no kind {kind!r}; the kinds are {', '.join(KINDS)}")
+    if method not in ("auto", "permanent", "brute") or (kind, method) == ("c1", "permanent"):
+        raise ValueError(f"kind {kind!r} has no method {method!r}")
+    if kind == "ck" and (aux is None or aux < 2):
+        raise ValueError("kind 'ck' needs --aux K >= 2")
+    if kind != "ck" and aux is not None:
+        raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind == "c" and method == "auto":
+        dim = n // 2
+    elif kind == "a" and method != "brute":
+        dim = len(anti_labels(n))
+    else:
+        dim = n
     if dim > ceiling:
         raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
-
-
-def count_dimension(kind: str, n: int) -> int:
-    """Largest permanent dimension behind the count ``kind`` at n, the
-    size that ``--ceiling`` caps: C(n) reduces to permanents of dimension
-    n // 2, A(n) to its reduced matrix on :func:`anti_labels`, and every
-    other kind is an n-square permanent."""
-    if kind == "c":
-        return n // 2
-    if kind == "a":
-        return len(anti_labels(n))
-    return n
+    if method == "brute" and n > BRUTE_MAX:
+        raise CapacityError(f"brute enumeration limited to n <= {BRUTE_MAX}")
 
 
 class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
@@ -165,13 +183,12 @@ def incidence(kind: str, n: int, aux: int | None = None):
       prime above n divides no label).
 
     c1 is a sum of permanents, not one, so it and every unknown kind
-    raise ``ValueError``.
+    raise ``ValueError``, as does any request :func:`admit` refuses
+    (ca as c0); a matrix takes no ceiling.
     """
-    check_aux(kind, aux)
     if kind not in ("c", "c0", "ca", "a", "ck"):
         raise ValueError(f"kind {kind!r} is not the permanent of one matrix")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    admit("c0" if kind == "ca" else kind, n, aux, ceiling=inf)
     span = range(1, n + 1)
     if kind == "c0":
         return range(1, 2 * n, 2), span, _coprime
@@ -181,8 +198,6 @@ def incidence(kind: str, n: int, aux: int | None = None):
         labels = anti_labels(n)
         return labels, labels, _share_a_prime
     if kind == "ck":
-        if aux < 2:
-            raise ValueError("k must be >= 2")
         f = factorial(min(aux, n))
         return span, span, lambda x, y: gcd(x, y, f) == 1
     return span, span, _coprime

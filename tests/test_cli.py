@@ -239,6 +239,17 @@ class TestCount:
         assert lines[2:5] == ["111", "110", "111"]
         json.loads(lines[5])  # record still emitted
 
+    def test_dump_of_a_refused_count_builds_no_matrix(self, monkeypatch, capsys):
+        from coprime_census import cli
+
+        def unbuilt(*args):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(cli, "matrix", unbuilt)
+        argv = ["count", "--kind", "c", "--n", "2000", "--no-cache", "--dump-matrix"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().out == ""
+
     def test_dump_matrix_for_a1(self, tmp_path):
         # 1 is a forced fixed point, so the reduced matrix is 0 x 0
         res = run_cli(
@@ -418,6 +429,25 @@ class TestCache:
         assert seed.returncode == 0, seed.stderr
         hit = run_cli(*argv, cwd=tmp_path)
         assert (hit.returncode, hit.stdout, hit.stderr) == (3, "", fresh.stderr)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--kind", "c", "--n", "0"], 2),
+            (["--kind", "ck", "--n", "5", "--aux", "1"], 2),
+            (["--kind", "c1", "--n", "5", "--method", "permanent"], 2),
+            (["--kind", "c", "--n", "83"], 3),
+            (["--kind", "c", "--n", "13", "--method", "brute"], 3),
+        ],
+        ids=["n-0", "ck-aux-1", "c1-permanent", "past-the-ceiling", "brute-past-12"],
+    )
+    def test_refused_request_leaves_no_cache_file(self, tmp_path, monkeypatch, capsys, argv, code):
+        from coprime_census import cli
+
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["count", *argv]) == code
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "coprime-census.cache.jsonl").exists()
 
     def test_matching_record_from_another_engine_version_is_refreshed(self, tmp_path):
         seed = run_cli("count", "--kind", "c0", "--n", "6", cwd=tmp_path)
@@ -710,7 +740,7 @@ class TestVerify:
         # does not, so the wrong C_(17)(8) = C0(8) is caught
         minors = counts._c_a_all(8, 40)
         wrong = minors[:-1] + (minors[-1] + 1,)
-        monkeypatch.setattr(counts, "_memo", {("ca", 8): wrong})
+        monkeypatch.setattr(counts, "_memo", {("c1", 8): wrong})
         failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
         assert failed == ["square n=8"]
 

@@ -5,7 +5,6 @@ import pytest
 
 from coprime_census import checks, counts, reference
 from coprime_census.counts import (
-    CapacityError,
     CountResult,
     anti_lower,
     brute_constrained_count,
@@ -22,8 +21,9 @@ from coprime_census.counts import (
 )
 from coprime_census.graph import (
     DEFAULT_CEILING,
+    CapacityError,
+    admit,
     anti_labels,
-    count_dimension,
     matrix,
     smallest_factor,
 )
@@ -271,7 +271,8 @@ class TestAntiSplit:
         primes = counts._anti_primes(24)
         base = [x for x in anti_labels(24) if all(x % p for p in primes)]
         assert max(len(base) + len(rows) for rows, _ in counts._anti_residuals(24, primes)) < 19
-        assert count_dimension("a", 24) == len(anti_labels(24)) == 19
+        assert len(anti_labels(24)) == 19
+        admit("a", 24, ceiling=19)
         with pytest.raises(CapacityError, match="permanent dimension 19 exceeds ceiling 18"):
             count_a(24, ceiling=18)
         assert count_a(24, ceiling=19) == reference.TABLE_A[24][0]
@@ -525,6 +526,27 @@ class TestCheckTable:
         failed = [r.name for r in checks.tables(10, DEFAULT_CEILING) if not r.passed]
         assert failed == ["t1 n=6", "t2 n=9"]
 
+    @pytest.mark.parametrize(
+        "which, max_n, ceiling, first",
+        # the first row past the ceiling: C0(6), C(13) by C0(6)^2 and C0(7)
+        # minors, A(14) on 11 labels
+        [("t1", 12, 5, 6), ("t2", 25, 5, 6), ("t3", 20, 10, 11)],
+    )
+    def test_table_past_the_ceiling_computes_no_row(
+        self, monkeypatch, which, max_n, ceiling, first
+    ):
+        computed = []
+        row_of = counts.table_row
+
+        def spy(which, n, *, ceiling):
+            computed.append(n)
+            return row_of(which, n, ceiling=ceiling)
+
+        monkeypatch.setattr(counts, "table_row", spy)
+        with pytest.raises(CapacityError, match=f"dimension {first} exceeds ceiling {ceiling}"):
+            counts.table_rows(which, max_n, ceiling=ceiling)
+        assert computed == []
+
 
 ORACLE_CASES = (
     [("c", None, n) for n in range(1, 13)]
@@ -555,8 +577,21 @@ class TestBruteConstrained:
             brute_constrained_count(13, "c")
         with pytest.raises(ValueError, match="no kind 'nonsense'"):
             brute_constrained_count(5, "nonsense")
-        with pytest.raises(ValueError, match="needs k >= 2"):
+        with pytest.raises(ValueError, match="needs --aux K >= 2"):
             brute_constrained_count(5, "ck")
+
+    def test_reads_no_matrix_definition(self, monkeypatch):
+        # every brute route takes its rows from the oracle's own gcd tests,
+        # never from graph.incidence, the definition the walks read
+        c1_9 = count_c1(9)
+
+        def undefined(*args, **kwargs):
+            raise AssertionError("the oracle read graph's matrix definition")
+
+        monkeypatch.setattr(counts, "matrix", undefined)
+        monkeypatch.setattr(counts, "incidence", undefined)
+        assert compute("c0", 9, method="brute").value == reference.TABLE_C0[9][0] == 59616
+        assert compute("c1", 9, method="brute").value == c1_9
 
 
 class TestCompute:

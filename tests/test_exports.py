@@ -102,3 +102,18 @@ def test_no_module_reads_a_private_name_of_a_sibling():
         }
     )
     assert not private, f"private names read across modules: {private}"
+
+
+def test_only_admit_words_the_ceiling_refusal():
+    """The refusal past ``--ceiling`` is formatted in one place,
+    ``graph.admit``, so every count route refuses alike."""
+    where = {
+        f"{name}.{getattr(top, 'name', '<module>')}"
+        for name in MODULES
+        for top in _tree(name).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "exceeds ceiling" in node.value
+    }
+    assert where == {"graph.admit"}

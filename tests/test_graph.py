@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from coprime_census import counts
 from coprime_census.arith import primes_upto
-from coprime_census.graph import BitMatrix, incidence, matrix, smallest_factor
+from coprime_census.graph import (
+    BitMatrix,
+    CapacityError,
+    admit,
+    incidence,
+    matrix,
+    smallest_factor,
+)
 from coprime_census.permanent import permanent_dp, permanent_ryser
 
 
@@ -242,6 +249,46 @@ class TestIncidence:
             matrix(kind, 3)
 
 
+class TestAdmit:
+    """The one admission rule of every count route."""
+
+    @pytest.mark.parametrize(
+        "kind, n, aux, method, dim",
+        [
+            ("c", 30, None, "auto", 15),  # C(2m) = C0(m)^2, odd C from C_(a)(m)
+            ("c", 30, None, "permanent", 30),
+            ("c0", 30, None, "auto", 30),
+            ("c1", 30, None, "auto", 30),
+            ("a", 24, None, "auto", 19),  # the reduced matrix on anti_labels
+            ("a", 24, None, "permanent", 19),
+            ("a", 12, None, "brute", 12),  # the oracle's DP runs over n rows
+            ("ck", 30, 3, "auto", 30),
+        ],
+    )
+    def test_largest_permanent_meets_the_ceiling(self, kind, n, aux, method, dim):
+        admit(kind, n, aux, method=method, ceiling=dim)
+        refusal = f"^permanent dimension {dim} exceeds ceiling {dim - 1}$"
+        with pytest.raises(CapacityError, match=refusal):
+            admit(kind, n, aux, method=method, ceiling=dim - 1)
+
+    @pytest.mark.parametrize(
+        "kind, n, aux, method, message",
+        [
+            ("ca", 3, None, "auto", "no kind 'ca'"),
+            ("c", 3, None, "walk", "no method 'walk'"),
+            ("c1", 3, None, "permanent", "no method 'permanent'"),
+            ("ck", 3, None, "auto", "needs --aux K >= 2"),
+            ("ck", 3, 1, "brute", "needs --aux K >= 2"),
+            ("a", 3, 2, "auto", "only read by kind 'ck'"),
+            ("c0", 0, None, "auto", "n must be >= 1"),
+        ],
+    )
+    def test_malformed_requests(self, kind, n, aux, method, message):
+        with pytest.raises(ValueError, match=message) as refused:
+            admit(kind, n, aux, method=method)
+        assert not isinstance(refused.value, CapacityError)
+
+
 class TestSmallestFactor:
     """The trial-division helper against the numpy odd sieve as oracle."""
 
@@ -259,10 +306,11 @@ class TestSmallestFactor:
         ps = primes_upto(200).tolist()
         primes = set(ps)
         spf = {m: next(p for p in ps if m % p == 0) for m in range(2, 201)}
-        # table_rows with the row count stubbed out yields its n list
+        # table_rows with the row count stubbed out yields its n list; a
+        # ceiling that admits every row lets it list them all
         monkeypatch.setattr(counts, "table_row", lambda which, n, ceiling: n)
         t3 = [n for n in range(4, 201) if n not in primes]
-        assert counts.table_rows("t3", 200) == t3
+        assert counts.table_rows("t3", 200, ceiling=200) == t3
         for n in range(2, 201):
             want = [m for m in range(2, n + 1) if not (m in primes and 2 * m > n)]
             assert incidence("a", n)[0] == want, n
