@@ -73,7 +73,7 @@ _TABLES = {
 }
 
 
-def tables(max_n: int, ceiling: int) -> list[BoundReport]:
+def tables(max_n: int) -> list[BoundReport]:
     """Every reference row n <= max_n, recomputed by ``counts.table_row``.
 
     A row matches when its count equals the reference value and its ratio
@@ -81,6 +81,7 @@ def tables(max_n: int, ceiling: int) -> list[BoundReport]:
     reference holds the corrected entry, so the check asserts the
     correction rather than the published typo.  A run that compares no
     row raises ``ValueError``: a suite that checked nothing must not pass.
+    The rows are counted uncapped: no permanent among them is above 25.
     """
     from . import counts
 
@@ -89,15 +90,13 @@ def tables(max_n: int, ceiling: int) -> list[BoundReport]:
         for n, want in ref.items():
             if n > max_n:
                 continue
-            row = counts.table_row(which, n, ceiling=ceiling)
+            row = counts.table_row(which, n)
             got = (row.value, counts.format_ratio(row.ratio))
             records.append(
                 BoundReport(f"{which} n={n}", shown.format(*got), shown.format(*want), "==", got == want)
             )
     if not records:
-        raise ValueError(
-            f"the tables suite compared no reference row: none has n <= {max_n}"
-        )
+        raise ValueError(f"the tables suite compared no reference row: none has n <= {max_n}")
     return records
 
 
@@ -115,17 +114,20 @@ def tail_upper(x, n: int) -> BoundReport:
     return BoundReport.make(f"tail upper x={x}", lhs, "<=", mprod - 1.0 / math.sqrt(n))
 
 
-def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
+def lemmas(max_n: int) -> list[BoundReport]:
     """The reduction identities (for 2 <= n <= min(max_n // 2, 12)), the
     C_2, C_3 and A(p) values, the gluing bound, A(22) and A(24) from two
     computations and the distribution checks at n = 10^5: the second
     moment, the top interval, the tail bound at x = 2, 5 and 10 and the
-    bracket comparisons, which are diagnostic.
+    bracket comparisons, which are diagnostic.  A ``max_n`` below 1 raises
+    ``ValueError``.  The counts are uncapped: at any ``max_n`` no
+    permanent among them is above 19 (the reduced A(24)).
     """
+    if max_n < 1:
+        raise ValueError(f"the lemmas suite needs max_n >= 1, not {max_n}")
     from . import counts, dist
 
     make = BoundReport.make
-    kw = {"ceiling": ceiling}
     records = []
     for n in range(2, min(max_n // 2, 12) + 1):
         # C(2n) = C0(n)^2 and 2 C0(n-1)^2 <= C(2n+1) <= C1(n)^2.  The two
@@ -133,10 +135,10 @@ def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
         # from the minors memo, so the computed side walks the C0(n)
         # matrix itself and the claimed side squares C_(2n+1)(n), the last
         # minor of the ("ca", n) walk
-        own = counts.compute("c0", n, method="permanent", **kw).value
-        square = counts.count_c_a(n, 2 * n + 1, **kw) ** 2
-        c_odd = counts.count_c(2 * n + 1, **kw)
-        lo, hi = 2 * counts.count_c0(n - 1, **kw) ** 2, counts.count_c1(n, **kw) ** 2
+        own = counts.compute("c0", n, method="permanent").value
+        square = counts.count_c_a(n, 2 * n + 1) ** 2
+        c_odd = counts.count_c(2 * n + 1)
+        lo, hi = 2 * counts.count_c0(n - 1) ** 2, counts.count_c1(n) ** 2
         records += [
             make(f"square n={n}", own**2, "==", square),
             make(f"sandwich n={n} lower", c_odd, ">=", lo),
@@ -144,24 +146,24 @@ def lemmas(max_n: int, ceiling: int) -> list[BoundReport]:
         ]
     for n in range(1, 7):
         # C_2(2n) = n!^2 and C_2(2n+1) = (n+1)!^2
-        even, odd = counts.count_ck(2 * n, 2, **kw), counts.count_ck(2 * n + 1, 2, **kw)
+        even, odd = counts.count_ck(2 * n, 2), counts.count_ck(2 * n + 1, 2)
         records += [
             make(f"parity even n={n}", even, "==", math.factorial(n) ** 2),
             make(f"parity odd n={n}", odd, "==", math.factorial(n + 1) ** 2),
         ]
     for n, value in ((6, 16), (12, 82944)):
-        records.append(make(f"threes n={n}", counts.count_ck(n, 3, **kw), "==", value))
+        records.append(make(f"threes n={n}", counts.count_ck(n, 3), "==", value))
     for p in (3, 5, 7, 11, 13):
-        a_p, a_before = counts.count_a(p, **kw), counts.count_a(p - 1, **kw)
+        a_p, a_before = counts.count_a(p), counts.count_a(p - 1)
         records.append(make(f"anti prime p={p}", a_p, "==", a_before))
     for n in (10, 15, 20):
-        a_n = counts.count_a(n, **kw)
+        a_n = counts.count_a(n)
         records.append(make(f"anti gluing n={n}", a_n, ">=", counts.anti_lower(n)))
     for n in (22, 24):
         # count_a eliminates the primes in (sqrt(n), n/2] and sums the walks
         # of the residuals; the claimed side walks the ("a", n) matrix directly
-        direct = counts.compute("a", n, method="permanent", **kw).value
-        records.append(make(f"anti split n={n}", counts.count_a(n, **kw), "==", direct))
+        direct = counts.compute("a", n, method="permanent").value
+        records.append(make(f"anti split n={n}", counts.count_a(n), "==", direct))
 
     n = 10**5
     records.append(make("second moment", dist.second_moment(n), "<", 1.78 * n))

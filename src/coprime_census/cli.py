@@ -36,8 +36,9 @@ class ResultCache:
 
     Duplicate (kind, n, aux) keys resolve last-writer-wins, with a warning
     on load when their values differ; contention on the advisory lock
-    fails fast.  A line that is not a record (a truncated append, say) is
-    refused with its path and line number, and the file is left as it is.  A path that cannot be
+    fails fast.  A line that is not a record as :func:`_record` writes it
+    (a truncated append, a value 60.7, a bool n) is refused with its path
+    and line number, and the file is left as it is.  A path that cannot be
     opened (a missing directory, a directory) is a usage error.
     """
 
@@ -60,14 +61,17 @@ class ResultCache:
                 continue
             try:
                 rec = json.loads(line)
-                key = (rec["kind"], rec["n"], rec.get("aux"))
-                value = int(rec["value"])  # every record carries an exact value
-                differs = key in self.records and int(self.records[key]["value"]) != value
+                value, n, aux = rec["value"], rec["n"], rec.get("aux")
+                # only what _record writes: the digits of a count, an int n
+                # and an int or null aux (a JSON true is a bool, not an int)
+                valid_aux = aux is None or type(aux) is int
+                if str(abs(int(value))) != value or type(n) is not int or not valid_aux:
+                    raise ValueError("value, n or aux is not as a count record writes it")
+                key = (rec["kind"], n, aux)
+                differs = key in self.records and self.records[key]["value"] != value
             except (ValueError, KeyError, TypeError) as exc:
                 self._fh.close()
-                raise RuntimeError(
-                    f"corrupt cache {path} line {lineno}: {exc!r}"
-                ) from None
+                raise RuntimeError(f"corrupt cache {path} line {lineno}: {exc!r}") from None
             if differs:
                 print(
                     f"warning: duplicate cache key {key}, keeping the later record",
@@ -210,18 +214,16 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # only the tables and lemmas suites count, so only they read --max and
-    # --ceiling; None marks a flag left at its default
-    given = [flag for flag in ("max", "ceiling") if getattr(args, flag) is not None]
-    if given and args.suite in ("bounds", "constants"):
-        raise ValueError(f"--{given[0]} is not read by the {args.suite} suite")
+    # only the tables and lemmas suites count, so only they read --max (None
+    # when left at its default); none counts past the default ceiling
+    if args.max is not None and args.suite in ("bounds", "constants"):
+        raise ValueError(f"--max is not read by the {args.suite} suite")
     max_n = _VERIFY_MAX if args.max is None else args.max
-    ceiling = DEFAULT_CEILING if args.ceiling is None else args.ceiling
     from . import checks
 
     suites = {
-        "tables": lambda: checks.tables(max_n, ceiling),
-        "lemmas": lambda: checks.lemmas(max_n, ceiling),
+        "tables": lambda: checks.tables(max_n),
+        "lemmas": lambda: checks.lemmas(max_n),
         "bounds": checks.bounds,
         "constants": checks.constants,
     }
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks --format left at its default: only the --alpha scan reads it
     p_dist.set_defaults(format=None)
 
-    p_verify = add("verify", cmd_verify, "verification suites", "--ceiling")
+    p_verify = add("verify", cmd_verify, "verification suites")
     p_verify.add_argument(
         "--suite",
         required=True,
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest n of the tables suite's rows (default {_VERIFY_MAX}); the "
         "lemmas suite runs its square and sandwich records for n <= min(MAX // 2, 12)",
     )
-    p_verify.set_defaults(ceiling=None)
     return parser
 
 

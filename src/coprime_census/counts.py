@@ -42,10 +42,11 @@ the C0(n) matrix itself (``compute(..., method="permanent")``) against
 the last minor.
 
 All values are exact integers and are memoized in-process by
-(kind, n, aux), the C_(a)(m) as one tuple under ("c1", m).  Every
-request, memoized or not, is first admitted by ``graph.admit``, the one
-rule for a well-formed count within the ceiling.  The persistent cache
-lives in the CLI layer.
+(kind, n, aux), the C_(a)(m) as one tuple under ("c1", m).  Only
+:func:`compute` and :func:`table_rows` read a ceiling (``graph.admit``);
+the count_* functions take none, like the permanent engines, and
+``graph.incidence`` refuses a malformed request before any table is
+built.  The persistent cache lives in the CLI layer.
 """
 
 from __future__ import annotations
@@ -87,15 +88,12 @@ class CountResult(namedtuple("CountResult", "kind n aux value method")):
     __slots__ = ()
 
 
-def _memoized(key: tuple, ceiling: int, count, oracle=None):
+def _memoized(key: tuple, count, oracle=None):
     """``count()`` memoized under ``key = (kind, n[, aux])``.
 
-    ``graph.admit`` checks the request the key names on hits as well as
-    misses, so a value memoized under one ceiling is never returned past
-    a smaller one.  For n <= ``BRUTE_MAX``, ``oracle()``
-    (``brute_constrained_count``) cross-checks the value once per key.
+    For n <= ``BRUTE_MAX``, ``oracle()`` (``brute_constrained_count``)
+    cross-checks the value once per key.
     """
-    admit(*key, ceiling=ceiling)
     if key not in _memo:
         value = count()
         if oracle is not None and key[1] <= BRUTE_MAX:
@@ -130,7 +128,7 @@ def _table(xs, ys, pred):
     return class_table([lines[_rad(x)] for x in xs], widths.values())
 
 
-def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def count_c0(n: int) -> int:
     """Number of coprime matchings from the first n odd numbers into [n].
 
     Read from the C_(a) minors when the memo holds them: C0(n) is
@@ -147,30 +145,30 @@ def count_c0(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
             return sum(c for a, c in zip(odds, _memo[("c1", n - 1)]) if coprime(a, n))
         return permanent_ryser(_table(odds, cols, coprime))
 
-    return _memoized(("c0", n), ceiling, count)
+    return _memoized(("c0", n), count)
 
 
-def _c_a_all(n: int, ceiling: int) -> tuple[int, ...]:
+def _c_a_all(n: int) -> tuple[int, ...]:
     """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk: the
     minors of the first n+1 odd numbers against [n], ("ca", n),
     memoized under ("c1", n)."""
     count = lambda: tuple(permanent_minors(_table(*incidence("ca", n))))
-    return _memoized(("c1", n), ceiling, count)
+    return _memoized(("c1", n), count)
 
 
-def count_c_a(n: int, a: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def count_c_a(n: int, a: int) -> int:
     """Coprime matchings between [n] and the first n+1 odd numbers minus {a}."""
     if a % 2 == 0 or not 1 <= a <= 2 * n + 1:
         raise ValueError(f"a={a} must be odd and within 1..{2 * n + 1}")
-    return _c_a_all(n, ceiling)[a // 2]
+    return _c_a_all(n)[a // 2]
 
 
-def count_c1(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def count_c1(n: int) -> int:
     """Sum of count_c_a(n, a) over all odd a <= 2n+1."""
-    return sum(_c_a_all(n, ceiling))
+    return sum(_c_a_all(n))
 
 
-def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def count_c(n: int) -> int:
     """Number of coprime permutations of [n].
 
     Even n: count_c0(n/2) squared.  Odd n = 2m+1: the coprime double sum
@@ -184,27 +182,27 @@ def count_c(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
         if n == 1:
             return 1  # the single permutation of {1}
         if n % 2 == 0:
-            return count_c0(m, ceiling=ceiling) ** 2
-        ca = dict(zip(range(1, n + 1, 2), _c_a_all(m, ceiling)))
+            return count_c0(m) ** 2
+        ca = dict(zip(range(1, n + 1, 2), _c_a_all(m)))
         return sum(ca[a] * ca[b] for a in ca for b in ca if gcd(a, b) == 1)
 
     oracle = lambda: brute_constrained_count(n, "c")
-    return _memoized(("c", n), ceiling, reduce, oracle)
+    return _memoized(("c", n), reduce, oracle)
 
 
-def count_a(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def count_a(n: int) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j)) > 1 for j >= 2.
 
     The permanent of the reduced matrix (forced fixed points removed;
-    0 x 0 at n = 1).  Its dimension, read from the labels, meets the
-    ceiling before any work.  :func:`_anti_split` eliminates every prime
-    in (sqrt(n), n/2] (:func:`_anti_primes`) and sums the walks of the
-    residuals they leave; at n <= 5 and n = 9 there is none, and that
-    is one class walk on the matrix ("a", n).
+    0 x 0 at n = 1), with no cap: :func:`compute` caps its dimension,
+    the number of labels, before any work.  :func:`_anti_split`
+    eliminates every prime in (sqrt(n), n/2] (:func:`_anti_primes`) and
+    sums the walks of the residuals they leave; at n <= 5 and n = 9
+    there is none, and that is one class walk on the matrix ("a", n).
     """
     count = lambda: _anti_split(n, _anti_primes(n))
     oracle = lambda: brute_constrained_count(n, "a")
-    return _memoized(("a", n), ceiling, count, oracle)
+    return _memoized(("a", n), count, oracle)
 
 
 # Large-prime elimination for A(n).  A prime p with sqrt(n) < p <= n/2 has
@@ -310,12 +308,12 @@ def _anti_split(n: int, primes) -> int:
     return total
 
 
-def count_ck(n: int, k: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+def count_ck(n: int, k: int) -> int:
     """Number of permutations of [n] with gcd(j, sigma(j), k!) = 1; a
     prime above n divides no label, so k! stops at min(k, n)!."""
     count = lambda: permanent_ryser(_table(*incidence("ck", n, k)))
     oracle = lambda: brute_constrained_count(n, "ck", k=k)
-    return _memoized(("ck", n, k), ceiling, count, oracle)
+    return _memoized(("ck", n, k), count, oracle)
 
 
 def anti_lower(n: int) -> int:
@@ -377,16 +375,14 @@ class TableRow(namedtuple("TableRow", "n value ratio")):
 _TABLE_COUNTS = {"t1": ("c0", count_c0), "t2": ("c", count_c), "t3": ("a", count_a)}
 
 
-def table_row(which: str, n: int, *, ceiling: int) -> TableRow:
+def table_row(which: str, n: int) -> TableRow:
     """Row n of table t1, t2 or t3."""
     kind, count = _TABLE_COUNTS[which]
-    value = count(n, ceiling=ceiling)
+    value = count(n)
     return TableRow(n, value, count_ratio(kind, n, value))
 
 
-def table_rows(
-    which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING
-) -> list[TableRow]:
+def table_rows(which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[TableRow]:
     """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite n).
 
     A table with no row n <= max_n raises ``ValueError``.  Every row is
@@ -403,13 +399,11 @@ def table_rows(
         raise ValueError(f"unknown table {which!r}")
     if not ns:
         first = 4 if which == "t3" else 1
-        raise ValueError(
-            f"table {which} has no row n <= {max_n}; its first row is n={first}"
-        )
+        raise ValueError(f"table {which} has no row n <= {max_n}; its first row is n={first}")
     kind = _TABLE_COUNTS[which][0]
     for n in ns:
         admit(kind, n, ceiling=ceiling)
-    return [table_row(which, n, ceiling=ceiling) for n in ns]
+    return [table_row(which, n) for n in ns]
 
 
 def _allowed_rows(n: int, kind: str, k: int | None) -> tuple[int, ...]:
@@ -453,7 +447,7 @@ def compute(
     method: str = "auto",
     ceiling: int = DEFAULT_CEILING,
 ) -> CountResult:
-    """Dispatch a named count; the CLI's single entry point.
+    """Dispatch a named count: the capped entry of the library and CLI.
 
     ``graph.admit`` refuses a malformed request, or one past ``ceiling``,
     before any work.  ``method`` selects the computation path:
@@ -465,7 +459,7 @@ def compute(
     admit(kind, n, aux, method=method, ceiling=ceiling)
     if method == "auto":
         count = {"c": count_c, "c0": count_c0, "c1": count_c1, "a": count_a, "ck": count_ck}[kind]
-        value = count(n, aux, ceiling=ceiling) if kind == "ck" else count(n, ceiling=ceiling)
+        value = count(n, aux) if kind == "ck" else count(n)
     elif method == "permanent":
         value = permanent_ryser(matrix(kind, n, aux))
     else:

@@ -8,10 +8,10 @@ bits of the same definition into an immutable :class:`BitMatrix` for
 ``--method permanent`` and ``--dump-matrix``.
 
 The admission rule lives here too: :func:`admit` refuses a count
-request that is malformed or past ``--ceiling``.  Every count route (the
-count layer, the CLI before it opens the cache, :func:`incidence`) calls
-it before any work, so a cached count is checked without loading the
-permanent engine, which takes no cap.
+request that is malformed or past ``--ceiling``.  A ceiling is read only
+where a request enters (``counts.compute``, ``counts.table_rows``, the
+CLI before it opens the cache), so a cached count is checked without
+loading the permanent engine; :func:`incidence` admits with none.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def admit(
     count is larger than ``ceiling``: dimension n // 2 for C(n) by its
     reduction, the reduced matrix on :func:`anti_labels` for A(n) unless
     brute, and n otherwise (a brute DP runs over n rows); and for brute
-    past n = 12.
+    past n = 12.  Only the request entries pass a ceiling;
+    :func:`incidence` and the brute oracle pass ``inf``.
     """
     if kind not in KINDS:
         raise ValueError(f"no kind {kind!r}; the kinds are {', '.join(KINDS)}")

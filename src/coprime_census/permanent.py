@@ -21,8 +21,8 @@ table with :func:`class_table`.
 
 Arbitrary-precision integer arithmetic throughout; there is no
 fixed-width fast path, so no overflow is possible.  None of the three
-takes a size cap: ``graph.admit`` checks ``--ceiling`` for every count
-route before any table is built.
+takes a size cap: ``graph.admit`` checks ``--ceiling`` where a request
+enters (``counts.compute``, ``counts.table_rows``), before any table.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import pytest
 
 from coprime_census import checks, counts, dist, reference
 from coprime_census.arith import _omega_array, coprime_count
-from coprime_census.graph import DEFAULT_CEILING, matrix
+from coprime_census.graph import matrix
 from coprime_census.permanent import permanent_ryser
 
 
@@ -51,11 +51,11 @@ def a_values():
 
 def assert_table(which: str, max_n: int) -> dict[int, counts.TableRow]:
     """Every reference row n <= max_n of a table passes ``checks.tables``."""
-    records = [r for r in checks.tables(max_n, DEFAULT_CEILING) if r.name.startswith(f"{which} ")]
+    records = [r for r in checks.tables(max_n) if r.name.startswith(f"{which} ")]
     failed = [r for r in records if not r.passed]
     assert records and not failed, f"{which} rows differ from reference: {failed}"
     ns = [int(r.name.partition("=")[2]) for r in records]
-    return {n: counts.table_row(which, n, ceiling=DEFAULT_CEILING) for n in ns}
+    return {n: counts.table_row(which, n) for n in ns}
 
 
 def assert_ratio_erratum(row: counts.TableRow, sym: str, index: int):

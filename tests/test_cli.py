@@ -293,6 +293,7 @@ class TestCount:
             ["verify", "--suite", "bounds", "--max", "30", "--ceiling", "3"],
             ["verify", "--suite", "bounds", "--max", "30"],
             ["verify", "--suite", "constants", "--ceiling", "40"],
+            ["verify", "--suite", "lemmas", "--max", "4", "--ceiling", "12"],
         ],
         ids=[
             "count-aux-on-c",
@@ -313,6 +314,7 @@ class TestCount:
             "verify-bounds-max-ceiling",
             "verify-bounds-max",
             "verify-constants-ceiling",
+            "verify-lemmas-ceiling",
         ],
     )
     def test_input_the_command_does_not_read_is_refused(self, tmp_path, argv):
@@ -498,6 +500,34 @@ class TestCache:
         assert "line 2" in res.stderr
         assert cache_file.name in res.stderr
         assert cache_file.read_text() == text + bad
+
+    @pytest.mark.parametrize(
+        "field, argv",
+        [
+            ({"value": 60.7}, ["--kind", "c0", "--n", "5"]),
+            ({"value": True}, ["--kind", "c0", "--n", "5"]),
+            ({"value": "-5"}, ["--kind", "c0", "--n", "5"]),
+            ({"value": "0060"}, ["--kind", "c0", "--n", "5"]),
+            ({"n": True}, ["--kind", "c0", "--n", "1"]),
+            ({"aux": True}, ["--kind", "c0", "--n", "5"]),
+            ({"kind": "ck", "n": 6, "aux": "3"}, ["--kind", "ck", "--n", "6", "--aux", "3"]),
+        ],
+        ids=["float-value", "bool-value", "negative-value", "padded-value", "bool-n",
+             "bool-aux", "str-aux"],
+    )
+    def test_record_the_program_never_writes_is_corrupt(self, tmp_path, field, argv):
+        # each line parses and its value converts with int(), so a loader
+        # that checks only that would serve the count from it or beside it
+        rec = {"kind": "c0", "n": 5, "aux": None, "value": "60", "ratio": "2.0817",
+               "timestamp": "", "engine_version": coprime_census.__version__}
+        cache_file = tmp_path / "seeded.jsonl"
+        text = json.dumps({**rec, **field}, sort_keys=True) + "\n"
+        cache_file.write_text(text)
+        res = run_cli("count", *argv, "--cache", str(cache_file), cwd=tmp_path)
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert res.stdout == ""
+        assert f"corrupt cache {cache_file} line 1" in res.stderr
+        assert cache_file.read_text() == text
 
     @pytest.mark.parametrize(
         "where, reason",
@@ -691,6 +721,13 @@ class TestVerify:
         assert "verification PASSED" not in res.stdout
         assert "compared no reference row" in res.stderr
 
+    @pytest.mark.parametrize("max_n", ["0", "-5"])
+    def test_lemmas_suite_below_one_is_refused(self, tmp_path, max_n):
+        res = run_cli("verify", "--suite", "lemmas", "--max", max_n, "--no-cache", cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "verification PASSED" not in res.stdout
+        assert f"max_n >= 1, not {max_n}" in res.stderr
+
     def test_tables_suite_passes_with_one_table_empty(self, tmp_path):
         # t3 starts at n = 4; t1 and t2 still compare rows at --max 3
         res = run_cli(
@@ -730,7 +767,7 @@ class TestVerify:
         wrong = lambda m: walk(m) + (getattr(m, "labels_row", None) == c0_8)
         monkeypatch.setattr(counts, "_memo", {})
         monkeypatch.setattr(counts, "permanent_ryser", wrong)
-        failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
+        failed = [r.name for r in checks.lemmas(16) if not r.passed and not r.diagnostic]
         assert failed == ["square n=8"]
 
     def test_square_check_fails_on_a_wrong_last_minor(self, monkeypatch):
@@ -738,10 +775,10 @@ class TestVerify:
 
         # count_c0(8) would read C0(8) off this memo; the square's own walk
         # does not, so the wrong C_(17)(8) = C0(8) is caught
-        minors = counts._c_a_all(8, 40)
+        minors = counts._c_a_all(8)
         wrong = minors[:-1] + (minors[-1] + 1,)
         monkeypatch.setattr(counts, "_memo", {("c1", 8): wrong})
-        failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
+        failed = [r.name for r in checks.lemmas(16) if not r.passed and not r.diagnostic]
         assert failed == ["square n=8"]
 
     def test_anti_split_check_reads_a_second_walk(self, monkeypatch):
@@ -749,17 +786,8 @@ class TestVerify:
 
         # a wrong A(22) in the memo; the claimed side walks matrix("a", 22)
         monkeypatch.setattr(counts, "_memo", {("a", 22): 27628410817})
-        failed = [r.name for r in checks.lemmas(16, 40) if not r.passed and not r.diagnostic]
+        failed = [r.name for r in checks.lemmas(16) if not r.passed and not r.diagnostic]
         assert failed == ["anti split n=22"]
-
-    def test_lemmas_respect_the_ceiling(self, tmp_path):
-        # the C_2(2n+1) parity checks reach dimension 13
-        res = run_cli(
-            "verify", "--suite", "lemmas", "--max", "4", "--ceiling", "12",
-            "--no-cache", cwd=tmp_path,
-        )
-        assert res.returncode == 3, res.stdout + res.stderr
-        assert "exceeds ceiling 12" in res.stderr
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import re
 from math import gcd
 
 import pytest
@@ -139,11 +140,11 @@ class TestOddFromOneWalk:
             monkeypatch.setattr(counts, engine, unwalked)
         # every route meets a largest permanent of dimension 15
         runs = [
-            lambda: count_c(31, ceiling=14),
-            lambda: count_c1(15, ceiling=14),
-            lambda: count_c0(15, ceiling=14),
-            lambda: count_a(20, ceiling=14),
-            lambda: count_ck(15, 3, ceiling=14),
+            lambda: compute("c", 31, ceiling=14),
+            lambda: compute("c1", 15, ceiling=14),
+            lambda: compute("c0", 15, ceiling=14),
+            lambda: compute("a", 20, ceiling=14),
+            lambda: compute("ck", 15, 3, ceiling=14),
             lambda: compute("c", 15, method="permanent", ceiling=14),
             lambda: compute("c0", 15, method="permanent", ceiling=14),
             lambda: compute("a", 20, method="permanent", ceiling=14),
@@ -172,7 +173,7 @@ class TestC:
     def test_capacity(self):
         # C(83) reduces to permanents of dimension 41, past the ceiling 40
         with pytest.raises(CapacityError):
-            count_c(83)
+            compute("c", 83)
 
     def test_monotone_same_parity(self):
         values = {n: count_c(n) for n in range(1, 17)}
@@ -274,8 +275,8 @@ class TestAntiSplit:
         assert len(anti_labels(24)) == 19
         admit("a", 24, ceiling=19)
         with pytest.raises(CapacityError, match="permanent dimension 19 exceeds ceiling 18"):
-            count_a(24, ceiling=18)
-        assert count_a(24, ceiling=19) == reference.TABLE_A[24][0]
+            compute("a", 24, ceiling=18)
+        assert compute("a", 24, ceiling=19).value == reference.TABLE_A[24][0]
 
     @pytest.mark.extended
     @pytest.mark.parametrize("n", [31, 32, 33, 34])
@@ -485,7 +486,7 @@ class TestRatios:
 
 class TestCheckTable:
     def test_pinned_rows(self):
-        got = {rec.name: (rec.computed, rec.passed) for rec in checks.tables(10, DEFAULT_CEILING)}
+        got = {rec.name: (rec.computed, rec.passed) for rec in checks.tables(10)}
         assert got["t1 n=6"] == ("C0=252 r=2.1044", True)
         assert got["t2 n=9"] == ("C=3600 r=1.6696", True)
         assert got["t3 n=10"] == ("A=408 u=2.4826", True)
@@ -499,12 +500,12 @@ class TestCheckTable:
         computed = []
         row_of = counts.table_row
 
-        def spy(which, n, *, ceiling):
+        def spy(which, n):
             computed.append((which, n))
-            return row_of(which, n, ceiling=ceiling)
+            return row_of(which, n)
 
         monkeypatch.setattr(counts, "table_row", spy)
-        records = checks.tables(40, DEFAULT_CEILING)
+        records = checks.tables(40)
         # t1: n = 1..10, t2: odd n <= 9, t3: composite n <= 10
         assert [sum(r.name.startswith(w) for r in records) for w in short] == [10, 5, 5]
         assert len(computed) == 20 and max(n for _, n in computed) == 10
@@ -518,12 +519,12 @@ class TestCheckTable:
             ("t2", 9): lambda row: row._replace(ratio=row.ratio + 1e-4),
         }
 
-        def skewed(which, n, *, ceiling):
-            row = row_of(which, n, ceiling=ceiling)
+        def skewed(which, n):
+            row = row_of(which, n)
             return wrong.get((which, n), lambda r: r)(row)
 
         monkeypatch.setattr(counts, "table_row", skewed)
-        failed = [r.name for r in checks.tables(10, DEFAULT_CEILING) if not r.passed]
+        failed = [r.name for r in checks.tables(10) if not r.passed]
         assert failed == ["t1 n=6", "t2 n=9"]
 
     @pytest.mark.parametrize(
@@ -538,9 +539,9 @@ class TestCheckTable:
         computed = []
         row_of = counts.table_row
 
-        def spy(which, n, *, ceiling):
+        def spy(which, n):
             computed.append(n)
-            return row_of(which, n, ceiling=ceiling)
+            return row_of(which, n)
 
         monkeypatch.setattr(counts, "table_row", spy)
         with pytest.raises(CapacityError, match=f"dimension {first} exceeds ceiling {ceiling}"):
@@ -640,7 +641,8 @@ class TestCompute:
 
     @pytest.mark.parametrize(
         "run",
-        [lambda: count_a(10**5), lambda: compute("c", 10**5, method="permanent")],
+        # the count_a case runs the auto route, which reaches count_a
+        [lambda: compute("a", 10**5), lambda: compute("c", 10**5, method="permanent")],
         ids=["count_a", "compute-permanent"],
     )
     def test_oversized_count_is_refused_before_its_matrix(self, monkeypatch, run):
@@ -658,14 +660,12 @@ class TestCompute:
             compute("zz", 5)
 
     @pytest.mark.parametrize(
-        "count_fn, args",
-        [(count_a, (20,)), (count_c0, (12,)), (count_c, (24,)), (count_ck, (12, 3))],
-        ids=["a", "c0", "c", "ck"],
+        "args", [("a", 20), ("c0", 12), ("c", 24), ("ck", 12, 3)], ids=["a", "c0", "c", "ck"]
     )
-    def test_memo_hit_respects_a_smaller_ceiling(self, count_fn, args):
-        count_fn(*args)  # memoized under the default ceiling
+    def test_memo_hit_respects_a_smaller_ceiling(self, args):
+        compute(*args)  # memoized under the default ceiling
         with pytest.raises(CapacityError, match="ceiling 10"):
-            count_fn(*args, ceiling=10)
+            compute(*args, ceiling=10)
 
     @pytest.mark.parametrize(
         "kind, n, aux, method",
@@ -683,3 +683,60 @@ class TestCompute:
         direct = compute(kind, n, aux, method="permanent")
         assert direct.value == compute(kind, n, aux).value
         assert direct.method == "permanent"
+
+
+class TestUncappedCounts:
+    """Only ``compute`` and ``table_rows`` read a ceiling; the count_*
+    functions below them have none, and refuse malformed input through
+    ``graph.incidence`` before any table is built."""
+
+    def test_every_count_of_the_verify_suites_is_admitted(self, monkeypatch):
+        # the tables suite counts the reference rows by table_row
+        for kind, ref in (
+            ("c0", reference.TABLE_C0),
+            ("c", reference.TABLE_C_ODD),
+            ("a", reference.TABLE_A),
+        ):
+            for n in ref:
+                admit(kind, n, ceiling=DEFAULT_CEILING)
+        # the lemmas suite at --max 24: every key it memoizes and every
+        # request it sends to compute
+        monkeypatch.setattr(counts, "_memo", {})
+        requests = []
+        send = counts.compute
+
+        def spy(kind, n, aux=None, **kwargs):
+            requests.append((kind, n, aux, kwargs.get("method", "auto")))
+            return send(kind, n, aux, **kwargs)
+
+        monkeypatch.setattr(counts, "compute", spy)
+        checks.lemmas(24)
+        assert ("a", 24) in counts._memo and ("a", 24, None, "permanent") in requests
+        for key in counts._memo:
+            admit(*key, ceiling=DEFAULT_CEILING)
+        for kind, n, aux, method in requests:
+            admit(kind, n, aux, method=method, ceiling=DEFAULT_CEILING)
+
+    @pytest.mark.parametrize(
+        "run, key",
+        [
+            (lambda: count_c0(0), ("c0", 0)),
+            (lambda: count_c1(0), ("c1", 0)),
+            (lambda: count_c(0), ("c", 0)),
+            (lambda: count_a(0), ("a", 0)),
+            (lambda: count_ck(5, 1), ("ck", 5, 1)),
+            (lambda: count_c_a(0, 1), ("c1", 0)),
+        ],
+        ids=["c0", "c1", "c", "a", "ck", "c_a"],
+    )
+    def test_malformed_direct_call_is_refused_before_its_table(self, monkeypatch, run, key):
+        def unbuilt(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(counts, "_memo", {})
+        monkeypatch.setattr(counts, "_table", unbuilt)
+        with pytest.raises(ValueError) as refusal:
+            admit(*key)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+            run()
+        assert counts._memo == {}

@@ -117,3 +117,17 @@ def test_only_admit_words_the_ceiling_refusal():
         and "exceeds ceiling" in node.value
     }
     assert where == {"graph.admit"}
+
+
+def test_only_the_request_entries_take_a_ceiling():
+    """``--ceiling`` is read where a request enters: ``compute``,
+    ``table_rows`` and the rule they ask, ``graph.admit``.  The count
+    functions, the memo and the verify suites below them take no cap."""
+    where = {
+        f"{name}.{node.name}"
+        for name in MODULES
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.FunctionDef)
+        and "ceiling" in {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}
+    }
+    assert where == {"graph.admit", "counts.compute", "counts.table_rows"}
