@@ -28,8 +28,8 @@ predicate of its matrix, ``graph.incidence`` (:func:`_table`), never a
 bit matrix: each predicate (gcd = 1, gcd > 1, gcd with k! = 1) reads
 only the primes of its labels, so the labels are grouped by rad, the
 predicate runs once per pair of rad classes and classes with equal lines
-merge.  ``--method permanent`` walks the bits of ``graph.matrix``, the
-same definition, grouped into the same table.
+merge.  ``--method permanent`` builds the same table on the count's
+whole matrix and walks it once, with no reduction and no memo.
 
 Two counts reuse class work already in memory.  ``count_c0(n)`` reads
 C0(n) off the C_(a) minors when the memo holds them, as the last minor
@@ -56,7 +56,7 @@ import math
 from collections import Counter, namedtuple
 from math import gcd, inf
 
-from .graph import BRUTE_MAX, DEFAULT_CEILING, admit, incidence, matrix, smallest_factor
+from .graph import BRUTE_MAX, DEFAULT_CEILING, admit, incidence, smallest_factor
 from .permanent import ClassTable, class_table, permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
@@ -453,7 +453,8 @@ def compute(
     before any work.  ``method`` selects the computation path:
 
     * "auto" (every kind): the memoized count_* reductions;
-    * "permanent" (c, c0, a, ck): ``permanent_ryser`` of ``graph.matrix``;
+    * "permanent" (c, c0, a, ck): one walk of the label table of
+      ``graph.incidence``, with no reduction and no memo;
     * "brute" (every kind, n <= 12): ``brute_constrained_count``.
     """
     admit(kind, n, aux, method=method, ceiling=ceiling)
@@ -461,7 +462,7 @@ def compute(
         count = {"c": count_c, "c0": count_c0, "c1": count_c1, "a": count_a, "ck": count_ck}[kind]
         value = count(n, aux) if kind == "ck" else count(n)
     elif method == "permanent":
-        value = permanent_ryser(matrix(kind, n, aux))
+        value = permanent_ryser(_table(*incidence(kind, n, aux)))
     else:
         value = brute_constrained_count(n, kind, k=aux)
     if value < 0:

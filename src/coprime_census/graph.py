@@ -3,9 +3,10 @@
 Each count's matrix is defined once, by :func:`incidence`: its row
 labels, its column labels and the arithmetic predicate that sets entry
 (i, j) on ``(labels_row[i], labels_col[j])``.  The count layer groups
-those labels into the class tables it walks; :func:`matrix` sets the
-bits of the same definition into an immutable :class:`BitMatrix` for
-``--method permanent`` and ``--dump-matrix``.
+those labels into the class tables it walks, ``--method permanent``
+too; :func:`matrix` sets the bits of the same definition into an
+immutable :class:`BitMatrix` that ``--dump-matrix`` prints and no
+engine walks.
 
 The admission rule lives here too: :func:`admit` refuses a count
 request that is malformed or past ``--ceiling``.  A ceiling is read only

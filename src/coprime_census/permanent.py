@@ -1,11 +1,10 @@
 """Exact permanents of 0/1 matrices.
 
-Both engines walk a matrix as its class table (:class:`ClassTable`):
+Both engines take a matrix only as its class table (:class:`ClassTable`):
 classes of identical rows with their multiplicities, classes of
 identical columns with their sizes, and which blocks are all ones.  The
-count layer builds each table from the labels of its matrix; given a
-plain 0/1 matrix, :func:`permanent_ryser` groups its bits into the same
-table with :func:`class_table`.
+count layer builds each table from the labels of its matrix; a plain
+0/1 matrix is grouped into one by ``class_table(rows, [1] * n)``.
 
 * :func:`permanent_ryser` -- Glynn's formula in class-compressed form:
   the sum runs over how many columns of each class carry a -1, over
@@ -204,23 +203,18 @@ def _glynn_classes(table: ClassTable):
     return total >> (n - 1)
 
 
-def permanent_ryser(matrix) -> int:
+def permanent_ryser(table: ClassTable) -> int:
     """Exact permanent via Glynn's formula over classes of identical lines
     (:func:`_glynn_classes`).
 
-    ``matrix`` is a :class:`ClassTable`, or a 0/1 matrix with ``rows``
-    and ``n`` (a ``graph.BitMatrix``), whose bits are grouped into one.
-    Either must be square: a matrix with more rows than columns is
-    :func:`permanent_minors`'s, and ``ValueError`` is raised.  The walk
-    runs over the column classes of the table or of its transpose
-    (per(A) = per(A^T), read from the table's blocks by
-    :func:`_transpose`), the side with fewer terms
+    ``table`` is the :class:`ClassTable` of a square matrix: one with
+    more rows than columns is :func:`permanent_minors`'s, and
+    ``ValueError`` is raised.  The walk runs over the column classes of
+    the table or of its transpose (per(A) = per(A^T), read from the
+    table's blocks by :func:`_transpose`), the side with fewer terms
     (:func:`_half`), the columns on a tie: at most 2^(n-1) terms,
     reached only when all columns and all rows differ.
     """
-    table = matrix
-    if not isinstance(table, ClassTable):
-        table = class_table(matrix.rows, [1] * matrix.n)
     if sum(table.mult) != table.n:
         raise ValueError(f"permanent of {sum(table.mult)} rows by {table.n} columns")
     if table.n and _half(table.mult)[1] < _half(table.sizes)[1]:

@@ -125,7 +125,7 @@ class TestCount:
         assert json.loads(res.stdout)["value"] == "318695040"
 
     def test_a24_permanent_prints_the_auto_value(self, tmp_path):
-        # auto eliminates 11, 7 and 5; --method permanent walks matrix("a", 24)
+        # auto eliminates 11, 7 and 5; --method permanent walks the table of ("a", 24)
         out = []
         for method in ("auto", "permanent"):
             res = run_cli(
@@ -760,11 +760,12 @@ class TestVerify:
 
     def test_square_check_reads_a_second_walk(self, monkeypatch):
         from coprime_census import checks, counts
+        from coprime_census.graph import incidence
 
-        # a wrong walk of the C0(8) matrix; C_(17)(8) comes from another walk
+        # a wrong walk of the C0(8) table; C_(17)(8) comes from another walk
         walk = counts.permanent_ryser
-        c0_8 = tuple(range(1, 16, 2))
-        wrong = lambda m: walk(m) + (getattr(m, "labels_row", None) == c0_8)
+        c0_8 = counts._table(*incidence("c0", 8))
+        wrong = lambda table: walk(table) + (table == c0_8)
         monkeypatch.setattr(counts, "_memo", {})
         monkeypatch.setattr(counts, "permanent_ryser", wrong)
         failed = [r.name for r in checks.lemmas(16) if not r.passed and not r.diagnostic]
@@ -784,7 +785,7 @@ class TestVerify:
     def test_anti_split_check_reads_a_second_walk(self, monkeypatch):
         from coprime_census import checks, counts
 
-        # a wrong A(22) in the memo; the claimed side walks matrix("a", 22)
+        # a wrong A(22) in the memo; the claimed side walks the table of ("a", 22)
         monkeypatch.setattr(counts, "_memo", {("a", 22): 27628410817})
         failed = [r.name for r in checks.lemmas(16) if not r.passed and not r.diagnostic]
         assert failed == ["anti split n=22"]

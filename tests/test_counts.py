@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from coprime_census import checks, counts, reference
+from coprime_census import checks, counts, graph, reference
 from coprime_census.counts import (
     CountResult,
     anti_lower,
@@ -213,7 +213,7 @@ def eliminable(n: int) -> list[int]:
 class TestAntiSplit:
     def test_every_elimination_equals_the_direct_walk(self):
         for n in range(1, 31):
-            direct = permanent_ryser(matrix("a", n))
+            direct = permanent_ryser(bit_table(matrix("a", n)))
             primes = eliminable(n)
             # every prefix up to n = 24, then all the primes
             tried = range(1, len(primes) + 1) if n <= 24 else [len(primes)]
@@ -281,7 +281,7 @@ class TestAntiSplit:
     @pytest.mark.extended
     @pytest.mark.parametrize("n", [31, 32, 33, 34])
     def test_split_equals_the_direct_walk_to_34(self, n):
-        assert count_a(n) == permanent_ryser(matrix("a", n))
+        assert count_a(n) == permanent_ryser(bit_table(matrix("a", n)))
 
     def test_every_added_label_is_a_base_label_to_60(self):
         # rad(k), k <= n // p < sqrt(n), has a row and a column class in the
@@ -570,7 +570,7 @@ class TestBruteConstrained:
         ids=[f"{k}-{a}-{ORACLE_RULES[k]}-{n}" for k, a, n in ORACLE_CASES],
     )
     def test_matches_ryser(self, kind, aux, n):
-        want = permanent_ryser(matrix(kind, n, aux))
+        want = permanent_ryser(bit_table(matrix(kind, n, aux)))
         assert brute_constrained_count(n, kind, k=aux) == want
 
     def test_refusals(self):
@@ -589,7 +589,7 @@ class TestBruteConstrained:
         def undefined(*args, **kwargs):
             raise AssertionError("the oracle read graph's matrix definition")
 
-        monkeypatch.setattr(counts, "matrix", undefined)
+        monkeypatch.setattr(graph, "matrix", undefined)
         monkeypatch.setattr(counts, "incidence", undefined)
         assert compute("c0", 9, method="brute").value == reference.TABLE_C0[9][0] == 59616
         assert compute("c1", 9, method="brute").value == c1_9
@@ -650,7 +650,7 @@ class TestCompute:
             raise AssertionError("the matrix was built")
 
         # nor is any prime picked or any residual built for A(n)
-        for builder in ("incidence", "matrix", "_anti_primes", "_anti_split"):
+        for builder in ("incidence", "_table", "_anti_primes", "_anti_split"):
             monkeypatch.setattr(counts, builder, unbuilt)
         with pytest.raises(CapacityError, match="exceeds ceiling 40"):
             run()
@@ -677,9 +677,24 @@ class TestCompute:
             compute(kind, n, aux, method=method)
 
     @pytest.mark.parametrize(
-        "kind, n, aux", [("c0", 8, None), ("a", 14, None), ("ck", 10, 3)]
+        "kind, n, aux",
+        [
+            ("c0", 8, None),
+            ("a", 14, None),
+            ("ck", 10, 3),
+            ("c", 12, None),
+            ("c0", 16, None),
+            ("a", 24, None),
+            ("ck", 16, 3),
+        ],
     )
-    def test_direct_permanent_matches_auto(self, kind, n, aux):
+    def test_direct_permanent_matches_auto(self, monkeypatch, kind, n, aux):
+        # --method permanent walks the table built from the labels of
+        # graph.incidence; only --dump-matrix sets bits
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a bit matrix was built")
+
+        monkeypatch.setattr(graph, "BitMatrix", unbuilt)
         direct = compute(kind, n, aux, method="permanent")
         assert direct.value == compute(kind, n, aux).value
         assert direct.method == "permanent"

@@ -131,3 +131,16 @@ def test_only_the_request_entries_take_a_ceiling():
         and "ceiling" in {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}
     }
     assert where == {"graph.admit", "counts.compute", "counts.table_rows"}
+
+
+def test_only_the_cli_reads_the_bit_matrix():
+    """``graph.matrix`` sets the bits that ``--dump-matrix`` prints.  Every
+    walk reads a class table built from labels, so no other module of the
+    package reads it."""
+    readers = {
+        name
+        for name in MODULES
+        for sibling, attr, _ in _sibling_reads(name)
+        if (sibling, attr) == ("graph", "matrix")
+    }
+    assert readers == {"cli"}

@@ -16,7 +16,7 @@ from coprime_census.graph import (
     matrix,
     smallest_factor,
 )
-from coprime_census.permanent import permanent_dp, permanent_ryser
+from coprime_census.permanent import ClassTable, class_table, permanent_dp, permanent_ryser
 
 
 def bit(m: BitMatrix, i: int, j: int) -> int:
@@ -25,6 +25,11 @@ def bit(m: BitMatrix, i: int, j: int) -> int:
 
 def as_lists(m: BitMatrix) -> list[list[int]]:
     return [[bit(m, i, j) for j in range(m.n)] for i in range(len(m.rows))]
+
+
+def bit_table(m: BitMatrix) -> ClassTable:
+    """The class table grouped from the bits of ``m``."""
+    return class_table(m.rows, [1] * m.n)
 
 
 def bit_rows(xs, ys, pred) -> tuple[int, ...]:
@@ -74,8 +79,8 @@ class TestOddHalf:
         assert m.labels_col == (1, 2, 3, 4)
 
     def test_permanents_match_published(self):
-        assert permanent_ryser(matrix("c0", 3)) == 4
-        assert permanent_ryser(matrix("c0", 10)) == 565920
+        assert permanent_ryser(bit_table(matrix("c0", 3))) == 4
+        assert permanent_ryser(bit_table(matrix("c0", 10))) == 565920
 
     @given(st.integers(1, 60))
     @settings(max_examples=30)
@@ -142,18 +147,18 @@ class TestAnti:
     def test_reduction_small(self):
         m = matrix("a", 4)
         assert m.labels_row == (2, 4)
-        assert permanent_ryser(m) == 2
+        assert permanent_ryser(bit_table(m)) == 2
 
     def test_published_values(self):
-        assert permanent_ryser(matrix("a", 6)) == 8
-        assert permanent_ryser(matrix("a", 9)) == 72
+        assert permanent_ryser(bit_table(matrix("a", 6))) == 8
+        assert permanent_ryser(bit_table(matrix("a", 9))) == 72
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             matrix("a", 0)
         # n = 1: 1 is a forced fixed point, leaving the 0 x 0 matrix
         m = matrix("a", 1)
-        assert m.n == 0 and m.labels_row == () and permanent_ryser(m) == 1
+        assert m.n == 0 and m.labels_row == () and permanent_ryser(bit_table(m)) == 1
 
     @given(st.integers(2, 40))
     @settings(max_examples=25)
@@ -168,8 +173,8 @@ class TestAnti:
 
 class TestGcdK:
     def test_published_values(self):
-        assert permanent_ryser(matrix("ck", 6, 2)) == 36
-        assert permanent_ryser(matrix("ck", 6, 3)) == 16
+        assert permanent_ryser(bit_table(matrix("ck", 6, 2))) == 36
+        assert permanent_ryser(bit_table(matrix("ck", 6, 3))) == 16
 
     def test_large_k_is_full_coprimality(self):
         assert matrix("ck", 4, 7).rows == matrix("c", 4).rows

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coprime_census import permanent
-from coprime_census.graph import BitMatrix, matrix
+from coprime_census import counts, permanent
+from coprime_census.graph import BitMatrix, incidence, matrix
 from coprime_census.permanent import (
     ClassTable,
     _glynn_classes,
@@ -20,9 +20,14 @@ from coprime_census.permanent import (
 )
 
 
-def matrix_from_rows(rows: list[int], n: int) -> BitMatrix:
-    labels = tuple(range(1, n + 1))
-    return BitMatrix(n=n, rows=tuple(rows), labels_row=labels, labels_col=labels)
+def matrix_from_rows(rows: list[int], n: int) -> ClassTable:
+    """The class table of the 0/1 matrix with these n-bit rows."""
+    return class_table(tuple(rows), [1] * n)
+
+
+def bit_table(m: BitMatrix) -> ClassTable:
+    """The class table grouped from the bits of a ``graph.matrix``."""
+    return class_table(m.rows, [1] * m.n)
 
 
 def transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
@@ -62,11 +67,9 @@ def walked_terms(table: ClassTable) -> int:
     return min(glynn_terms(table.sizes), glynn_terms(table.mult))
 
 
-def random_matrix(rng: random.Random, n: int, density: float = 0.6) -> BitMatrix:
-    rows = []
-    for _ in range(n):
-        rows.append(sum(1 << j for j in range(n) if rng.random() < density))
-    return matrix_from_rows(rows, n)
+def random_matrix(rng: random.Random, n: int, density: float = 0.6) -> tuple[int, ...]:
+    """The row bit-vectors of a random n-square 0/1 matrix."""
+    return tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n))
 
 
 class TestRyser:
@@ -83,39 +86,39 @@ class TestRyser:
         assert permanent_ryser(m) == 0
 
     def test_empty(self):
-        m = BitMatrix(n=0, rows=(), labels_row=(), labels_col=())
-        assert permanent_ryser(m) == 1
+        assert permanent_ryser(matrix_from_rows([], 0)) == 1
 
     def test_published_c0_18(self):
-        assert permanent_ryser(matrix("c0", 18)) == 79772814777600
+        assert permanent_ryser(bit_table(matrix("c0", 18))) == 79772814777600
 
     def test_ceiling_refusal(self):
         # the count layer refuses past --ceiling; the engine has no cap of
         # its own, so the all-ones matrix past the default 40 is walked
         assert permanent_ryser(matrix_from_rows([(1 << 41) - 1] * 41, 41)) == math.factorial(41)
         with pytest.raises(TypeError):
-            permanent_ryser(matrix("c", 9), ceiling=8)
+            permanent_ryser(bit_table(matrix("c", 9)), ceiling=8)
 
     def test_refuses_a_non_square_matrix(self):
         # the (n+1) x n matrix is permanent_minors's: the walk would return
-        # its minors, not one permanent
+        # its minors, not one permanent, whether its table was built from
+        # the labels or grouped from the bits
         tall = matrix("ca", 3)
         with pytest.raises(ValueError, match="4 rows by 3 columns"):
-            permanent_ryser(tall)
+            permanent_ryser(counts._table(*incidence("ca", 3)))
         with pytest.raises(ValueError, match="4 rows by 3 columns"):
-            permanent_ryser(class_table(tall.rows, [1] * 3))
-        assert minors_of(tall.rows)[-1] == permanent_ryser(matrix("c0", 3))
+            permanent_ryser(bit_table(tall))
+        assert minors_of(tall.rows)[-1] == permanent_ryser(bit_table(matrix("c0", 3)))
 
     def test_subset_walk_equals_class_walk(self):
         m = matrix("c0", 16)
-        assert permanent_dp(m.rows) == permanent_ryser(m)
+        assert permanent_dp(m.rows) == permanent_ryser(bit_table(m))
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_row_column_shuffle_invariance(self, n, rnd):
         rng = random.Random(rnd.randint(0, 10**9))
-        m = random_matrix(rng, n)
-        base = permanent_ryser(m)
+        rows = random_matrix(rng, n)
+        base = permanent_ryser(matrix_from_rows(rows, n))
         perm_r = list(range(n))
         perm_c = list(range(n))
         rng.shuffle(perm_r)
@@ -124,7 +127,7 @@ class TestRyser:
         for i in perm_r:
             row = 0
             for jj, j in enumerate(perm_c):
-                if (m.rows[i] >> j) & 1:
+                if (rows[i] >> j) & 1:
                     row |= 1 << jj
             shuffled_rows.append(row)
         assert permanent_ryser(matrix_from_rows(shuffled_rows, n)) == base
@@ -165,13 +168,13 @@ class TestThreeWayAgreement:
         checked = 0
         for n in range(1, 8):
             for _ in range(70):
-                m = random_matrix(rng, n, density=rng.uniform(0.1, 0.95))
-                assert permanent_ryser(m) == permanent_dp(m.rows)
+                rows = random_matrix(rng, n, density=rng.uniform(0.1, 0.95))
+                assert permanent_ryser(matrix_from_rows(rows, n)) == permanent_dp(rows)
                 checked += 1
         for n in (8, 9):
             for _ in range(10):
-                m = random_matrix(rng, n, density=rng.uniform(0.3, 0.8))
-                assert permanent_ryser(m) == permanent_dp(m.rows)
+                rows = random_matrix(rng, n, density=rng.uniform(0.3, 0.8))
+                assert permanent_ryser(matrix_from_rows(rows, n)) == permanent_dp(rows)
                 checked += 1
         assert checked >= 500
 
@@ -218,15 +221,21 @@ class TestClassWalk:
     @pytest.mark.parametrize(
         "walk, widths",
         [
-            (lambda: permanent_ryser(matrix("c0", 9)), [9]),  # walks its column classes
-            (lambda: permanent_ryser(matrix_from_rows(transpose(matrix("c0", 9).rows, 9), 9)), [9]),
+            # walks its column classes
+            (lambda: permanent_ryser(permanent.class_table(matrix("c0", 9).rows, [1] * 9)), [9]),
+            (
+                lambda: permanent_ryser(
+                    permanent.class_table(transpose(matrix("c0", 9).rows, 9), [1] * 9)
+                ),
+                [9],
+            ),
         ],
         ids=["ryser-rows", "ryser-cols"],
     )
     def test_bits_are_grouped_once_per_walk(self, monkeypatch, walk, widths):
-        # one pass over the bits builds the table; a walk over the row
-        # classes (the transpose of the C0(9) matrix) transposes the table
-        # from its blocks, with no second pass
+        # the caller's one pass over the bits builds the table and the walk
+        # groups nothing again; a walk over the row classes (the transpose
+        # of the C0(9) matrix) transposes the table from its blocks
         seen = []
 
         def counted(lines, group_widths):
@@ -333,14 +342,14 @@ class TestGlynnHalfWalk:
 
     def test_half_the_terms(self):
         m = matrix("c0", 18)
-        value, sums = traced_walk(lambda: permanent_ryser(m))
+        value, sums = traced_walk(lambda: permanent_ryser(bit_table(m)))
         assert value == 79772814777600
         cols = Counter(transpose(m.rows, m.n)).values()
         assert len(sums) == 2592 == math.prod(c + 1 for c in cols) // 2
         value, sums = traced_walk(lambda: minors_of(matrix("ca", 15).rows))
         cols = Counter(transpose(matrix("ca", 15).rows, 15)).values()
         assert len(sums) == 900 == math.prod(c + 1 for c in cols) // 2
-        assert value[-1] == permanent_ryser(matrix("c0", 15))
+        assert value[-1] == permanent_ryser(bit_table(matrix("c0", 15)))
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
@@ -407,7 +416,7 @@ def minors_by_dp(rows: tuple[int, ...]) -> list[int]:
 class TestMinors:
     def test_odd_plus_rows_give_every_c_a(self):
         for m in range(1, 17):
-            want = [permanent_ryser(c_a_matrix(m, a)) for a in range(1, 2 * m + 2, 2)]
+            want = [permanent_ryser(bit_table(c_a_matrix(m, a))) for a in range(1, 2 * m + 2, 2)]
             assert minors_of(matrix("ca", m).rows) == want, m
 
     @given(tall_class_matrices())
