@@ -120,15 +120,13 @@ def cmd_count(args) -> int:
     kind = args.kind
     if args.no_cache and args.verify_cache:
         raise ValueError("--verify-cache compares against the cache that --no-cache skips")
-    if args.dump_matrix:
-        incidence(kind, args.n, args.aux)  # c1 has no matrix to dump
     # before the cache is opened, so a refused request neither creates the
     # file nor is served from it
     admit(kind, args.n, args.aux, method=args.method, ceiling=args.ceiling)
+    if args.dump_matrix:
+        incidence(kind, args.n, args.aux)  # c1 has no matrix to dump
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(Path(args.cache))
+    cache = None if args.no_cache else ResultCache(Path(args.cache))
     try:
         cached = cache.get(kind, args.n, args.aux) if cache else None
         current = cached is not None and cached.get("engine_version") == __version__
@@ -240,14 +238,7 @@ def cmd_verify(args) -> int:
 # the flags more than one subcommand reads; each subcommand takes only its own
 _SHARED_FLAGS = {
     "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="permanent dimension cap"),
-    "--sieve-limit": dict(
-        type=int,
-        default=DEFAULT_SIEVE_LIMIT,
-        help="largest 2n a dist scan accepts, a guard on run time",
-    ),
-    "--cache": dict(default=DEFAULT_CACHE, help="result cache path"),
     "--no-cache": dict(action="store_true", help="skip the cache"),
-    "--verify-cache": dict(action="store_true", help="recompute cached entries and compare"),
     "--format": dict(choices=("csv", "json"), default="csv"),
 }
 
@@ -259,17 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, summary: str, *flags: str):
-        # --no-cache is accepted everywhere so one invocation style runs
-        # every subcommand; only count has a cache to skip
+    def add(name: str, func, summary: str, *flags: str, own: dict | None = None):
+        # shared flags, its own, then --no-cache: accepted everywhere so one
+        # invocation style runs every subcommand; only count has a cache
         p = sub.add_parser(name, help=summary)
-        for flag in (*flags, "--no-cache"):
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        for flag, spec in [*((f, _SHARED_FLAGS[f]) for f in flags), *(own or {}).items()]:
+            p.add_argument(flag, **spec)
+        p.add_argument("--no-cache", **_SHARED_FLAGS["--no-cache"])
         p.set_defaults(func=func)
         return p
 
-    count_flags = ("--ceiling", "--cache", "--verify-cache")
-    p_count = add("count", cmd_count, "compute one count", *count_flags)
+    cache_flags = {
+        "--cache": dict(default=DEFAULT_CACHE, help="result cache path"),
+        "--verify-cache": dict(action="store_true", help="recompute cached entries and compare"),
+    }
+    p_count = add("count", cmd_count, "compute one count", "--ceiling", own=cache_flags)
     p_count.add_argument("--kind", required=True, choices=KINDS)
     p_count.add_argument("--n", required=True, type=int)
     p_count.add_argument("--aux", type=int, help="k for kind=ck")
@@ -284,15 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--which", required=True, choices=("t1", "t2", "t3"))
     p_table.add_argument("--max", required=True, type=int)
 
-    p_dist = add("dist", cmd_dist, "distribution scans", "--format", "--sieve-limit")
+    dist_flags = {
+        # None marks --format left at its default: only the --alpha scan reads it
+        "--format": dict(choices=("csv", "json"), default=None),
+        "--sieve-limit": dict(
+            type=int, default=DEFAULT_SIEVE_LIMIT,
+            help="largest 2n a dist scan accepts, a guard on run time",
+        ),
+    }
+    p_dist = add("dist", cmd_dist, "distribution scans", own=dist_flags)
     p_dist.add_argument("--n", required=True, type=int)
     # one scan per run: the cutoff counts, the second moment or the top set
     mode = p_dist.add_mutually_exclusive_group()
     mode.add_argument("--alpha", action="append", help="cutoff (repeatable)")
     mode.add_argument("--second-moment", action="store_true")
     mode.add_argument("--top-set", action="store_true")
-    # None marks --format left at its default: only the --alpha scan reads it
-    p_dist.set_defaults(format=None)
 
     p_verify = add("verify", cmd_verify, "verification suites")
     p_verify.add_argument(

@@ -34,12 +34,12 @@ whole matrix and walks it once, with no reduction and no memo.
 Two counts reuse class work already in memory.  ``count_c0(n)`` reads
 C0(n) off the C_(a) minors when the memo holds them, as the last minor
 of ("ca", n) or the expansion along column n of ("ca", n-1), and walks
-its own table otherwise.  ``_anti_split`` builds one table, on the base
-labels, and derives every residual table from it by counts alone.  So a
-check that sets two routes against each other takes routes that do not
-read each other's memo: the square record of ``checks.lemmas`` walks
-the C0(n) matrix itself (``compute(..., method="permanent")``) against
-the last minor.
+its own table otherwise.  ``_anti_split`` builds the rad lines of the
+base labels once, and each residual's table from them with no predicate
+call.  So a check that sets two routes against each other takes routes
+that do not read each other's memo: the square record of
+``checks.lemmas`` walks the C0(n) matrix itself
+(``compute(..., method="permanent")``) against the last minor.
 
 All values are exact integers and are memoized in-process by
 (kind, n, aux), the C_(a)(m) as one tuple under ("c1", m).  Only
@@ -57,7 +57,7 @@ from collections import Counter, namedtuple
 from math import gcd, inf
 
 from .graph import BRUTE_MAX, DEFAULT_CEILING, admit, incidence, smallest_factor
-from .permanent import ClassTable, class_table, permanent_dp, permanent_minors, permanent_ryser
+from .permanent import class_table, permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
     "CountResult",
@@ -116,15 +116,18 @@ def _rad(m: int) -> int:
     return r
 
 
-def _table(xs, ys, pred):
-    """The class table of the matrix with bit (i, j) iff pred(xs[i], ys[j]).
-
-    Every predicate here reads only the primes of its labels, so labels
-    are grouped by rad and ``pred`` runs once per pair of rad classes;
-    ``class_table`` merges the classes whose lines are equal.
-    """
+def _rad_lines(xs, ys, pred):
+    """The line of each rad of ``xs`` over the rads of ``ys``, and how
+    many of ``ys`` have each rad.  Every predicate here reads only the
+    primes of its labels, so ``pred`` runs once per pair of rads."""
     widths = Counter(map(_rad, ys))
     lines = {x: sum(pred(x, y) << t for t, y in enumerate(widths)) for x in set(map(_rad, xs))}
+    return lines, widths
+
+
+def _table(xs, ys, pred):
+    """The class table of the matrix with bit (i, j) iff pred(xs[i], ys[j])."""
+    lines, widths = _rad_lines(xs, ys, pred)
     return class_table([lines[_rad(x)] for x in xs], widths.values())
 
 
@@ -273,12 +276,10 @@ def _anti_split(n: int, primes) -> int:
     transpose of (X, Y): each such pair is walked once, with the two
     weights added.
 
-    One table is built, on the base labels (those no eliminated prime
-    divides).  A residual adds the labels rad(k), k <= n // p < sqrt(n),
-    and each is itself a base label: adding it raises the multiplicity of
-    its row class or the size of its column class and leaves every line
-    as it is.  So each residual table is the base table with new counts,
-    with no predicate call and no regrouping.
+    The rad lines of the base labels (those no eliminated prime divides)
+    are built once.  A residual adds labels rad(k), k <= n // p < sqrt(n),
+    each a base label, so its table takes the base lines plus a line per
+    added row and the base widths plus one per added column.
     """
     labels, _, anti = incidence("a", n)
     base = [x for x in labels if all(x % p for p in primes)]
@@ -286,24 +287,14 @@ def _anti_split(n: int, primes) -> int:
     for (rows, cols), weight in _anti_residuals(n, primes).items():
         key = min((rows, cols), (cols, rows))
         pairs[key] = pairs.get(key, 0) + weight
-    table = _table(base, base, anti)
-    # the row class and the column class of each label a residual adds;
-    # a column class is its column's bits over the row classes
-    extra = {x for key in pairs for side in key for x in side}
-    firsts = [base[table.row_class.index(r)] for r in range(len(table.mult))]
-    row_of = {x: table.row_class[base.index(x)] for x in extra}
-    col_of = {
-        x: table.cols.index(sum(anti(y, x) << r for r, y in enumerate(firsts))) for x in extra
-    }
+    lines, widths = _rad_lines(base, base, anti)
+    base_lines = [lines[_rad(x)] for x in base]
     total = 0
     for (rows, cols), weight in pairs.items():
-        mult, sizes = list(table.mult), list(table.sizes)
-        for x in rows:
-            mult[row_of[x]] += 1
-        for x in cols:
-            sizes[col_of[x]] += 1
-        row_class = table.row_class + tuple(row_of[x] for x in rows)
-        residual = ClassTable(table.n + len(cols), tuple(mult), tuple(sizes), table.cols, row_class)
+        sizes = dict(widths)  # not a Counter: a rad outside the base is a KeyError
+        for y in cols:
+            sizes[y] += 1
+        residual = class_table(base_lines + [lines[x] for x in rows], sizes.values())
         total += weight * permanent_ryser(residual)
     return total
 

@@ -80,9 +80,10 @@ def admit(
     and n < 1.  ``CapacityError`` when the largest permanent behind the
     count is larger than ``ceiling``: dimension n // 2 for C(n) by its
     reduction, the reduced matrix on :func:`anti_labels` for A(n) unless
-    brute, and n otherwise (a brute DP runs over n rows); and for brute
-    past n = 12.  Only the request entries pass a ceiling;
-    :func:`incidence` and the brute oracle pass ``inf``.
+    brute ("at least" a bound with no trial division, far past it), and
+    n otherwise (a brute DP runs over n rows); and for brute past
+    n = 12.  Only the request entries pass a ceiling; :func:`incidence`
+    and the brute oracle pass ``inf``.
     """
     if kind not in KINDS:
         raise ValueError(f"no kind {kind!r}; the kinds are {', '.join(KINDS)}")
@@ -97,7 +98,12 @@ def admit(
     if kind == "c" and method == "auto":
         dim = n // 2
     elif kind == "a" and method != "brute":
-        dim = len(anti_labels(n))
+        # 2..n less the primes in (n/2, n]: at least n - 1 less its odd m, and 2 at n <= 3
+        dim = n - 1 - ((n + 1) // 2 - (n // 2 + 1) // 2) - (n in (2, 3))
+        if dim > ceiling:
+            raise CapacityError(f"permanent dimension at least {dim} exceeds ceiling {ceiling}")
+        if n - 1 > ceiling:
+            dim = len(anti_labels(n))
     else:
         dim = n
     if dim > ceiling:

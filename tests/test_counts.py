@@ -292,6 +292,16 @@ class TestAntiSplit:
             for rows, cols in counts._anti_residuals(n, primes):
                 assert set(rows + cols) <= base, (n, rows, cols)
 
+    def test_every_added_rad_is_a_rad_of_the_base_labels(self):
+        # _anti_split reads the line and the column rad of each label a
+        # residual adds from the base labels' rad lines; a rad outside them
+        # would be a KeyError
+        for n in range(1, 48):
+            primes = counts._anti_primes(n)
+            base = {counts._rad(x) for x in anti_labels(n) if all(x % p for p in primes)}
+            for rows, cols in counts._anti_residuals(n, primes):
+                assert set(rows) <= base and set(cols) <= base, (n, rows, cols)
+
     @staticmethod
     def grown_against_scratch(monkeypatch, n):
         """Each table _anti_split(n) walks, derived from the base table,

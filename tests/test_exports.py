@@ -144,3 +144,23 @@ def test_only_the_cli_reads_the_bit_matrix():
         if (sibling, attr) == ("graph", "matrix")
     }
     assert readers == {"cli"}
+
+
+def test_only_permanent_reads_the_class_table_layout():
+    """``permanent`` owns the class-table layout: every other module builds
+    a table through ``class_table`` and hands it to an engine, and none
+    constructs a ``ClassTable`` or reads its fields."""
+    fields = {"mult", "sizes", "cols", "row_class"}
+    named = lambda call: {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+    where = sorted(
+        {
+            f"{name}.{getattr(top, 'name', '<module>')}"
+            for name in MODULES
+            if name != "permanent"
+            for top in _tree(name).body
+            for node in ast.walk(top)
+            if (isinstance(node, ast.Attribute) and node.attr in fields)
+            or (isinstance(node, ast.Call) and "ClassTable" in named(node))
+        }
+    )
+    assert not where, f"class-table layout read outside permanent: {where}"

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprime_census import counts
+from coprime_census import counts, graph
 from coprime_census.arith import primes_upto
 from coprime_census.graph import (
     BitMatrix,
     CapacityError,
     admit,
+    anti_labels,
     incidence,
     matrix,
     smallest_factor,
 )
 from coprime_census.permanent import ClassTable, class_table, permanent_dp, permanent_ryser
+from coprime_census.reference import TABLE_A
 
 
 def bit(m: BitMatrix, i: int, j: int) -> int:
@@ -292,6 +294,42 @@ class TestAdmit:
         with pytest.raises(ValueError, match=message) as refused:
             admit(kind, n, aux, method=method)
         assert not isinstance(refused.value, CapacityError)
+
+    def test_every_a_is_priced_by_its_labels(self):
+        # admitted at len(anti_labels(n)) and refused one below it, whether
+        # the labels are listed or a bound decides
+        for n in range(1, 300):
+            dim = len(anti_labels(n))
+            admit("a", n, ceiling=dim)
+            refusal = f"dimension (at least )?[0-9]+ exceeds ceiling {dim - 1}$"
+            with pytest.raises(CapacityError, match=refusal):
+                admit("a", n, ceiling=dim - 1)
+
+    def test_a_far_past_the_ceiling_is_refused_without_trial_division(self, monkeypatch):
+        def unfactored(m):
+            raise AssertionError("a label was trial-divided")
+
+        monkeypatch.setattr(graph, "smallest_factor", unfactored)
+        # 10^6 - 1 labels less the 250,000 odd m in (5 * 10^5, 10^6]
+        refusal = "^permanent dimension at least 749999 exceeds ceiling 40$"
+        with pytest.raises(CapacityError, match=refusal):
+            counts.compute("a", 10**6)
+
+    def test_an_admitted_a_lists_its_labels_once(self, monkeypatch):
+        listed = []
+
+        def counted(n):
+            listed.append(n)
+            return anti_labels(n)
+
+        monkeypatch.setattr(graph, "anti_labels", counted)
+        monkeypatch.setattr(counts, "_memo", {})
+        assert counts.count_a(24) == TABLE_A[24][0]
+        assert listed == [24]
+        monkeypatch.setattr(counts, "_memo", {})
+        listed.clear()
+        assert counts.compute("a", 24).value == TABLE_A[24][0]
+        assert listed == [24]
 
 
 class TestSmallestFactor:
