@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import smallest_factor
+from .graph import prime_factors
 
 __all__ = [
     "coprime_count",
@@ -41,17 +41,14 @@ def coprime_count(m: int, n: int) -> int:
 
     Inclusion-exclusion over the squarefree divisors of m:
     sum over d | rad(m) of mu(d) * floor(n/d), the distinct primes of m
-    read off by repeated trial division.
+    read by ``graph.prime_factors``, trial division.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     # (divisor, mobius sign) pairs built incrementally over distinct primes
     terms = [(1, 1)]
-    while m > 1:
-        p = smallest_factor(m)
+    for p in prime_factors(m):
         terms += [(d * p, -s) for d, s in terms]
-        while m % p == 0:
-            m //= p
     return sum(s * (n // d) for d, s in terms)
 
 

@@ -24,22 +24,21 @@
   compares them against reference.py.
 
 Every count hands the walk a class table built from the labels and the
-predicate of its matrix, ``graph.incidence`` (:func:`_table`), never a
-bit matrix: each predicate (gcd = 1, gcd > 1, gcd with k! = 1) reads
-only the primes of its labels, so the labels are grouped by rad, the
-predicate runs once per pair of rad classes and classes with equal lines
-merge.  ``--method permanent`` builds the same table on the count's
-whole matrix and walks it once, with no reduction and no memo.
+rule of its matrix, ``graph.incidence`` (:func:`_table`), never a bit
+matrix: the columns are grouped by prime set, each prime has one mask of
+the groups it divides, and a row's line is the union of its primes'
+masks, complemented unless the rule asks for a shared prime.
+``--method permanent`` walks the same table of the count's whole matrix
+once, with no reduction and no memo.
 
 Two counts reuse class work already in memory.  ``count_c0(n)`` reads
 C0(n) off the C_(a) minors when the memo holds them, as the last minor
 of ("ca", n) or the expansion along column n of ("ca", n-1), and walks
-its own table otherwise.  ``_anti_split`` builds the rad lines of the
-base labels once, and each residual's table from them with no predicate
-call.  So a check that sets two routes against each other takes routes
-that do not read each other's memo: the square record of
-``checks.lemmas`` walks the C0(n) matrix itself
-(``compute(..., method="permanent")``) against the last minor.
+its own table otherwise.  ``_anti_split`` builds the lines of the base
+labels once, and each residual's table from them.  So a check that sets
+two routes against each other takes routes that do not read each other's
+memo: the square record of ``checks.lemmas`` walks the C0(n) matrix
+itself (``compute(..., method="permanent")``) against the last minor.
 
 All values are exact integers and are memoized in-process by
 (kind, n, aux), the C_(a)(m) as one tuple under ("c1", m).  Only
@@ -55,8 +54,9 @@ import functools
 import math
 from collections import Counter, namedtuple
 from math import gcd, inf
+from operator import or_
 
-from .graph import BRUTE_MAX, DEFAULT_CEILING, admit, incidence, smallest_factor
+from .graph import BRUTE_MAX, DEFAULT_CEILING, admit, incidence, prime_factors, smallest_factor
 from .permanent import class_table, permanent_dp, permanent_minors, permanent_ryser
 
 __all__ = [
@@ -104,31 +104,28 @@ def _memoized(key: tuple, count, oracle=None):
     return _memo[key]
 
 
-@functools.cache
-def _rad(m: int) -> int:
-    """The product of the distinct primes of m >= 1."""
-    r = 1
-    while m > 1:
-        p = smallest_factor(m)
-        r *= p
-        while m % p == 0:
-            m //= p
-    return r
-
-
-def _rad_lines(xs, ys, pred):
-    """The line of each rad of ``xs`` over the rads of ``ys``, and how
-    many of ``ys`` have each rad.  Every predicate here reads only the
-    primes of its labels, so ``pred`` runs once per pair of rads."""
-    widths = Counter(map(_rad, ys))
-    lines = {x: sum(pred(x, y) << t for t, y in enumerate(widths)) for x in set(map(_rad, xs))}
+def _rad_lines(xs, ys, share, bound):
+    """The line of each prime set of ``xs`` over the prime sets of ``ys``,
+    and how many of ``ys`` have each.  One mask per prime holds the column
+    groups it divides; a line is the OR of the masks of its primes <= bound,
+    complemented unless ``share``.  No pair of labels is tested."""
+    widths = Counter(map(prime_factors, ys))
+    masks = {}
+    for t, primes in enumerate(widths):
+        for p in primes:
+            masks[p] = masks.get(p, 0) | 1 << t
+    full = 0 if share else (1 << len(widths)) - 1
+    lines = {
+        primes: full ^ functools.reduce(or_, (masks.get(p, 0) for p in primes if p <= bound), 0)
+        for primes in set(map(prime_factors, xs))
+    }
     return lines, widths
 
 
-def _table(xs, ys, pred):
-    """The class table of the matrix with bit (i, j) iff pred(xs[i], ys[j])."""
-    lines, widths = _rad_lines(xs, ys, pred)
-    return class_table([lines[_rad(x)] for x in xs], widths.values())
+def _table(xs, ys, share, bound):
+    """The class table of the matrix ``graph.incidence`` declares."""
+    lines, widths = _rad_lines(xs, ys, share, bound)
+    return class_table([lines[prime_factors(x)] for x in xs], widths.values())
 
 
 def count_c0(n: int) -> int:
@@ -143,10 +140,9 @@ def count_c0(n: int) -> int:
     def count() -> int:
         if ("c1", n) in _memo:
             return _memo[("c1", n)][-1]
-        odds, cols, coprime = incidence("c0", n)
-        if ("c1", n - 1) in _memo:
-            return sum(c for a, c in zip(odds, _memo[("c1", n - 1)]) if coprime(a, n))
-        return permanent_ryser(_table(odds, cols, coprime))
+        if ("c1", n - 1) in _memo:  # C_(a)(n - 1) for a = 2i + 1
+            return sum(c for i, c in enumerate(_memo[("c1", n - 1)]) if gcd(2 * i + 1, n) == 1)
+        return permanent_ryser(_table(*incidence("c0", n)))
 
     return _memoized(("c0", n), count)
 
@@ -230,16 +226,17 @@ def _anti_patterns(m: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]
     sides, and the 2-cycle (p 2p), leaving nothing.
     """
     table: dict[tuple, int] = {}
+    rad = lambda k: math.prod(prime_factors(k))
 
     def match(k: int, used: int, left: tuple[int, ...]) -> None:
         if k > m:
             if used & 1:
-                cols = (_rad(c) for c in range(2, m + 1) if not used >> (c - 1) & 1)
+                cols = (rad(c) for c in range(2, m + 1) if not used >> (c - 1) & 1)
                 key = (tuple(sorted(left)), tuple(sorted(cols)))
                 table[key] = table.get(key, 0) + 1
             return
         if k > 1:
-            match(k + 1, used, left + (_rad(k),))
+            match(k + 1, used, left + (rad(k),))
         for c in range(1, m + 1):
             if not used >> (c - 1) & 1 and gcd(k, c) == 1:
                 match(k + 1, used | 1 << (c - 1), left)
@@ -270,32 +267,32 @@ def _anti_primes(n: int) -> list[int]:
 
 def _anti_split(n: int, primes) -> int:
     """A(n) as the weighted sum of the permanents of the residuals left by
-    eliminating ``primes``, each a table on the gcd > 1 predicate of
-    ("a", n); with none, the one residual is its matrix.  The
-    predicate is symmetric, so the residual (rows Y, columns X) is the
-    transpose of (X, Y): each such pair is walked once, with the two
-    weights added.
+    eliminating ``primes``, each a table on the rule of ("a", n), a
+    shared prime; with none, the one residual is its matrix.  The rule
+    is symmetric, so the residual (rows Y, columns X) is the transpose of
+    (X, Y): each such pair is walked once, with the two weights added.
 
-    The rad lines of the base labels (those no eliminated prime divides)
-    are built once.  A residual adds labels rad(k), k <= n // p < sqrt(n),
-    each a base label, so its table takes the base lines plus a line per
-    added row and the base widths plus one per added column.
+    The lines of the base labels (those no eliminated prime divides) are
+    built once.  A residual adds labels rad(k), k <= n // p < sqrt(n),
+    each with the primes of a base label, so its table takes the base
+    lines plus a line per added row and the base widths plus one per
+    added column.
     """
-    labels, _, anti = incidence("a", n)
+    labels, _, share, bound = incidence("a", n)
     base = [x for x in labels if all(x % p for p in primes)]
     pairs: dict[tuple, int] = {}
     for (rows, cols), weight in _anti_residuals(n, primes).items():
         key = min((rows, cols), (cols, rows))
         pairs[key] = pairs.get(key, 0) + weight
-    lines, widths = _rad_lines(base, base, anti)
-    base_lines = [lines[_rad(x)] for x in base]
+    lines, widths = _rad_lines(base, base, share, bound)
+    base_lines = [lines[prime_factors(x)] for x in base]
     total = 0
     for (rows, cols), weight in pairs.items():
-        sizes = dict(widths)  # not a Counter: a rad outside the base is a KeyError
+        sizes = dict(widths)  # not a Counter: primes outside the base are a KeyError
         for y in cols:
-            sizes[y] += 1
-        residual = class_table(base_lines + [lines[x] for x in rows], sizes.values())
-        total += weight * permanent_ryser(residual)
+            sizes[prime_factors(y)] += 1
+        table = class_table(base_lines + [lines[prime_factors(x)] for x in rows], sizes.values())
+        total += weight * permanent_ryser(table)
     return total
 
 

@@ -38,10 +38,6 @@ def as_fraction(alpha) -> Fraction:
     Floats are interpreted through their shortest decimal representation
     (so 0.7 means 7/10, not the nearest binary double).
     """
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
     if isinstance(alpha, float):
         return Fraction(str(alpha))
     try:

@@ -1,12 +1,12 @@
 """The 0/1 incidence matrices whose permanents we count, and their size rule.
 
 Each count's matrix is defined once, by :func:`incidence`: its row
-labels, its column labels and the arithmetic predicate that sets entry
-(i, j) on ``(labels_row[i], labels_col[j])``.  The count layer groups
-those labels into the class tables it walks, ``--method permanent``
-too; :func:`matrix` sets the bits of the same definition into an
-immutable :class:`BitMatrix` that ``--dump-matrix`` prints and no
-engine walks.
+labels, its column labels and the rule that sets entry (i, j), which
+reads only the primes the two labels share (:func:`prime_factors`).
+The count layer builds the class tables it walks from one bitmask per
+prime, ``--method permanent`` too; :func:`matrix` sets the bits of the
+same rule by a gcd test into an immutable :class:`BitMatrix` that
+``--dump-matrix`` prints and no engine walks.
 
 The admission rule lives here too: :func:`admit` refuses a count
 request that is malformed or past ``--ceiling``.  A ceiling is read only
@@ -17,11 +17,13 @@ loading the permanent engine; :func:`incidence` admits with none.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
-from math import factorial, gcd, inf
+from math import gcd, inf
 
 __all__ = [
     "smallest_factor",
+    "prime_factors",
     "KINDS",
     "CapacityError",
     "DEFAULT_CEILING",
@@ -38,9 +40,9 @@ def smallest_factor(m: int) -> int:
     """Smallest prime factor of ``m >= 2``, by trial division.
 
     The one scalar factoring rule: matrix labels, table lists and
-    ``arith.coprime_count`` (so phi(m) = F(m, m)) use it on numbers up to
-    a few hundred, where trial division beats a sieve and keeps numpy
-    unloaded.  Its test oracle is ``arith.primes_upto``, the numpy sieve.
+    :func:`prime_factors` use it on numbers up to a few thousand, where
+    trial division beats a sieve and keeps numpy unloaded.  Its test
+    oracle is ``arith.primes_upto``, the numpy sieve.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -52,6 +54,19 @@ def smallest_factor(m: int) -> int:
             return d
         d += 2
     return m
+
+
+@functools.cache
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct primes of ``m >= 1``, smallest first (none for 1): the
+    one fact about a label that every matrix rule reads."""
+    primes = []
+    while m > 1:
+        p = smallest_factor(m)
+        primes.append(p)
+        while m % p == 0:
+            m //= p
+    return tuple(primes)
 
 
 KINDS = ("c", "c0", "c1", "a", "ck")
@@ -169,26 +184,19 @@ def anti_labels(n: int) -> list[int]:
     return [m for m in range(2, n + 1) if not (2 * m > n and smallest_factor(m) == m)]
 
 
-def _coprime(x: int, y: int) -> bool:
-    return gcd(x, y) == 1
-
-
-def _share_a_prime(x: int, y: int) -> bool:
-    return gcd(x, y) > 1
-
-
 def incidence(kind: str, n: int, aux: int | None = None):
-    """``(row labels, column labels, pred)`` of the 0/1 matrix behind the
-    count ``kind`` at (n, aux): entry (i, j) is set iff
-    ``pred(rows[i], cols[j])``.
+    """``(row labels, column labels, share, bound)`` of the 0/1 matrix
+    behind the count ``kind`` at (n, aux): entry (i, j) is set iff
+    ``rows[i]`` and ``cols[j]`` have a common prime <= ``bound`` exactly
+    when ``share`` is true.  A prime above n divides no column label.
 
-    * c: [n] against [n], gcd = 1;
+    * c: [n] against [n], no common prime <= n (gcd = 1);
     * c0: the first n odd numbers against [n], gcd = 1;
     * ca: the first n + 1 odd numbers against [n], gcd = 1, the (n+1) x n
       matrix whose row minors are the C_(a)(n);
-    * a: :func:`anti_labels` against themselves, gcd > 1;
-    * ck (aux = k >= 2): [n] against [n], gcd(x, y, min(k, n)!) = 1 (a
-      prime above n divides no label).
+    * a: :func:`anti_labels` against themselves, one <= n (gcd > 1);
+    * ck (aux = k >= 2): [n] against [n], none <= min(k, n) (gcd with k!
+      is 1).
 
     c1 is a sum of permanents, not one, so it and every unknown kind
     raise ``ValueError``, as does any request :func:`admit` refuses
@@ -199,20 +207,19 @@ def incidence(kind: str, n: int, aux: int | None = None):
     admit("c0" if kind == "ca" else kind, n, aux, ceiling=inf)
     span = range(1, n + 1)
     if kind == "c0":
-        return range(1, 2 * n, 2), span, _coprime
+        return range(1, 2 * n, 2), span, False, n
     if kind == "ca":
-        return range(1, 2 * n + 2, 2), span, _coprime
+        return range(1, 2 * n + 2, 2), span, False, n
     if kind == "a":
         labels = anti_labels(n)
-        return labels, labels, _share_a_prime
-    if kind == "ck":
-        f = factorial(min(aux, n))
-        return span, span, lambda x, y: gcd(x, y, f) == 1
-    return span, span, _coprime
+        return labels, labels, True, n
+    return span, span, False, min(aux, n) if kind == "ck" else n
 
 
 def matrix(kind: str, n: int, aux: int | None = None) -> BitMatrix:
-    """The :class:`BitMatrix` of :func:`incidence`, one bit per cell."""
-    xs, ys, pred = incidence(kind, n, aux)
-    rows = tuple(sum(pred(x, y) << j for j, y in enumerate(ys)) for x in xs)
+    """The :class:`BitMatrix` of :func:`incidence`, one bit per cell, each
+    set by its own gcd test rather than the prime masks of the counts."""
+    xs, ys, share, bound = incidence(kind, n, aux)
+    bit = lambda g: (g > 1 and smallest_factor(g) <= bound) == share
+    rows = tuple(sum(bit(gcd(x, y)) << j for j, y in enumerate(ys)) for x in xs)
     return BitMatrix(len(ys), rows, tuple(xs), tuple(ys))

@@ -25,7 +25,9 @@ from coprime_census.graph import (
     CapacityError,
     admit,
     anti_labels,
+    incidence,
     matrix,
+    prime_factors,
     smallest_factor,
 )
 from coprime_census.permanent import (
@@ -239,10 +241,9 @@ class TestAntiSplit:
         # the residual (X, Y) walks its column classes, (Y, X) its row classes
         primes = counts._anti_primes(n)
         base = [x for x in anti_labels(n) if all(x % p for p in primes)]
-        anti = lambda x, y: gcd(x, y) > 1
         for rows, cols in counts._anti_residuals(n, primes):
-            xy = counts._table(base + list(rows), base + list(cols), anti)
-            yx = counts._table(base + list(cols), base + list(rows), anti)
+            xy = counts._table(base + list(rows), base + list(cols), True, n)
+            yx = counts._table(base + list(cols), base + list(rows), True, n)
             assert _glynn_classes(xy) == _glynn_classes(yx), (rows, cols)
 
     def test_each_transposed_pair_is_walked_once(self, monkeypatch):
@@ -298,7 +299,8 @@ class TestAntiSplit:
         # would be a KeyError
         for n in range(1, 48):
             primes = counts._anti_primes(n)
-            base = {counts._rad(x) for x in anti_labels(n) if all(x % p for p in primes)}
+            base = [x for x in anti_labels(n) if all(x % p for p in primes)]
+            base = {math.prod(prime_factors(x)) for x in base}
             for rows, cols in counts._anti_residuals(n, primes):
                 assert set(rows) <= base and set(cols) <= base, (n, rows, cols)
 
@@ -320,9 +322,8 @@ class TestAntiSplit:
         # the pairs in the order they are walked
         pairs = dict.fromkeys(min(k, k[::-1]) for k in counts._anti_residuals(n, primes))
         assert len(pairs) == len(walked), n
-        anti = lambda x, y: gcd(x, y) > 1
         for (rows, cols), grown in zip(pairs, walked):
-            scratch = counts._table(base + list(rows), base + list(cols), anti)
+            scratch = counts._table(base + list(rows), base + list(cols), True, n)
             assert class_shape(grown) == class_shape(scratch), (n, rows, cols)
             assert permanent_ryser(grown) == permanent_ryser(scratch), (n, rows, cols)
 
@@ -401,17 +402,35 @@ class TestLabelTables:
             base = [x for x in anti_labels(n) if all(x % p for p in primes)]
             for rows, cols in counts._anti_residuals(n, primes):
                 xs, ys = base + list(rows), base + list(cols)
-                table = counts._table(xs, ys, anti)
+                table = counts._table(xs, ys, True, n)
                 rows = [sum(anti(x, y) << j for j, y in enumerate(ys)) for x in xs]
                 bits = class_table(rows, [1] * len(ys))
                 assert class_shape(table) == class_shape(bits), (n, rows, cols)
                 assert permanent_ryser(table) == permanent_ryser(bits), (n, rows, cols)
 
+    @pytest.mark.parametrize(
+        "kind, aux",
+        [("c", None), ("c0", None), ("ca", None), ("a", None)]
+        + [("ck", k) for k in (2, 3, 5, 7, 301)],
+    )
+    def test_every_kind_at_300(self, kind, aux):
+        # the prime masks against the bits of graph.matrix's gcd tests
+        table = counts._table(*incidence(kind, 300, aux))
+        assert class_shape(table) == class_shape(bit_table(matrix(kind, 300, aux)))
+
+    def test_whole_c_and_a_to_16(self):
+        for n in range(1, 17):
+            for kind in ("c", "a"):
+                table = counts._table(*incidence(kind, n))
+                bits = bit_table(matrix(kind, n))
+                assert class_shape(table) == class_shape(bits), (kind, n)
+                assert permanent_ryser(table) == permanent_ryser(bits), (kind, n)
+
     def test_merged_rad_classes(self):
         # C_3(12): rads 5, 7 and 11 share no prime <= 3 with any label, so
         # their rows equal the row of 1 and merge into one class of 4
         labels = range(1, 13)
-        table = counts._table(labels, labels, lambda x, y: gcd(x, y, 6) == 1)
+        table = counts._table(labels, labels, False, 3)
         assert max(table.mult) == 4
         assert class_shape(table) == class_shape(bit_table(matrix("ck", 12, 3)))
 

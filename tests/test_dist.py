@@ -226,6 +226,10 @@ class TestAsFraction:
         assert as_fraction(0.7) == Fraction(7, 10)
         assert as_fraction(0.5) == Fraction(1, 2)
 
+    def test_exact_forms(self):
+        assert as_fraction(1) == Fraction(1)
+        assert as_fraction(Fraction(2, 3)) == Fraction(2, 3)
+
     def test_string_forms(self):
         assert as_fraction("2/3") == Fraction(2, 3)
         assert as_fraction("0.999") == Fraction(999, 1000)

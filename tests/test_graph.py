@@ -15,6 +15,7 @@ from coprime_census.graph import (
     anti_labels,
     incidence,
     matrix,
+    prime_factors,
     smallest_factor,
 )
 from coprime_census.permanent import ClassTable, class_table, permanent_dp, permanent_ryser
@@ -245,10 +246,27 @@ class TestIncidence:
         ],
     )
     def test_labels_at_small_n(self, kind, n, aux, rows, cols):
-        xs, ys, _ = incidence(kind, n, aux)
+        xs, ys, share, bound = incidence(kind, n, aux)
         assert (list(xs), list(ys)) == (rows, cols)
+        # a: some common prime; ck 4, k = 3: none <= 3; the rest: none at all
+        rule = {"a": (True, n), "ck": (False, 3)}.get(kind, (False, n))
+        assert (share, bound) == rule
         m = matrix(kind, n, aux)
         assert (list(m.labels_row), list(m.labels_col), m.n) == (rows, cols, len(cols))
+
+    @pytest.mark.parametrize(
+        "kind, pred",
+        [
+            ("c0", lambda x, y: gcd(x, y) == 1),
+            ("ca", lambda x, y: gcd(x, y) == 1),
+            ("a", lambda x, y: gcd(x, y) > 1),
+        ],
+        ids=["c0", "ca", "a"],
+    )
+    def test_bits_equal_the_gcd_definition(self, kind, pred):
+        for n in range(1, 31):
+            m = matrix(kind, n)
+            assert m.rows == bit_rows(m.labels_row, m.labels_col, pred), n
 
     @pytest.mark.parametrize("kind", ["c1", "zz"])
     def test_refuses_kinds_that_are_not_one_matrix(self, kind):
@@ -344,6 +362,11 @@ class TestSmallestFactor:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             smallest_factor(1)
+
+    def test_prime_factors_are_the_sieve_primes_dividing_m(self):
+        ps = primes_upto(2000).tolist()
+        for m in range(1, 2001):
+            assert prime_factors(m) == tuple(p for p in ps if m % p == 0), m
 
     def test_builders_and_tables_equal_the_sieve_versions(self, monkeypatch):
         ps = primes_upto(200).tolist()
