@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .arith import odd_prime_fsum
-from .reference import BRACKETS
+from .reference import BRACKETS, SECOND_MOMENT
 
 __all__ = [
     "EULER_GAMMA",
@@ -87,9 +87,9 @@ _DYADIC_CAP = BRACKETS[0][2]
 
 
 def _dyadic_density_bound(i: int) -> float:
-    # delta(1/2^i) <= min(1.78/4^i, cap): the second-moment inequality
-    # capped by the literature bound at 1/2
-    return min(1.78 / 4.0**i, _DYADIC_CAP)
+    # delta(1/2^i) <= min(SECOND_MOMENT/4^i, cap): the second-moment
+    # inequality capped by the literature bound at 1/2
+    return min(SECOND_MOMENT / 4.0**i, _DYADIC_CAP)
 
 
 # the dyadic terms are summed for i = 2.._DYADIC_LAST

@@ -166,7 +166,7 @@ def lemmas(max_n: int) -> list[BoundReport]:
         records.append(make(f"anti split n={n}", counts.count_a(n), "==", direct))
 
     n = 10**5
-    records.append(make("second moment", dist.second_moment(n), "<", 1.78 * n))
+    records.append(make("second moment", dist.second_moment(n), "<", reference.SECOND_MOMENT * n))
     # the number of m in only one of the set and its characterization
     records.append(make("top interval", dist.top_interval_check(n)[1], "==", 0))
     records += [tail_upper(x, n) for x in (2, 5, 10)]
@@ -186,15 +186,16 @@ _RS_GRID = (300.0, 1e4, 1e6)  # the lower bracket is cited for x >= 285 only
 
 def bounds() -> list[BoundReport]:
     """The three E-sums of ``bounds`` against their thresholds, their
-    assembly into e^0.6226 > 1.8637 and the odd Mertens product inside
-    the classical brackets 2/(e^gamma log x) * (1 -+ 1/(2 log^2 x)) at
-    each x of ``_RS_GRID``.
+    assembly into the 1.864 and 3.73 constants and the odd Mertens product
+    inside the classical brackets 2/(e^gamma log x) * (1 -+ 1/(2 log^2 x))
+    at each x of ``_RS_GRID``.
 
     The assembly checks that 0.0538 + 0.2873 + 0.2815 <= 0.6226 exactly
     in decimal (the tail's -0.2814 is padded by 1e-4 to absorb the last
-    interval) and that e^0.6226 > 1.8637, which yields the matching lower
-    bound constant 1.864 and, after squaring and doubling, the 3.73 of
-    the permutation bound.  A failed E-sum or an exceeded budget raises
+    interval).  Its records are e^0.6226 > 1.8637, the printed prefix of
+    the matching lower bound constant, and the two directions the
+    n!/3.73^n theorem uses: e^0.6226 <= 1.864, and 2 * 1.864 <= 3.73
+    exactly in decimal.  A failed E-sum or an exceeded budget raises
     ``RuntimeError``.
     """
     from decimal import Decimal
@@ -213,7 +214,11 @@ def bounds() -> list[BoundReport]:
             raise RuntimeError(f"sub-report failed: {rec.name}")
     if sum(map(Decimal, ("0.0538", "0.2873", "0.2815"))) > Decimal("0.6226"):
         raise RuntimeError("interval contributions exceed the 0.6226 budget")
-    records.append(make("assembly-e^0.6226", math.exp(0.6226), ">", 1.8637))
+    records += [
+        make("assembly-e^0.6226", math.exp(0.6226), ">", 1.8637),
+        make("assembly-e^0.6226-upper", math.exp(0.6226), "<=", 1.864),
+        make("assembly-2*1.864", 2 * Decimal("1.864"), "<=", Decimal("3.73")),
+    ]
     e_gamma = math.exp(bounds.EULER_GAMMA)
     for x in _RS_GRID:
         m, lx = mertens_product(x), math.log(x)
@@ -224,13 +229,31 @@ def bounds() -> list[BoundReport]:
     return records
 
 
+# the last prime of the kappa certificate in ``constants``
+_KAPPA_LAST = 29
+
+
 def constants() -> list[BoundReport]:
-    """The printed prefixes of c_3 and c_5 and the prime-product limit c_0."""
+    """The printed prefixes of c_3 and c_5, the prime-product limit c_0,
+    and the exact certificate that the limit 2e^kappa of Bregman's bound
+    on the half matrix is above 5/2.
+
+    kappa = sum over odd primes p of -log(1 - 1/p)/p, and each term is
+    x^2 + x^3/2 + x^4/3 + ... (x = 1/p), all positive: the first three
+    over p = 3.._KAPPA_LAST, in fractions, bound kappa from below.  They
+    exceed 1/4 - 1/32 + 1/192 >= ln(5/4), the series of ln(1 + 1/4)
+    stopped after a positive term, so kappa > ln(5/4).
+    """
+    from fractions import Fraction
+
     from . import bounds
+    from .graph import smallest_factor
 
     make = BoundReport.make
     c3, c5 = bounds.ck_closed(3), bounds.ck_closed(5)
     c0 = bounds.mcnew_product(10**7)
+    primes = [p for p in range(3, _KAPPA_LAST + 1, 2) if smallest_factor(p) == p]
+    kappa = sum(Fraction(1, p**2) + Fraction(1, 2 * p**3) + Fraction(1, 3 * p**4) for p in primes)
     return [
         # the paper prints c_3 and c_5 truncated to six decimals
         make("c3", int(c3 * 10**6), "==", 2381101),
@@ -238,4 +261,5 @@ def constants() -> list[BoundReport]:
         make("product small", abs(bounds.mcnew_product(5) - c5) / c5, "<", 1e-12),
         make("product limit lower", c0, ">", 2.65044 - 1e-4),
         make("product limit upper", c0, "<", 2.65044 + 1e-4),
+        make("kappa lower", kappa, ">", Fraction(1, 4) - Fraction(1, 32) + Fraction(1, 192)),
     ]

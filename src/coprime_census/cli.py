@@ -14,11 +14,11 @@ from pathlib import Path
 
 # Without bytecode files each process compiles every package module it
 # imports, so a command imports the layers it runs where it runs them: a
-# cache-hit count loads graph (admit and the --dump-matrix matrix) but not
+# cache-hit count loads graph (admit and the --dump-matrix text) but not
 # permanent, counts or checks, and numpy (arith, bounds, dist) loads only
 # for dist and the lemmas, bounds and constants suites.
 from . import __version__
-from .graph import DEFAULT_CEILING, KINDS, CapacityError, admit, incidence, matrix
+from .graph import DEFAULT_CEILING, KINDS, CapacityError, admit, dump, incidence
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -144,7 +144,7 @@ def cmd_count(args) -> int:
                 ceiling=args.ceiling,
             )
         if args.dump_matrix:
-            print(matrix(kind, args.n, args.aux).to_text())
+            print(dump(kind, args.n, args.aux))
         if hit:
             print(json.dumps(cached, sort_keys=True))
             return 0

@@ -4,9 +4,9 @@ Each count's matrix is defined once, by :func:`incidence`: its row
 labels, its column labels and the rule that sets entry (i, j), which
 reads only the primes the two labels share (:func:`prime_factors`).
 The count layer builds the class tables it walks from one bitmask per
-prime, ``--method permanent`` too; :func:`matrix` sets the bits of the
-same rule by a gcd test into an immutable :class:`BitMatrix` that
-``--dump-matrix`` prints and no engine walks.
+prime, ``--method permanent`` too.  :func:`matrix` sets the bits of the
+same rule by a gcd test, as a tuple of row ints that no engine walks,
+and :func:`dump` prints them with their labels for ``--dump-matrix``.
 
 The admission rule lives here too: :func:`admit` refuses a count
 request that is malformed or past ``--ceiling``.  A ceiling is read only
@@ -18,7 +18,6 @@ loading the permanent engine; :func:`incidence` admits with none.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from math import gcd, inf
 
 __all__ = [
@@ -29,10 +28,10 @@ __all__ = [
     "DEFAULT_CEILING",
     "BRUTE_MAX",
     "admit",
-    "BitMatrix",
     "anti_labels",
     "incidence",
     "matrix",
+    "dump",
 ]
 
 
@@ -127,51 +126,6 @@ def admit(
         raise CapacityError(f"brute enumeration limited to n <= {BRUTE_MAX}")
 
 
-class BitMatrix(namedtuple("BitMatrix", "n rows labels_row labels_col")):
-    """0/1 matrix of n columns and any number of rows, stored as integer
-    bit-vectors.
-
-    Bit j of ``rows[i]`` is entry (i, j).  ``labels_row[i]`` and
-    ``labels_col[j]`` record which integer each index stands for.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n: int,
-        rows: tuple[int, ...],
-        labels_row: tuple[int, ...],
-        labels_col: tuple[int, ...],
-    ):
-        if len(labels_row) != len(rows) or len(labels_col) != n:
-            raise ValueError("label count does not match the matrix shape")
-        mask = (1 << n) - 1
-        for r in rows:
-            if r & ~mask:
-                raise ValueError("row has bits outside the matrix width")
-        return super().__new__(cls, n, rows, labels_row, labels_col)
-
-    def to_text(self) -> str:
-        """Canonical textual dump (stable format, used by --dump-matrix).
-
-        Two label lines followed by one line of n characters from {0,1}
-        per row::
-
-            rows: <labels_row, space separated>
-            cols: <labels_col, space separated>
-            <bit (0,0)><bit (0,1)>...
-            ...
-        """
-        lines = [
-            "rows: " + " ".join(str(v) for v in self.labels_row),
-            "cols: " + " ".join(str(v) for v in self.labels_col),
-        ]
-        for r in self.rows:
-            lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(self.n)))
-        return "\n".join(lines)
-
-
 def anti_labels(n: int) -> list[int]:
     """2..n with the primes in (n/2, n] removed.
 
@@ -216,10 +170,20 @@ def incidence(kind: str, n: int, aux: int | None = None):
     return span, span, False, min(aux, n) if kind == "ck" else n
 
 
-def matrix(kind: str, n: int, aux: int | None = None) -> BitMatrix:
-    """The :class:`BitMatrix` of :func:`incidence`, one bit per cell, each
-    set by its own gcd test rather than the prime masks of the counts."""
+def matrix(kind: str, n: int, aux: int | None = None) -> tuple[int, ...]:
+    """The rows of :func:`incidence`'s matrix as bit-vectors, bit j of row
+    i for entry (i, j), each set by its own gcd test rather than the prime
+    masks of the counts."""
     xs, ys, share, bound = incidence(kind, n, aux)
     bit = lambda g: (g > 1 and smallest_factor(g) <= bound) == share
-    rows = tuple(sum(bit(gcd(x, y)) << j for j, y in enumerate(ys)) for x in xs)
-    return BitMatrix(len(ys), rows, tuple(xs), tuple(ys))
+    return tuple(sum(bit(gcd(x, y)) << j for j, y in enumerate(ys)) for x in xs)
+
+
+def dump(kind: str, n: int, aux: int | None = None) -> str:
+    """The ``--dump-matrix`` text: a ``rows:`` and a ``cols:`` line of
+    :func:`incidence`'s labels, space separated, then each row of
+    :func:`matrix` as one 0/1 character per column."""
+    xs, ys, _, _ = incidence(kind, n, aux)
+    lines = ["rows: " + " ".join(map(str, xs)), "cols: " + " ".join(map(str, ys))]
+    lines += ("".join("01"[r >> j & 1] for j in range(len(ys))) for r in matrix(kind, n, aux))
+    return "\n".join(lines)

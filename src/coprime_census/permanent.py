@@ -51,17 +51,21 @@ def class_table(lines, widths) -> ClassTable:
     ``lines[i]`` in each of ``widths[t]`` columns.
 
     Rows with equal lines form a row class, and column groups with equal
-    bits over the row classes a column class: one pass over the distinct
-    lines per group.  A plain 0/1 matrix is ``class_table(rows, [1] * n)``.
+    bits over the row classes a column class.  The columns come from one
+    transposition of the distinct lines' bit strings, last class first
+    behind a leading 0, so column t reads in binary as its bits over the
+    row classes.  A plain 0/1 matrix is ``class_table(rows, [1] * n)``.
     """
     mult = Counter(lines)
+    bits = [format(line, f"0{len(widths)}b")[::-1] for line in reversed(mult)]
     sizes = {}
-    for t, w in enumerate(widths):
-        col = sum(((line >> t) & 1) << r for r, line in enumerate(mult))
+    for w, col in zip(widths, zip("0" * len(widths), *bits)):
+        col = int("".join(col), 2)
         sizes[col] = sizes.get(col, 0) + w
+    row_class = {line: r for r, line in enumerate(mult)}
     return ClassTable(
         sum(widths), tuple(mult.values()), tuple(sizes.values()), tuple(sizes),
-        tuple(map([*mult].index, lines)),
+        tuple(map(row_class.__getitem__, lines)),
     )
 
 

@@ -9,8 +9,9 @@ a recomputed row matches when its count equals the value here and its
 ratio, printed by ``counts.format_ratio``, equals the 4-decimal string
 here.  ``BRACKETS`` is the one copy of the literature brackets; the
 E-sums in ``bounds`` take their upper ends as density bounds, and the
-bracket records of ``verify --suite lemmas`` read it directly.  No
-compute module reads the tables.
+bracket records of ``verify --suite lemmas`` read it directly.
+``SECOND_MOMENT`` is likewise the one copy of the second-moment constant.
+No compute module reads the tables.
 
 Five published entries fail verification and are recorded in the errata
 maps below.  ``checks.tables`` asserts the *corrected* value; the
@@ -138,3 +139,7 @@ BRACKETS: tuple[tuple[Fraction, float, float], ...] = (
     (Fraction(999, 1000), 0.8380, 0.8539),
 )
 
+# the second-moment constant: sum over odd m < 2n of (m/phi(m))^2 is below
+# SECOND_MOMENT * n.  The lemmas suite checks it at n = 10^5, and the
+# dyadic E-sum takes SECOND_MOMENT / 4^i as its density bound at 1/2^i.
+SECOND_MOMENT = 1.78

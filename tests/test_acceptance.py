@@ -13,6 +13,7 @@ for the errata themselves).  Criteria 7 and 8 assert the records of the
 import math
 import time
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -110,8 +111,7 @@ def test_criterion_3_table3():
 def test_criterion_4_c24_two_paths(c0_values):
     with criterion(4, "C(24) via reduction and via the direct 24x24 permanent"):
         via_reduction = counts.count_c(24)
-        bits = matrix("c", 24)
-        direct = permanent_ryser(class_table(bits.rows, [1] * bits.n))
+        direct = permanent_ryser(class_table(matrix("c", 24), [1] * 24))
         assert via_reduction == direct == 1142807773593600
         assert str(via_reduction) == str(direct) == "1142807773593600"
         assert via_reduction == c0_values[12] ** 2
@@ -169,9 +169,10 @@ def test_criterion_7_constants():
                 ("product small", "<", 1e-12),
                 ("product limit lower", ">", 2.65044 - 1e-4),
                 ("product limit upper", "<", 2.65044 + 1e-4),
+                ("kappa lower", ">", Fraction(43, 192)),
             ],
         )
-        assert len(records) == 5
+        assert len(records) == 6
 
 
 def test_criterion_8_bound_reports():
@@ -186,10 +187,15 @@ def test_criterion_8_bound_reports():
                 ("esum-middle", ">", -0.2873),
                 ("esum-tail", ">", -0.2814),
                 ("assembly-e^0.6226", ">", 1.8637),
+                ("assembly-e^0.6226-upper", "<=", 1.864),
+                ("assembly-2*1.864", "<=", Decimal("3.73")),
             ],
         )
         mertens = [(r.name, r.relation) for r in records[4:]]
         assert mertens == [
+            ("assembly-e^0.6226-upper", "<="),
+            ("assembly-2*1.864", "<="),
+        ] + [
             (f"mertens-{side}(x={x})", rel)
             for x in ("300", "10000", "1e+06")
             for side, rel in (("lower", ">"), ("upper", "<"))
@@ -265,7 +271,7 @@ def test_criterion_10_determinism(tmp_path):
     with criterion(10, "subset walk vs class walk, determinism and cache round-trip"):
         from coprime_census.permanent import permanent_dp
 
-        assert permanent_dp(matrix("c0", 17).rows) == counts.count_c0(17)
+        assert permanent_dp(matrix("c0", 17)) == counts.count_c0(17)
 
         import json
         import subprocess

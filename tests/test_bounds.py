@@ -1,6 +1,7 @@
 import decimal
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,13 +186,24 @@ class TestEsums:
 class TestAssembly:
     def test_passes(self):
         by_name = {rep.name: rep for rep in checks.bounds()}
-        assert len(by_name) == 10 and all(rep.passed for rep in by_name.values())
+        assert len(by_name) == 12 and all(rep.passed for rep in by_name.values())
         rep = by_name["assembly-e^0.6226"]
         assert math.isclose(rep.computed, math.exp(0.6226), rel_tol=1e-15)
         assert rep.computed > 1.8637
+        # the directions the n!/3.73^n theorem uses
+        upper = by_name["assembly-e^0.6226-upper"]
+        assert (upper.computed, upper.relation, upper.claimed) == (rep.computed, "<=", 1.864)
+        assert 2.2e-4 < 1.864 - upper.computed < 2.4e-4
+        doubled = by_name["assembly-2*1.864"]
+        assert (doubled.computed, doubled.relation) == (Decimal("3.728"), "<=")
+        assert doubled.claimed == Decimal("3.73")
         sums = {"esum-dyadic": esum_dyadic, "esum-middle": esum_middle, "esum-tail": esum_tail}
         for name, esum in sums.items():
             assert by_name[name].computed == esum()
+
+    def test_a_claimed_3_72_fails(self):
+        rep = next(r for r in checks.bounds() if r.name == "assembly-2*1.864")
+        assert not BoundReport.make(rep.name, rep.computed, rep.relation, Decimal("3.72")).passed
 
     def test_budget_is_exact_in_decimal(self):
         from decimal import Decimal
@@ -203,6 +215,33 @@ class TestAssembly:
         monkeypatch.setattr(bounds, "esum_middle", lambda: -1.0)
         with pytest.raises(RuntimeError, match="sub-report failed: esum-middle"):
             checks.bounds()
+
+
+class TestKappaCertificate:
+    """The exact record that Bregman's half-matrix limit 2e^kappa is above
+    5/2, in the constants suite."""
+
+    @staticmethod
+    def record():
+        return next(r for r in checks.constants() if r.name == "kappa lower")
+
+    def test_passes_exactly(self):
+        rep = self.record()
+        assert rep.passed and (rep.relation, rep.claimed) == (">", Fraction(43, 192))
+        assert isinstance(rep.computed, Fraction)
+        assert round(float(rep.computed), 7) == 0.2246564
+        # 1/4 - 1/32 + 1/192 bounds ln(5/4) from above, and kappa's sum
+        # over every odd prime to 10^5 is above the truncated one
+        assert rep.claimed > Fraction(math.log(1.25))
+        kappa = sum(-math.log1p(-1 / p) / p for p in primes_upto(10**5)[1:].tolist())
+        assert rep.computed < kappa
+        assert 2 * math.exp(kappa) > 2.5
+
+    def test_stopping_at_23_fails(self, monkeypatch):
+        monkeypatch.setattr(checks, "_KAPPA_LAST", 23)
+        rep = self.record()
+        assert not rep.passed
+        assert round(float(rep.computed), 7) == 0.2234464
 
 
 class TestRsBrackets:

@@ -245,7 +245,7 @@ class TestCount:
         def unbuilt(*args):
             raise AssertionError("the matrix was built")
 
-        monkeypatch.setattr(cli, "matrix", unbuilt)
+        monkeypatch.setattr(cli, "dump", unbuilt)
         argv = ["count", "--kind", "c", "--n", "2000", "--no-cache", "--dump-matrix"]
         assert cli.main(argv) == 3
         assert capsys.readouterr().out == ""
@@ -271,6 +271,31 @@ class TestCount:
         # gcd(i, j, 3!) = 1: no shared factor 2 or 3
         assert lines[2:8] == ["111111", "101010", "110110", "101010", "111111", "100010"]
         assert json.loads(lines[8])["value"] == "16"
+
+    @pytest.mark.parametrize(
+        "argv, golden, value",
+        [
+            (
+                # 7, the one prime in (5, 10], is a forced fixed point
+                ["--kind", "a", "--n", "10"],
+                "rows: 2 3 4 5 6 8 9 10\ncols: 2 3 4 5 6 8 9 10\n10101101\n01001010\n"
+                "10101101\n00010001\n11101111\n10101101\n01001010\n10111101\n",
+                "408",
+            ),
+            (
+                ["--kind", "c", "--n", "4"],
+                "rows: 1 2 3 4\ncols: 1 2 3 4\n1111\n1010\n1101\n1010\n",
+                "4",
+            ),
+        ],
+        ids=["a10", "c4"],
+    )
+    def test_dump_matrix_golden(self, tmp_path, argv, golden, value):
+        res = run_cli("count", *argv, "--dump-matrix", "--no-cache", cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (0, "")
+        dumped, record = res.stdout.rsplit("\n", 2)[:2]
+        assert dumped + "\n" == golden
+        assert json.loads(record)["value"] == value
 
     @pytest.mark.parametrize(
         "argv",
@@ -320,6 +345,7 @@ class TestCount:
     def test_input_the_command_does_not_read_is_refused(self, tmp_path, argv):
         res = run_cli(*argv, cwd=tmp_path)
         assert res.returncode == 2, res.stdout + res.stderr
+        assert list(tmp_path.iterdir()) == []  # no cache file is created
 
 
 class TestCache:

@@ -55,7 +55,7 @@ class TestC0:
         # empty memo keeps count_c0 from reading C0(m) off those minors
         monkeypatch.setattr(counts, "_memo", {})
         assert m > max(reference.TABLE_C0)
-        assert count_c0(m) == permanent_minors(bit_table(matrix("ca", m)))[-1]
+        assert count_c0(m) == permanent_minors(bit_table("ca", m))[-1]
 
     def test_read_from_the_minors_memo_to_20(self, monkeypatch):
         # C0(n) is the last minor of C_(a)(n), behind C(2n+1), and the
@@ -106,7 +106,7 @@ class TestOddFromOneWalk:
         for n in range(3, 36, 2):
             m = n // 2
             odds = range(1, n + 1, 2)
-            rows = matrix("ca", m).rows
+            rows = matrix("ca", m)
             # C_(a)(m): the ("ca", m) matrix without the row of a
             minus = lambda a: rows[: a // 2] + rows[a // 2 + 1 :]
             ca = {a: permanent_ryser(class_table(minus(a), [1] * m)) for a in odds}
@@ -215,7 +215,7 @@ def eliminable(n: int) -> list[int]:
 class TestAntiSplit:
     def test_every_elimination_equals_the_direct_walk(self):
         for n in range(1, 31):
-            direct = permanent_ryser(bit_table(matrix("a", n)))
+            direct = permanent_ryser(bit_table("a", n))
             primes = eliminable(n)
             # every prefix up to n = 24, then all the primes
             tried = range(1, len(primes) + 1) if n <= 24 else [len(primes)]
@@ -282,7 +282,7 @@ class TestAntiSplit:
     @pytest.mark.extended
     @pytest.mark.parametrize("n", [31, 32, 33, 34])
     def test_split_equals_the_direct_walk_to_34(self, n):
-        assert count_a(n) == permanent_ryser(bit_table(matrix("a", n)))
+        assert count_a(n) == permanent_ryser(bit_table("a", n))
 
     def test_every_added_label_is_a_base_label_to_60(self):
         # rad(k), k <= n // p < sqrt(n), has a row and a column class in the
@@ -337,9 +337,10 @@ class TestAntiSplit:
         self.grown_against_scratch(monkeypatch, n)
 
 
-def bit_table(bits) -> ClassTable:
-    """The class table grouped from the bits of a matrix."""
-    return class_table(bits.rows, [1] * bits.n)
+def bit_table(kind: str, n: int, aux: int | None = None) -> ClassTable:
+    """The class table grouped from the bits of ``matrix(kind, n, aux)``."""
+    width = len(incidence(kind, n, aux)[1])
+    return class_table(matrix(kind, n, aux), [1] * width)
 
 
 def class_shape(table: ClassTable) -> tuple[list[int], list[int]]:
@@ -374,7 +375,7 @@ class TestLabelTables:
         for m in range(1, 25):
             walked_tables.clear()
             value = count_c0(m)
-            bits = bit_table(matrix("c0", m))
+            bits = bit_table("c0", m)
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
             assert value == permanent_ryser(bits), m
 
@@ -382,7 +383,7 @@ class TestLabelTables:
         for m in range(1, 21):
             walked_tables.clear()
             values = [count_c_a(m, a) for a in range(1, 2 * m + 2, 2)]
-            bits = bit_table(matrix("ca", m))
+            bits = bit_table("ca", m)
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], m
             assert values == permanent_minors(bits), m
 
@@ -391,7 +392,7 @@ class TestLabelTables:
         for n in range(1, 17):
             walked_tables.clear()
             value = count_ck(n, k)
-            bits = bit_table(matrix("ck", n, k))
+            bits = bit_table("ck", n, k)
             assert [class_shape(t) for t in walked_tables] == [class_shape(bits)], (n, k)
             assert value == permanent_ryser(bits), (n, k)
 
@@ -416,13 +417,13 @@ class TestLabelTables:
     def test_every_kind_at_300(self, kind, aux):
         # the prime masks against the bits of graph.matrix's gcd tests
         table = counts._table(*incidence(kind, 300, aux))
-        assert class_shape(table) == class_shape(bit_table(matrix(kind, 300, aux)))
+        assert class_shape(table) == class_shape(bit_table(kind, 300, aux))
 
     def test_whole_c_and_a_to_16(self):
         for n in range(1, 17):
             for kind in ("c", "a"):
                 table = counts._table(*incidence(kind, n))
-                bits = bit_table(matrix(kind, n))
+                bits = bit_table(kind, n)
                 assert class_shape(table) == class_shape(bits), (kind, n)
                 assert permanent_ryser(table) == permanent_ryser(bits), (kind, n)
 
@@ -432,7 +433,7 @@ class TestLabelTables:
         labels = range(1, 13)
         table = counts._table(labels, labels, False, 3)
         assert max(table.mult) == 4
-        assert class_shape(table) == class_shape(bit_table(matrix("ck", 12, 3)))
+        assert class_shape(table) == class_shape(bit_table("ck", 12, 3))
 
 
 class TestTermCounts:
@@ -599,7 +600,7 @@ class TestBruteConstrained:
         ids=[f"{k}-{a}-{ORACLE_RULES[k]}-{n}" for k, a, n in ORACLE_CASES],
     )
     def test_matches_ryser(self, kind, aux, n):
-        want = permanent_ryser(bit_table(matrix(kind, n, aux)))
+        want = permanent_ryser(bit_table(kind, n, aux))
         assert brute_constrained_count(n, kind, k=aux) == want
 
     def test_refusals(self):
@@ -723,7 +724,7 @@ class TestCompute:
         def unbuilt(*args, **kwargs):
             raise AssertionError("a bit matrix was built")
 
-        monkeypatch.setattr(graph, "BitMatrix", unbuilt)
+        monkeypatch.setattr(graph, "matrix", unbuilt)
         direct = compute(kind, n, aux, method="permanent")
         assert direct.value == compute(kind, n, aux).value
         assert direct.method == "permanent"

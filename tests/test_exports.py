@@ -134,16 +134,16 @@ def test_only_the_request_entries_take_a_ceiling():
 
 
 def test_only_the_cli_reads_the_bit_matrix():
-    """``graph.matrix`` sets the bits that ``--dump-matrix`` prints.  Every
-    walk reads a class table built from labels, so no other module of the
-    package reads it."""
+    """``graph.matrix`` sets the bits that ``graph.dump`` prints for
+    ``--dump-matrix``.  Every walk reads a class table built from labels,
+    so only the CLI reads either, and it reads the dump."""
     readers = {
-        name
+        (name, attr)
         for name in MODULES
         for sibling, attr, _ in _sibling_reads(name)
-        if (sibling, attr) == ("graph", "matrix")
+        if sibling == "graph" and attr in ("matrix", "dump")
     }
-    assert readers == {"cli"}
+    assert readers == {("cli", "dump")}
 
 
 def test_only_permanent_reads_the_class_table_layout():

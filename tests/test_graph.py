@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from coprime_census import counts, graph
 from coprime_census.arith import primes_upto
 from coprime_census.graph import (
-    BitMatrix,
     CapacityError,
     admit,
     anti_labels,
+    dump,
     incidence,
     matrix,
     prime_factors,
@@ -22,17 +22,19 @@ from coprime_census.permanent import ClassTable, class_table, permanent_dp, perm
 from coprime_census.reference import TABLE_A
 
 
-def bit(m: BitMatrix, i: int, j: int) -> int:
-    return (m.rows[i] >> j) & 1
+def bit(rows: tuple[int, ...], i: int, j: int) -> int:
+    return (rows[i] >> j) & 1
 
 
-def as_lists(m: BitMatrix) -> list[list[int]]:
-    return [[bit(m, i, j) for j in range(m.n)] for i in range(len(m.rows))]
+def as_lists(rows: tuple[int, ...]) -> list[list[int]]:
+    """The entries of a square bit matrix."""
+    return [[bit(rows, i, j) for j in range(len(rows))] for i in range(len(rows))]
 
 
-def bit_table(m: BitMatrix) -> ClassTable:
-    """The class table grouped from the bits of ``m``."""
-    return class_table(m.rows, [1] * m.n)
+def bit_table(kind: str, n: int, aux: int | None = None) -> ClassTable:
+    """The class table grouped from the bits of ``matrix(kind, n, aux)``."""
+    width = len(incidence(kind, n, aux)[1])
+    return class_table(matrix(kind, n, aux), [1] * width)
 
 
 def bit_rows(xs, ys, pred) -> tuple[int, ...]:
@@ -57,7 +59,8 @@ class TestFullCoprime:
     @settings(max_examples=25)
     def test_symmetric_with_unit_border(self, n):
         m = matrix("c", n)
-        assert m.labels_row == m.labels_col == tuple(range(1, n + 1))
+        xs, ys, _, _ = incidence("c", n)
+        assert tuple(xs) == tuple(ys) == tuple(range(1, n + 1))
         for i in range(n):
             assert bit(m, i, 0) == 1 and bit(m, 0, i) == 1
             for j in range(i):
@@ -77,29 +80,29 @@ class TestOddHalf:
         assert as_lists(matrix("c0", 1)) == [[1]]
 
     def test_labels(self):
-        m = matrix("c0", 4)
-        assert m.labels_row == (1, 3, 5, 7)
-        assert m.labels_col == (1, 2, 3, 4)
+        xs, ys, _, _ = incidence("c0", 4)
+        assert tuple(xs) == (1, 3, 5, 7)
+        assert tuple(ys) == (1, 2, 3, 4)
 
     def test_permanents_match_published(self):
-        assert permanent_ryser(bit_table(matrix("c0", 3))) == 4
-        assert permanent_ryser(bit_table(matrix("c0", 10))) == 565920
+        assert permanent_ryser(bit_table("c0", 3)) == 4
+        assert permanent_ryser(bit_table("c0", 10)) == 565920
 
     @given(st.integers(1, 60))
     @settings(max_examples=30)
     def test_row_structure(self, n):
         m = matrix("c0", n)
-        assert m.rows[0] == (1 << n) - 1  # the 1-row is all ones
+        assert m[0] == (1 << n) - 1  # the 1-row is all ones
         primes = prime_set(2 * n)
-        for i, p in enumerate(m.labels_row):
+        for i, p in enumerate(incidence("c0", n)[0]):
             if p > 2 and p in primes:
-                zeros = n - m.rows[i].bit_count()
+                zeros = n - m[i].bit_count()
                 assert zeros == n // p
 
 
 def excluding(n: int, a: int) -> tuple[int, ...]:
     """The C_(a)(n) matrix: the ("ca", n) matrix without the row of a."""
-    rows = matrix("ca", n).rows
+    rows = matrix("ca", n)
     return rows[: a // 2] + rows[a // 2 + 1 :]
 
 
@@ -132,10 +135,10 @@ class TestOddPlusExcluding:
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_odd_plus_rows_without_a_is_the_transpose(self, n):
         # of the matrix of [n] against the first n+1 odd numbers but a
-        rows = matrix("ca", n).rows
+        rows = matrix("ca", n)
         assert len(rows) == n + 1
         # the last row, of 2n+1, deleted leaves the C0(n) matrix
-        assert rows[:-1] == matrix("c0", n).rows
+        assert rows[:-1] == matrix("c0", n)
         for i, a in enumerate(range(1, 2 * n + 2, 2)):
             cols = [v for v in range(1, 2 * n + 2, 2) if v != a]
             t = bit_rows(range(1, n + 1), cols, coprime)
@@ -148,53 +151,53 @@ class TestOddPlusExcluding:
 
 class TestAnti:
     def test_reduction_small(self):
-        m = matrix("a", 4)
-        assert m.labels_row == (2, 4)
-        assert permanent_ryser(bit_table(m)) == 2
+        assert list(incidence("a", 4)[0]) == [2, 4]
+        assert permanent_ryser(bit_table("a", 4)) == 2
 
     def test_published_values(self):
-        assert permanent_ryser(bit_table(matrix("a", 6))) == 8
-        assert permanent_ryser(bit_table(matrix("a", 9))) == 72
+        assert permanent_ryser(bit_table("a", 6)) == 8
+        assert permanent_ryser(bit_table("a", 9)) == 72
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             matrix("a", 0)
         # n = 1: 1 is a forced fixed point, leaving the 0 x 0 matrix
-        m = matrix("a", 1)
-        assert m.n == 0 and m.labels_row == () and permanent_ryser(bit_table(m)) == 1
+        assert matrix("a", 1) == () and list(incidence("a", 1)[1]) == []
+        assert permanent_ryser(bit_table("a", 1)) == 1
 
     @given(st.integers(2, 40))
     @settings(max_examples=25)
     def test_removed_indices_are_forced_fixed_points(self, n):
         m = matrix("a", n)
-        removed = set(range(2, n + 1)) - set(m.labels_row)
+        xs, ys, _, _ = incidence("a", n)
+        removed = set(range(2, n + 1)) - set(xs)
         assert removed == {p for p in prime_set(n) if 2 * p > n}
-        for i, a in enumerate(m.labels_row):
-            for j, b in enumerate(m.labels_col):
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
                 assert bit(m, i, j) == (gcd(a, b) > 1)
 
 
 class TestGcdK:
     def test_published_values(self):
-        assert permanent_ryser(bit_table(matrix("ck", 6, 2))) == 36
-        assert permanent_ryser(bit_table(matrix("ck", 6, 3))) == 16
+        assert permanent_ryser(bit_table("ck", 6, 2)) == 36
+        assert permanent_ryser(bit_table("ck", 6, 3)) == 16
 
     def test_large_k_is_full_coprimality(self):
-        assert matrix("ck", 4, 7).rows == matrix("c", 4).rows
-        assert permanent_dp(matrix("ck", 4, 7).rows) == permanent_dp(matrix("c", 4).rows)
+        assert matrix("ck", 4, 7) == matrix("c", 4)
+        assert permanent_dp(matrix("ck", 4, 7)) == permanent_dp(matrix("c", 4))
         # primes above n are never listed, so k = 10^8 costs no more than k = n
-        assert matrix("ck", 12, 10**8).rows == matrix("c", 12).rows
+        assert matrix("ck", 12, 10**8) == matrix("c", 12)
 
     @given(st.integers(1, 20), st.integers(2, 8))
     @settings(max_examples=40)
     def test_entrywise_against_full(self, n, k):
         m = matrix("ck", n, k)
         if k >= n:
-            assert m.rows == matrix("c", n).rows
+            assert m == matrix("c", n)
         full = matrix("c", n)
         for i in range(n):
             # relaxing the constraint can only add ones
-            assert m.rows[i] & full.rows[i] == full.rows[i]
+            assert m[i] & full[i] == full[i]
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
@@ -215,21 +218,9 @@ class TestGcdK:
 
 class TestBitMatrix:
     def test_dump_format(self):
-        m = matrix("c0", 3)
-        assert m.to_text() == "rows: 1 3 5\ncols: 1 2 3\n111\n110\n111"
+        assert dump("c0", 3) == "rows: 1 3 5\ncols: 1 2 3\n111\n110\n111"
         # one line per row, also past the n columns
-        tall = matrix("ca", 3)
-        assert tall.to_text() == "rows: 1 3 5 7\ncols: 1 2 3\n111\n110\n111\n111"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BitMatrix(n=2, rows=(1,), labels_row=(1, 2), labels_col=(1, 2))
-        with pytest.raises(ValueError):
-            BitMatrix(n=1, rows=(2,), labels_row=(1,), labels_col=(1,))
-        with pytest.raises(ValueError):
-            BitMatrix(n=1, rows=(1,), labels_row=(1,), labels_col=(1, 2))
-        # n columns, any number of labelled rows
-        assert BitMatrix(n=1, rows=(1, 1), labels_row=(1, 3), labels_col=(1,)).n == 1
+        assert dump("ca", 3) == "rows: 1 3 5 7\ncols: 1 2 3\n111\n110\n111\n111"
 
 
 class TestIncidence:
@@ -252,7 +243,7 @@ class TestIncidence:
         rule = {"a": (True, n), "ck": (False, 3)}.get(kind, (False, n))
         assert (share, bound) == rule
         m = matrix(kind, n, aux)
-        assert (list(m.labels_row), list(m.labels_col), m.n) == (rows, cols, len(cols))
+        assert len(m) == len(rows) and all(r >> len(cols) == 0 for r in m)
 
     @pytest.mark.parametrize(
         "kind, pred",
@@ -265,8 +256,8 @@ class TestIncidence:
     )
     def test_bits_equal_the_gcd_definition(self, kind, pred):
         for n in range(1, 31):
-            m = matrix(kind, n)
-            assert m.rows == bit_rows(m.labels_row, m.labels_col, pred), n
+            xs, ys, _, _ = incidence(kind, n)
+            assert matrix(kind, n) == bit_rows(xs, ys, pred), n
 
     @pytest.mark.parametrize("kind", ["c1", "zz"])
     def test_refuses_kinds_that_are_not_one_matrix(self, kind):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coprime_census import counts, permanent
-from coprime_census.graph import BitMatrix, incidence, matrix
+from coprime_census.graph import incidence, matrix
 from coprime_census.permanent import (
     ClassTable,
     _glynn_classes,
@@ -25,9 +25,9 @@ def matrix_from_rows(rows: list[int], n: int) -> ClassTable:
     return class_table(tuple(rows), [1] * n)
 
 
-def bit_table(m: BitMatrix) -> ClassTable:
-    """The class table grouped from the bits of a ``graph.matrix``."""
-    return class_table(m.rows, [1] * m.n)
+def bit_table(rows: tuple[int, ...]) -> ClassTable:
+    """The class table grouped from the bits of a square ``graph.matrix``."""
+    return class_table(rows, [1] * len(rows))
 
 
 def transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
@@ -35,10 +35,10 @@ def transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     return tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(width))
 
 
-def c_a_matrix(n: int, a: int) -> BitMatrix:
+def c_a_matrix(n: int, a: int) -> tuple[int, ...]:
     """The C_(a)(n) matrix: the ("ca", n) matrix without the row of a."""
-    i, (_, rows, odds, cols) = a // 2, matrix("ca", n)
-    return BitMatrix(n, rows[:i] + rows[i + 1 :], odds[:i] + odds[i + 1 :], cols)
+    i, rows = a // 2, matrix("ca", n)
+    return rows[:i] + rows[i + 1 :]
 
 
 def class_shape(table: ClassTable) -> tuple[list[int], list[int]]:
@@ -106,12 +106,12 @@ class TestRyser:
         with pytest.raises(ValueError, match="4 rows by 3 columns"):
             permanent_ryser(counts._table(*incidence("ca", 3)))
         with pytest.raises(ValueError, match="4 rows by 3 columns"):
-            permanent_ryser(bit_table(tall))
-        assert minors_of(tall.rows)[-1] == permanent_ryser(bit_table(matrix("c0", 3)))
+            permanent_ryser(matrix_from_rows(tall, 3))
+        assert minors_of(tall)[-1] == permanent_ryser(bit_table(matrix("c0", 3)))
 
     def test_subset_walk_equals_class_walk(self):
         m = matrix("c0", 16)
-        assert permanent_dp(m.rows) == permanent_ryser(bit_table(m))
+        assert permanent_dp(m) == permanent_ryser(bit_table(m))
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -141,9 +141,9 @@ class TestBrute:
         assert permanent_dp(()) == 1
 
     def test_published_values(self):
-        assert permanent_dp(matrix("c", 9).rows) == 3600
-        assert permanent_dp(matrix("c", 7).rows) == 256
-        assert permanent_dp(matrix("c", 16).rows) == 9552**2  # C0(8)^2
+        assert permanent_dp(matrix("c", 9)) == 3600
+        assert permanent_dp(matrix("c", 7)) == 256
+        assert permanent_dp(matrix("c", 16)) == 9552**2  # C0(8)^2
 
     def test_refuses_wide_rows(self):
         with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ class TestThreeWayAgreement:
 BUILDER_FAMILIES = {
     "odd_half": lambda: [matrix("c0", n) for n in range(1, 17)],
     "full_coprime": lambda: [matrix("c", n) for n in range(1, 17)],
-    "anti": lambda: [m for m in (matrix("a", n) for n in range(2, 22)) if m.n <= 16],
+    "anti": lambda: [m for m in (matrix("a", n) for n in range(2, 22)) if len(m) <= 16],
     "gcd_2": lambda: [matrix("ck", n, 2) for n in range(1, 17)],
     "gcd_3": lambda: [matrix("ck", n, 3) for n in range(1, 17)],
     "gcd_5": lambda: [matrix("ck", n, 5) for n in range(1, 17)],
@@ -197,14 +197,14 @@ class TestClassWalk:
     @pytest.mark.parametrize("family", sorted(BUILDER_FAMILIES))
     def test_both_sides_equal_the_subset_walk(self, family):
         for m in BUILDER_FAMILIES[family]():
-            want = permanent_dp(m.rows)
-            table, transposed = both_tables(m.rows)
-            assert _glynn_classes(table) == want, m.to_text()
-            assert _glynn_classes(transposed) == want, m.to_text()
+            want = permanent_dp(m)
+            table, transposed = both_tables(m)
+            assert _glynn_classes(table) == want, m
+            assert _glynn_classes(transposed) == want, m
             # the transpose read from the blocks has the classes of the one
             # grouped from the transposed bits
             assert class_shape(permanent._transpose(table)) == class_shape(transposed)
-            assert _glynn_classes(permanent._transpose(table)) == want, m.to_text()
+            assert _glynn_classes(permanent._transpose(table)) == want, m
 
     @pytest.mark.parametrize(
         "rows",
@@ -222,10 +222,10 @@ class TestClassWalk:
         "walk, widths",
         [
             # walks its column classes
-            (lambda: permanent_ryser(permanent.class_table(matrix("c0", 9).rows, [1] * 9)), [9]),
+            (lambda: permanent_ryser(permanent.class_table(matrix("c0", 9), [1] * 9)), [9]),
             (
                 lambda: permanent_ryser(
-                    permanent.class_table(transpose(matrix("c0", 9).rows, 9), [1] * 9)
+                    permanent.class_table(transpose(matrix("c0", 9), 9), [1] * 9)
                 ),
                 [9],
             ),
@@ -253,9 +253,31 @@ class TestClassWalk:
         # two column groups with equal bits merge, their widths added
         assert class_table((0b11, 0b11), [2, 3]) == ClassTable(5, (2,), (5,), (0b1,), (0, 0))
 
+    @given(
+        st.lists(st.integers(0, 2**8 - 1), max_size=12),
+        st.lists(st.integers(0, 3), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example([], [])
+    @example([], [2, 1])  # no rows: every group is the zero column
+    @example([0b101, 0], [])  # no columns: every line is one empty class
+    def test_table_equals_the_per_group_definition(self, lines, widths):
+        # column t of the table, group by group, over the distinct lines in
+        # order of first appearance; bits past the widths are not read
+        mult = Counter(lines)
+        sizes = {}
+        for t, w in enumerate(widths):
+            col = sum(((line >> t) & 1) << r for r, line in enumerate(mult))
+            sizes[col] = sizes.get(col, 0) + w
+        row_class = tuple([*mult].index(line) for line in lines)
+        want = ClassTable(
+            sum(widths), tuple(mult.values()), tuple(sizes.values()), tuple(sizes), row_class
+        )
+        assert class_table(lines, widths) == want
+
     def test_the_fastest_class_hits_the_fewest_rows(self):
         # C0(18): the walk's first step moves the class with the fewest hits
-        table = class_table(matrix("c0", 18).rows, [1] * 18)
+        table = class_table(matrix("c0", 18), [1] * 18)
         _, sums = traced_walk(lambda: _glynn_classes(table))
         moved = sum(a != b for a, b in zip(sums[0], sums[1]))
         assert moved == min(col.bit_count() for col in table.cols) < max(
@@ -344,10 +366,10 @@ class TestGlynnHalfWalk:
         m = matrix("c0", 18)
         value, sums = traced_walk(lambda: permanent_ryser(bit_table(m)))
         assert value == 79772814777600
-        cols = Counter(transpose(m.rows, m.n)).values()
+        cols = Counter(transpose(m, len(m))).values()
         assert len(sums) == 2592 == math.prod(c + 1 for c in cols) // 2
-        value, sums = traced_walk(lambda: minors_of(matrix("ca", 15).rows))
-        cols = Counter(transpose(matrix("ca", 15).rows, 15)).values()
+        value, sums = traced_walk(lambda: minors_of(matrix("ca", 15)))
+        cols = Counter(transpose(matrix("ca", 15), 15)).values()
         assert len(sums) == 900 == math.prod(c + 1 for c in cols) // 2
         assert value[-1] == permanent_ryser(bit_table(matrix("c0", 15)))
 
@@ -382,7 +404,7 @@ class TestGlynnHalfWalk:
         assert sums == [(4,), (2,), (0,), (-2,)]
 
     def test_minors_meet_zero_and_negative_sums(self):
-        rows = matrix("ca", 7).rows
+        rows = matrix("ca", 7)
         minors, sums = traced_walk(lambda: minors_of(rows))
         assert minors == minors_by_dp(rows)
         assert any(0 in s for s in sums) and any(min(s) < 0 for s in sums)
@@ -417,7 +439,7 @@ class TestMinors:
     def test_odd_plus_rows_give_every_c_a(self):
         for m in range(1, 17):
             want = [permanent_ryser(bit_table(c_a_matrix(m, a))) for a in range(1, 2 * m + 2, 2)]
-            assert minors_of(matrix("ca", m).rows) == want, m
+            assert minors_of(matrix("ca", m)) == want, m
 
     @given(tall_class_matrices())
     @settings(max_examples=300, deadline=None)
@@ -439,4 +461,4 @@ class TestMinors:
             with pytest.raises(ValueError, match="rows by"):
                 permanent_minors(class_table(lines, widths))
         with pytest.raises(TypeError):  # the count layer owns the ceiling
-            permanent_minors(class_table(matrix("ca", 9).rows, [1] * 9), ceiling=8)
+            permanent_minors(class_table(matrix("ca", 9), [1] * 9), ceiling=8)
