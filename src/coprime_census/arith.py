@@ -5,9 +5,9 @@ phi(m)), and one segmented sieve over the odd numbers that every numeric
 scan streams.  It walks the odd m a fixed _SEGMENT at a time and yields
 either the odd primes (:func:`odd_primes`) or the pairs (m, phi(m)) of
 each segment (:func:`odd_phi`), so no scan forms an array as long as its
-range; ``dist`` and ``bounds`` read it directly.  The prime table, the
-odd Mertens product and the omega table the tests check against are
-read from the same segments.  Everything integer-valued is exact;
+range; ``dist`` and ``bounds`` read it directly.  The sieve yields no
+other table: the prime table and the odd Mertens product are read from
+the prime segments.  Everything integer-valued is exact;
 real-valued products are accumulated as compensated sums of logs
 (``math.fsum`` over float64 terms, correctly rounded, so the
 segmentation cannot change them), which keeps the relative error of
@@ -90,26 +90,28 @@ def odd_primes(limit: int):
         yield primes
 
 
-def _odd_factors(n: int, factor):
-    """(m, s, f) int64 array triples over the odd m < 2n, one segment at a
+def odd_phi(n: int):
+    """(m, phi(m)) int64 array pairs over the odd m < 2n, one segment at a
     time, in order.
 
-    s is the part of m made of the primes p <= sqrt(2n - 1), with their
-    full powers, so m // s is 1 or the one prime factor of m past that
-    root.  f is the product of factor(p, k) over the prime powers p^k | m,
-    k >= 1, of those primes.  s and f are the rows of one array: each
+    Each segment builds two rows of one array: s, the part of m made of
+    the primes p <= sqrt(2n - 1) with their full powers, so m // s is 1
+    or the one prime factor of m past that root, and f = phi(s).  Each
     prime power p^k <= 2n - 1 multiplies the column of every odd multiple
-    by (p, factor(p, k)).
+    by (p, p - 1) at k = 1 and by (p, p) above, and phi(m) = f *
+    max(m // s - 1, 1).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     top = 2 * n - 1
     powers, columns = [], []
     for ps in odd_primes(math.isqrt(top)):
         for p in ps.tolist():
-            q, k = p, 1
+            q, factor = p, p - 1
             while q <= top:
                 powers.append(q)
-                columns.append(np.array([[p], [factor(p, k)]], dtype=np.int64))
-                q, k = q * p, k + 1
+                columns.append(np.array([[p], [factor]], dtype=np.int64))
+                q, factor = q * p, p
     steps = np.array(powers, dtype=np.int64)
     for lo, width, offsets in _walk(n, steps // 2, steps):
         rows = np.ones((2, width), dtype=np.int64)
@@ -117,15 +119,7 @@ def _odd_factors(n: int, factor):
             if o < width:
                 rows[:, o::q] *= column
         m = np.arange(2 * lo + 1, 2 * (lo + width), 2, dtype=np.int64)
-        yield m, rows[0], rows[1]
-
-
-def odd_phi(n: int):
-    """(m, phi(m)) int64 array pairs over the odd m < 2n, one segment at a
-    time, in order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for m, s, f in _odd_factors(n, lambda p, k: p - 1 if k == 1 else p):
+        s, f = rows
         # m // s is 1 or a prime q, so phi(m) = f * max(m // s - 1, 1), written over s
         np.floor_divide(m, s, out=s)
         s -= 1
@@ -166,19 +160,3 @@ def mertens_product(x: float) -> float:
     if x < 3:
         raise ValueError("mertens_product requires x >= 3")
     return math.exp(odd_prime_fsum(int(math.floor(x)), lambda p: np.log1p(-1.0 / p)))
-
-
-def _omega_array(limit: int) -> np.ndarray:
-    """omega(m) for m = 0..limit as an int8 array."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    w = np.zeros(limit + 1, dtype=np.int8)
-    for m, s, f in _odd_factors((limit + 1) // 2, lambda p, k: 2 if k == 1 else 1):
-        # f = 2^(primes of s), so log2 is exact; m // s > 1 is one prime more
-        w[m] = np.log2(f) + (s < m)
-    # omega(a * o) = omega(o) + 1 for odd o and a power of two a >= 2
-    a = 2
-    while a <= limit:
-        w[a :: 2 * a] = w[1 : limit // a + 1 : 2] + 1
-        a *= 2
-    return w

@@ -173,7 +173,7 @@ def cmd_table(args) -> int:
     from . import counts
 
     rows = counts.table_rows(args.which, args.max, ceiling=args.ceiling)
-    _emit_rows([row.printed() for row in rows], args.format, sys.stdout)
+    _emit_rows(rows, args.format, sys.stdout)
     return 0
 
 

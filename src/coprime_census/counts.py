@@ -20,8 +20,9 @@
 * anti_lower(n): the gluing lower bound for A(n) built from
   smallest-prime-factor classes.
 * The three published tables (t1: C0(n) with r_2n, t2: odd C(n) with
-  r_n, t3: composite A(n) with u_n), row by row; ``checks.tables``
-  compares them against reference.py.
+  r_n, t3: composite A(n) with u_n): :func:`table_rows` is the one route
+  to their rows, which it returns as ``table`` prints them, and
+  ``checks.tables`` sets those printed rows against reference.py.
 
 Every count hands the walk a class table built from the labels and the
 rule of its matrix, ``graph.incidence`` (:func:`_table`), never a bit
@@ -51,6 +52,7 @@ built.  The persistent cache lives in the CLI layer.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter, namedtuple
 from math import gcd, inf
@@ -70,8 +72,6 @@ __all__ = [
     "anti_lower",
     "growth_ratio",
     "count_ratio",
-    "TableRow",
-    "table_row",
     "table_rows",
     "brute_constrained_count",
     "format_ratio",
@@ -348,50 +348,39 @@ def format_ratio(x: float) -> str:
     return str(Decimal(repr(x)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
 
 
-class TableRow(namedtuple("TableRow", "n value ratio")):
-    """One row of a published table: n, its count and the ratio column
-    (r_2n for t1, r_n for t2, u_n for t3)."""
-
-    __slots__ = ()
-
-    def printed(self) -> dict:
-        """The row as the table prints it: exact value, 4-decimal ratio."""
-        return {"n": self.n, "value": str(self.value), "ratio": format_ratio(self.ratio)}
+# table -> the kind it lists, its count function and its row rule
+_TABLES = {
+    "t1": ("c0", count_c0, lambda n: True),
+    "t2": ("c", count_c, lambda n: n % 2 == 1),
+    "t3": ("a", count_a, lambda n: n >= 4 and smallest_factor(n) != n),
+}
 
 
-# table -> the kind it lists and its count function
-_TABLE_COUNTS = {"t1": ("c0", count_c0), "t2": ("c", count_c), "t3": ("a", count_a)}
-
-
-def table_row(which: str, n: int) -> TableRow:
-    """Row n of table t1, t2 or t3."""
-    kind, count = _TABLE_COUNTS[which]
-    value = count(n)
-    return TableRow(n, value, count_ratio(kind, n, value))
-
-
-def table_rows(which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[TableRow]:
-    """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite n).
+def table_rows(which: str, max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[dict]:
+    """Rows n <= max_n of table t1 (every n), t2 (odd n) or t3 (composite
+    n >= 4), as they print: n, the exact count as a string and its ratio
+    (r_2n, r_n or u_n) at 4 decimals.
 
     A table with no row n <= max_n raises ``ValueError``.  Every row is
     admitted before any is computed, so a table past the ceiling is
     refused, at its first row past it, with no work done.
     """
-    if which == "t1":
-        ns = range(1, max_n + 1)
-    elif which == "t2":
-        ns = range(1, max_n + 1, 2)
-    elif which == "t3":
-        ns = [n for n in range(4, max_n + 1) if smallest_factor(n) != n]
-    else:
+    if which not in _TABLES:
         raise ValueError(f"unknown table {which!r}")
-    if not ns:
-        first = 4 if which == "t3" else 1
-        raise ValueError(f"table {which} has no row n <= {max_n}; its first row is n={first}")
-    kind = _TABLE_COUNTS[which][0]
-    for n in ns:
+    kind, count, listed = _TABLES[which]
+    ns = []
+    for n in filter(listed, range(1, max_n + 1)):
         admit(kind, n, ceiling=ceiling)
-    return [table_row(which, n) for n in ns]
+        ns.append(n)
+    if not ns:
+        first = next(filter(listed, itertools.count(1)))
+        raise ValueError(f"table {which} has no row n <= {max_n}; its first row is n={first}")
+    rows = []
+    for n in ns:
+        value = count(n)
+        ratio = format_ratio(count_ratio(kind, n, value))
+        rows.append({"n": n, "value": str(value), "ratio": ratio})
+    return rows
 
 
 def _allowed_rows(n: int, kind: str, k: int | None) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,13 +12,12 @@ from hypothesis import strategies as st
 
 from coprime_census import arith
 from coprime_census.arith import (
-    _omega_array,
     coprime_count,
     mertens_product,
     odd_phi,
     primes_upto,
 )
-from coprime_census.graph import smallest_factor
+from coprime_census.graph import prime_factors, smallest_factor
 
 
 def phi_table(n: int) -> np.ndarray:
@@ -71,20 +72,13 @@ class TestEulerPhi:
 
 
 class TestOmega:
-    def test_examples(self):
-        w = _omega_array(12)
-        assert int(w[1]) == 0
-        assert int(w[12]) == 2
-
     def test_primorial(self):
-        assert int(_omega_array(30030)[30030]) == 6
-
-    def test_matches_the_dividing_primes(self):
-        # the primes of the numpy sieve that divide m
-        ps = primes_upto(2000).tolist()
-        w = _omega_array(1999)
-        for m in range(1, 2000):
-            assert int(w[m]) == sum(1 for p in ps if m % p == 0)
+        # omega(m) = k forces m >= p_k#, the product of the first k primes:
+        # the bound under criterion 9's sqrt(m) > 2^(omega(m) - 1)
+        primorials = list(itertools.accumulate(primes_upto(13).tolist(), operator.mul, initial=1))
+        assert primorials[6] == 30030 and len(prime_factors(30030)) == 6
+        for m in range(1, 30031):
+            assert m >= primorials[len(prime_factors(m))], m
 
 
 class TestCoprimeCount:
@@ -143,8 +137,8 @@ class TestMertensProduct:
 
 
 class TestBulkTables:
-    """The numpy tables against the trial-division path: phi(m) as
-    coprime_count(m, m), omega(m) by repeated smallest_factor division."""
+    """The numpy phi table against the trial-division path, phi(m) as
+    coprime_count(m, m)."""
 
     def test_phi_array_matches_pointwise(self):
         phi = phi_table(1500)
@@ -156,11 +150,6 @@ class TestBulkTables:
         with pytest.raises(ValueError):
             next(odd_phi(0))
 
-    def test_omega_array_matches_pointwise(self, omega_of):
-        w = _omega_array(3000)
-        for m in range(1, 3001):
-            assert int(w[m]) == omega_of(m)
-
     # limits on both sides of prime squares, where a prime moves between
     # the sieving primes (p <= sqrt(limit)) and the one large factor left
     # over (m // s); the odd phi table runs to the largest odd m <= limit
@@ -169,13 +158,10 @@ class TestBulkTables:
         [1, 2, 3, 4, 8, 9, 10, 11, 24, 25, 26, 27, 48, 49, 50, 51, 120, 121, 122,
          123, 10**5 + 3],
     )
-    def test_tables_match_pointwise_around_prime_squares(self, limit, omega_of):
+    def test_tables_match_pointwise_around_prime_squares(self, limit):
         phi = phi_table((limit + 1) // 2)
-        w = _omega_array(limit)
-        assert len(w) == limit + 1 and int(w[0]) == 0
         odd = range(1, limit + 1, 2)
         assert phi.tolist() == [coprime_count(m, m) for m in odd]
-        assert w[1:].tolist() == [omega_of(m) for m in range(1, limit + 1)]
 
     def test_phi_matches_pointwise_at_the_segment_seams(self):
         # 2n - 1 is the first prime square past three seams.  Every m within

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coprime_census import bounds, checks
+from coprime_census import bounds, checks, cli
 from coprime_census.arith import primes_upto
 from coprime_census.bounds import (
     _f_xlogx,
@@ -186,7 +186,11 @@ class TestEsums:
 class TestAssembly:
     def test_passes(self):
         by_name = {rep.name: rep for rep in checks.bounds()}
-        assert len(by_name) == 12 and all(rep.passed for rep in by_name.values())
+        assert len(by_name) == 13 and all(rep.passed for rep in by_name.values())
+        budget = by_name["assembly-budget"]
+        assert (budget.computed, budget.relation, budget.claimed) == (
+            Decimal("0.6226"), "<=", Decimal("0.6226")
+        )
         rep = by_name["assembly-e^0.6226"]
         assert math.isclose(rep.computed, math.exp(0.6226), rel_tol=1e-15)
         assert rep.computed > 1.8637
@@ -211,10 +215,14 @@ class TestAssembly:
         parts = [Decimal("0.0538"), Decimal("0.2873"), Decimal("0.2815")]
         assert sum(parts) == Decimal("0.6226")
 
-    def test_fails_loudly_on_failed_subreport(self, monkeypatch):
+    def test_fails_loudly_on_failed_subreport(self, monkeypatch, capsys):
+        # a failed E-sum is a FAIL record, and every other record is still listed
         monkeypatch.setattr(bounds, "esum_middle", lambda: -1.0)
-        with pytest.raises(RuntimeError, match="sub-report failed: esum-middle"):
-            checks.bounds()
+        assert cli.main(["verify", "--suite", "bounds"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "FAIL esum-middle: -1.0 > -0.2873"
+        assert len(lines) == 14 and lines[-1] == "verification FAILED"
+        assert all(line.startswith("PASS ") for line in lines[:1] + lines[2:-1])
 
 
 class TestKappaCertificate:

@@ -827,3 +827,83 @@ class TestDeterminism:
             assert res.returncode == 0, res.stderr
             outs.append(payload(json.loads(res.stdout)))
         assert outs[0] == outs[1]
+
+
+# stdout of three runs on the table route, byte for byte: verify at its
+# default --max 16, and table t3 to 16 as CSV (csv's \r\n line ends) and
+# as JSON lines
+GOLDEN_VERIFY_TABLES = """\
+PASS t1 n=1: C0=1 r=1.4142 == C0=1 r=1.4142
+PASS t1 n=2: C0=2 r=1.5651 == C0=2 r=1.5651
+PASS t1 n=3: C0=4 r=1.8860 == C0=4 r=1.8860
+PASS t1 n=4: C0=18 r=1.8276 == C0=18 r=1.8276
+PASS t1 n=5: C0=60 r=1.9969 == C0=60 r=1.9969
+PASS t1 n=6: C0=252 r=2.1044 == C0=252 r=2.1044
+PASS t1 n=7: C0=1860 r=2.0625 == C0=1860 r=2.0625
+PASS t1 n=8: C0=9552 r=2.1629 == C0=9552 r=2.1629
+PASS t1 n=9: C0=59616 r=2.2260 == C0=59616 r=2.2260
+PASS t1 n=10: C0=565920 r=2.2082 == C0=565920 r=2.2082
+PASS t1 n=11: C0=4051872 r=2.2707 == C0=4051872 r=2.2707
+PASS t1 n=12: C0=33805440 r=2.3118 == C0=33805440 r=2.3118
+PASS t1 n=13: C0=465239808 r=2.2727 == C0=465239808 r=2.2727
+PASS t1 n=14: C0=4294865664 r=2.3171 == C0=4294865664 r=2.3171
+PASS t1 n=15: C0=35413136640 r=2.3851 == C0=35413136640 r=2.3851
+PASS t1 n=16: C0=768372168960 r=2.3122 == C0=768372168960 r=2.3122
+PASS t2 n=1: C=1 r=1.0000 == C=1 r=1.0000
+PASS t2 n=3: C=3 r=1.2599 == C=3 r=1.2599
+PASS t2 n=5: C=28 r=1.3378 == C=28 r=1.3378
+PASS t2 n=7: C=256 r=1.5307 == C=256 r=1.5307
+PASS t2 n=9: C=3600 r=1.6696 == C=3600 r=1.6696
+PASS t2 n=11: C=129744 r=1.6834 == C=129744 r=1.6834
+PASS t2 n=13: C=3521232 r=1.7775 == C=3521232 r=1.7775
+PASS t2 n=15: C=60891840 r=1.9444 == C=60891840 r=1.9444
+PASS t3 n=4: A=2 u=1.8612 == A=2 u=1.8612
+PASS t3 n=6: A=8 u=2.1169 == A=8 u=2.1169
+PASS t3 n=8: A=30 u=2.4607 == A=30 u=2.4607
+PASS t3 n=9: A=72 u=2.5786 == A=72 u=2.5786
+PASS t3 n=10: A=408 u=2.4826 == A=408 u=2.4826
+PASS t3 n=12: A=4104 u=2.6440 == A=4104 u=2.6440
+PASS t3 n=14: A=29640 u=2.8976 == A=29640 u=2.8976
+PASS t3 n=15: A=208704 u=2.8388 == A=208704 u=2.8388
+PASS t3 n=16: A=1437312 u=2.8034 == A=1437312 u=2.8034
+verification PASSED
+"""
+GOLDEN_T3_CSV = """\
+n,value,ratio
+4,2,1.8612
+6,8,2.1169
+8,30,2.4607
+9,72,2.5786
+10,408,2.4826
+12,4104,2.6440
+14,29640,2.8976
+15,208704,2.8388
+16,1437312,2.8034
+""".replace("\n", "\r\n")
+GOLDEN_T3_JSON = """\
+{"n": 4, "ratio": "1.8612", "value": "2"}
+{"n": 6, "ratio": "2.1169", "value": "8"}
+{"n": 8, "ratio": "2.4607", "value": "30"}
+{"n": 9, "ratio": "2.5786", "value": "72"}
+{"n": 10, "ratio": "2.4826", "value": "408"}
+{"n": 12, "ratio": "2.6440", "value": "4104"}
+{"n": 14, "ratio": "2.8976", "value": "29640"}
+{"n": 15, "ratio": "2.8388", "value": "208704"}
+{"n": 16, "ratio": "2.8034", "value": "1437312"}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--suite", "tables"], GOLDEN_VERIFY_TABLES),
+        (["table", "--which", "t3", "--max", "16"], GOLDEN_T3_CSV),
+        (["table", "--which", "t3", "--max", "16", "--format", "json"], GOLDEN_T3_JSON),
+    ],
+    ids=["verify-tables", "t3-csv", "t3-json"],
+)
+def test_table_route_prints_its_golden_bytes(tmp_path, argv, golden):
+    res = subprocess.run(
+        [sys.executable, "-m", "coprime_census", *argv], capture_output=True, cwd=tmp_path
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, golden.encode(), b"")

@@ -1,10 +1,12 @@
 import math
 import re
+from decimal import Decimal
 from math import gcd
 
 import pytest
 
 from coprime_census import checks, counts, graph, reference
+from coprime_census.arith import coprime_count
 from coprime_census.counts import (
     CountResult,
     anti_lower,
@@ -514,6 +516,37 @@ class TestRatios:
         assert count_ratio("ck", 6, 16) is None
 
 
+def spy_counts(monkeypatch) -> list:
+    """Log the (table, n) of every count ``counts.table_rows`` runs."""
+    computed = []
+
+    def spied(which, count):
+        def counted(n):
+            computed.append((which, n))
+            return count(n)
+
+        return counted
+
+    tables = {
+        which: (kind, spied(which, count), listed)
+        for which, (kind, count, listed) in counts._TABLES.items()
+    }
+    monkeypatch.setattr(counts, "_TABLES", tables)
+    return computed
+
+
+def skew_printed(monkeypatch, wrong: dict) -> None:
+    """Rewrite the printed rows ``counts.table_rows`` returns: wrong maps
+    (table, n) to the fields to print instead."""
+    rows_of = counts.table_rows
+
+    def skewed(which, max_n, **kwargs):
+        rows = rows_of(which, max_n, **kwargs)
+        return [{**row, **wrong.get((which, row["n"]), {})} for row in rows]
+
+    monkeypatch.setattr(counts, "table_rows", skewed)
+
+
 class TestCheckTable:
     def test_pinned_rows(self):
         got = {rec.name: (rec.computed, rec.passed) for rec in checks.tables(10)}
@@ -527,14 +560,7 @@ class TestCheckTable:
             for which, (shown, rows) in checks._TABLES.items()
         }
         monkeypatch.setattr(checks, "_TABLES", short)
-        computed = []
-        row_of = counts.table_row
-
-        def spy(which, n):
-            computed.append((which, n))
-            return row_of(which, n)
-
-        monkeypatch.setattr(counts, "table_row", spy)
+        computed = spy_counts(monkeypatch)
         records = checks.tables(40)
         # t1: n = 1..10, t2: odd n <= 9, t3: composite n <= 10
         assert [sum(r.name.startswith(w) for r in records) for w in short] == [10, 5, 5]
@@ -543,19 +569,41 @@ class TestCheckTable:
         assert records[9].computed == "C0=565920 r=2.2082"
 
     def test_a_wrong_count_or_ratio_fails_its_row(self, monkeypatch):
-        row_of = counts.table_row
-        wrong = {
-            ("t1", 6): lambda row: row._replace(value=row.value + 1),
-            ("t2", 9): lambda row: row._replace(ratio=row.ratio + 1e-4),
-        }
-
-        def skewed(which, n):
-            row = row_of(which, n)
-            return wrong.get((which, n), lambda r: r)(row)
-
-        monkeypatch.setattr(counts, "table_row", skewed)
+        skew_printed(monkeypatch, {("t1", 6): {"value": "253"}, ("t2", 9): {"ratio": "1.6697"}})
         failed = [r.name for r in checks.tables(10) if not r.passed]
         assert failed == ["t1 n=6", "t2 n=9"]
+
+    def test_a_ratio_off_in_its_last_digit_fails_its_row(self, monkeypatch):
+        # the published typos r_30 = 2.3850, r_13 = 1.7776 and u_6 = 2.1170
+        # are each one unit in the last digit away from the correction
+        typos = {("t1", 15): ("r", 30), ("t2", 13): ("r", 13), ("t3", 6): ("u", 6)}
+        wrong = {}
+        for row, erratum in typos.items():
+            published, corrected = reference.ERRATA_RATIOS[erratum]
+            assert abs(Decimal(published) - Decimal(corrected)) == Decimal("0.0001")
+            wrong[row] = {"ratio": published}
+        skew_printed(monkeypatch, wrong)
+        failed = [r.name for r in checks.tables(16) if not r.passed]
+        assert failed == ["t1 n=15", "t2 n=13", "t3 n=6"]
+
+    @pytest.mark.parametrize(
+        "listed, name, computed, claimed",
+        [
+            # a t3 rule that also lists the prime 7, and one that skips 9
+            (lambda n: n == 7 or smallest_factor(n) != n, "t3 n=7", "A=", "no reference row"),
+            (lambda n: n != 9 and smallest_factor(n) != n, "t3 n=9", "no row", "A=72 u=2.5786"),
+        ],
+        ids=["extra-row", "missing-row"],
+    )
+    def test_a_row_in_only_one_of_table_and_reference_fails(
+        self, monkeypatch, listed, name, computed, claimed
+    ):
+        kind, count, _ = counts._TABLES["t3"]
+        rule = lambda n: n >= 4 and listed(n)
+        monkeypatch.setitem(counts._TABLES, "t3", (kind, count, rule))
+        failed = [r for r in checks.tables(10) if not r.passed]
+        assert [r.name for r in failed] == [name]
+        assert failed[0].computed.startswith(computed) and failed[0].claimed == claimed
 
     @pytest.mark.parametrize(
         "which, max_n, ceiling, first",
@@ -566,14 +614,7 @@ class TestCheckTable:
     def test_table_past_the_ceiling_computes_no_row(
         self, monkeypatch, which, max_n, ceiling, first
     ):
-        computed = []
-        row_of = counts.table_row
-
-        def spy(which, n):
-            computed.append(n)
-            return row_of(which, n)
-
-        monkeypatch.setattr(counts, "table_row", spy)
+        computed = spy_counts(monkeypatch)
         with pytest.raises(CapacityError, match=f"dimension {first} exceeds ceiling {ceiling}"):
             counts.table_rows(which, max_n, ceiling=ceiling)
         assert computed == []
@@ -736,7 +777,7 @@ class TestUncappedCounts:
     ``graph.incidence`` before any table is built."""
 
     def test_every_count_of_the_verify_suites_is_admitted(self, monkeypatch):
-        # the tables suite counts the reference rows by table_row
+        # the tables suite counts its rows by table_rows, to the last reference row
         for kind, ref in (
             ("c0", reference.TABLE_C0),
             ("c", reference.TABLE_C_ODD),
@@ -785,3 +826,38 @@ class TestUncappedCounts:
         with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
             run()
         assert counts._memo == {}
+
+
+def log_bregman(rows) -> float:
+    """log of Bregman's bound prod (r_i!)^(1/r_i) on the permanent of a 0/1
+    matrix, r_i the degree of row i."""
+    return math.fsum(math.lgamma(r + 1) / r for r in map(int.bit_count, rows))
+
+
+# the gate counts by kind, each (n, aux, value): the published rows, and
+# C_k(n) for k = 2, 3 and 5, counted in the test (value None)
+BREGMAN_CASES = {
+    "c0": [(n, None, v) for n, (v, _) in reference.TABLE_C0.items()],
+    "c": [(n, None, v) for n, (v, _) in reference.TABLE_C_ODD.items()],
+    "a": [(n, None, v) for n, (v, _) in reference.TABLE_A.items()],
+    "ck": [(n, k, None) for k in (2, 3, 5) for n in range(1, 17)],
+}
+
+
+class TestBregman:
+    """Bregman's theorem on the matrices behind the counts, and the one
+    degree table that bounds C0(n) with it."""
+
+    def test_c0_degrees_are_coprime_counts(self):
+        # row j of the C0(n) matrix is the v <= n coprime to the odd j
+        for n in range(1, 61):
+            degrees = [row.bit_count() for row in matrix("c0", n)]
+            assert degrees == [coprime_count(j, n) for j in range(1, 2 * n, 2)], n
+
+    @pytest.mark.parametrize("kind", BREGMAN_CASES)
+    def test_count_is_within_bregman(self, kind):
+        for n, aux, value in BREGMAN_CASES[kind]:
+            value = count_ck(n, aux) if value is None else value
+            # equality holds on blocks of ones (A(4), C0(2)), where the float
+            # sum may land an ulp below log(value)
+            assert math.log(value) <= log_bregman(matrix(kind, n, aux)) + 1e-12, (n, aux)

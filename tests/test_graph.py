@@ -363,11 +363,12 @@ class TestSmallestFactor:
         ps = primes_upto(200).tolist()
         primes = set(ps)
         spf = {m: next(p for p in ps if m % p == 0) for m in range(2, 201)}
-        # table_rows with the row count stubbed out yields its n list; a
+        # table_rows with its count stubbed out lists its rows' n; a
         # ceiling that admits every row lets it list them all
-        monkeypatch.setattr(counts, "table_row", lambda which, n: n)
+        kind, _, listed = counts._TABLES["t3"]
+        monkeypatch.setitem(counts._TABLES, "t3", (kind, lambda n: 1, listed))
         t3 = [n for n in range(4, 201) if n not in primes]
-        assert counts.table_rows("t3", 200, ceiling=200) == t3
+        assert [row["n"] for row in counts.table_rows("t3", 200, ceiling=200)] == t3
         for n in range(2, 201):
             want = [m for m in range(2, n + 1) if not (m in primes and 2 * m > n)]
             assert incidence("a", n)[0] == want, n
