@@ -123,15 +123,19 @@ def tail_upper(x, n: int) -> BoundReport:
 def lemmas(max_n: int) -> list[BoundReport]:
     """The reduction identities (for 2 <= n <= min(max_n // 2, 12)), the
     C_2, C_3 and A(p) values, the gluing bound, A(22) and A(24) from two
-    computations and the distribution checks at n = 10^5: the second
+    computations, the distribution checks at n = 10^5: the second
     moment, the top interval, the tail bound at x = 2, 5 and 10 and the
-    bracket comparisons, which are diagnostic.  A ``max_n`` below 1 raises
-    ``ValueError``.  The counts are uncapped: at any ``max_n`` no
-    permanent among them is above 19 (the reduced A(24)).
+    bracket comparisons, and Bregman's bound on the C0(1000) and C1(1000)
+    matrices as r_2000 > 2.5 and r_2001 > 2.5.  The brackets and Bregman
+    records are diagnostic: finite-n values set against a limit, Bregman's
+    as float sums.  A ``max_n`` below 1 raises ``ValueError``.  The counts
+    are uncapped: at any ``max_n`` no permanent among them is above 19
+    (the reduced A(24)).
     """
     if max_n < 1:
         raise ValueError(f"the lemmas suite needs max_n >= 1, not {max_n}")
     from . import counts, dist
+    from .arith import coprime_count
 
     make = BoundReport.make
     records = []
@@ -184,6 +188,18 @@ def lemmas(max_n: int) -> list[BoundReport]:
             make(f"{name} lower", est.density, ">=", lower - tol, diagnostic=True),
             make(f"{name} upper", est.density, "<=", upper + tol, diagnostic=True),
         ]
+    # Bregman: per(M) <= prod over the rows of (r!)^(1/r), r the row degree.
+    # Row j of C0(m) has degree F(j, m) = coprime_count(j, m), and row j of
+    # the C1(m) matrix F(j, m) + 1, as every odd j is coprime to its second
+    # column 1.  So one degree table bounds both C(2m) = C0(m)^2 and
+    # C(2m+1) <= C1(m)^2, and r_n = (n! / C(n))^(1/n) from below
+    m = 1000
+    degrees = [coprime_count(j, m) for j in range(1, 2 * m + 2, 2)]
+    log_c0 = math.fsum(math.lgamma(r + 1) / r for r in degrees[:-1])
+    log_c1 = math.fsum(math.lgamma(r + 2) / (r + 1) for r in degrees)
+    for name, n, log_half in (("2n", 2 * m, log_c0), ("n", 2 * m + 1, log_c1)):
+        r_n = math.exp((math.lgamma(n + 1) - 2 * log_half) / n)
+        records.append(make(f"bregman {name}={n}", r_n, ">", 2.5, diagnostic=True))
     return records
 
 

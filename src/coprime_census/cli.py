@@ -18,7 +18,7 @@ from pathlib import Path
 # permanent, counts or checks, and numpy (arith, bounds, dist) loads only
 # for dist and the lemmas, bounds and constants suites.
 from . import __version__
-from .graph import DEFAULT_CEILING, KINDS, CapacityError, admit, dump, incidence
+from .graph import DEFAULT_CEILING, KINDS, CapacityError, admit, dump
 
 DEFAULT_CACHE = "./coprime-census.cache.jsonl"
 DEFAULT_SIEVE_LIMIT = 2 * 10**7
@@ -123,8 +123,6 @@ def cmd_count(args) -> int:
     # before the cache is opened, so a refused request neither creates the
     # file nor is served from it
     admit(kind, args.n, args.aux, method=args.method, ceiling=args.ceiling)
-    if args.dump_matrix:
-        incidence(kind, args.n, args.aux)  # c1 has no matrix to dump
 
     cache = None if args.no_cache else ResultCache(Path(args.cache))
     try:
@@ -180,6 +178,8 @@ def cmd_table(args) -> int:
 def cmd_dist(args) -> int:
     if args.format is not None and (args.second_moment or args.top_set):
         raise ValueError("--format is read only by the --alpha scan; this mode prints JSON")
+    if args.sieve_limit < 0:
+        raise ValueError(f"--sieve-limit must be >= 0, not {args.sieve_limit}")
     if 2 * args.n > args.sieve_limit:
         raise CapacityError(
             f"n={args.n} scans the odd m below 2n = {2 * args.n} > --sieve-limit "

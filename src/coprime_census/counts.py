@@ -9,6 +9,9 @@
   is the (m+1) x m odd-against-[m] matrix ("ca", m) with the row of a
   deleted, and ``permanent_minors`` returns all m+1 of those permanents
   from one class walk, memoized under ("c1", m), the count it serves.
+  C1(m) is their sum, and also one permanent: ("c1", m) is the ("ca",
+  m) matrix with column 1 twice, which expands along that column to
+  the sum.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.  Every prime in
   (sqrt(n), n/2] is eliminated before the walk: A(n) is a weighted sum
@@ -163,7 +166,9 @@ def count_c_a(n: int, a: int) -> int:
 
 
 def count_c1(n: int) -> int:
-    """Sum of count_c_a(n, a) over all odd a <= 2n+1."""
+    """Sum of count_c_a(n, a) over all odd a <= 2n+1: the permanent of
+    the ("c1", n) matrix expanded along its column 1, read from the one
+    minors walk that odd C(2n+1) shares."""
     return sum(_c_a_all(n))
 
 
@@ -430,7 +435,7 @@ def compute(
     before any work.  ``method`` selects the computation path:
 
     * "auto" (every kind): the memoized count_* reductions;
-    * "permanent" (c, c0, a, ck): one walk of the label table of
+    * "permanent" (every kind): one walk of the label table of
       ``graph.incidence``, with no reduction and no memo;
     * "brute" (every kind, n <= 12): ``brute_constrained_count``.
     """

@@ -1,7 +1,7 @@
 """The 0/1 incidence matrices whose permanents we count, and their size rule.
 
-Each count's matrix is defined once, by :func:`incidence`: its row
-labels, its column labels and the rule that sets entry (i, j), which
+Every kind's count is the permanent of one matrix, defined once by
+:func:`incidence`: its labels and the rule that sets entry (i, j), which
 reads only the primes the two labels share (:func:`prime_factors`).
 The count layer builds the class tables it walks from one bitmask per
 prime, ``--method permanent`` too.  :func:`matrix` sets the bits of the
@@ -89,19 +89,19 @@ def admit(
     well formed and within ``ceiling``.
 
     ``ValueError`` for a kind outside :data:`KINDS`, a method outside
-    auto | permanent | brute (or permanent for c1, a sum of
-    permanents), a ck without aux = k >= 2 or an aux on any other kind,
-    and n < 1.  ``CapacityError`` when the largest permanent behind the
-    count is larger than ``ceiling``: dimension n // 2 for C(n) by its
-    reduction, the reduced matrix on :func:`anti_labels` for A(n) unless
-    brute ("at least" a bound with no trial division, far past it), and
-    n otherwise (a brute DP runs over n rows); and for brute past
-    n = 12.  Only the request entries pass a ceiling; :func:`incidence`
-    and the brute oracle pass ``inf``.
+    auto | permanent | brute, a ck without aux = k >= 2 or an aux on any
+    other kind, n < 1 and a negative ceiling.  ``CapacityError`` when the
+    largest permanent behind the count is larger than ``ceiling``:
+    dimension n // 2 for C(n) by its reduction, the reduced matrix on
+    :func:`anti_labels` for A(n) unless brute ("at least" a bound with no
+    trial division, far past it), the (n+1)-square matrix of C1(n) under
+    permanent, and n otherwise (a brute DP runs over n rows); and for
+    brute past n = 12.  Only the request entries pass a ceiling;
+    :func:`incidence` and the brute oracle pass ``inf``.
     """
     if kind not in KINDS:
         raise ValueError(f"no kind {kind!r}; the kinds are {', '.join(KINDS)}")
-    if method not in ("auto", "permanent", "brute") or (kind, method) == ("c1", "permanent"):
+    if method not in ("auto", "permanent", "brute"):
         raise ValueError(f"kind {kind!r} has no method {method!r}")
     if kind == "ck" and (aux is None or aux < 2):
         raise ValueError("kind 'ck' needs --aux K >= 2")
@@ -109,6 +109,8 @@ def admit(
         raise ValueError(f"--aux is only read by kind 'ck', not {kind!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if ceiling < 0:
+        raise ValueError(f"the ceiling must be >= 0, not {ceiling}")
     if kind == "c" and method == "auto":
         dim = n // 2
     elif kind == "a" and method != "brute":
@@ -119,7 +121,7 @@ def admit(
         if n - 1 > ceiling:
             dim = len(anti_labels(n))
     else:
-        dim = n
+        dim = n + ((kind, method) == ("c1", "permanent"))
     if dim > ceiling:
         raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
     if method == "brute" and n > BRUTE_MAX:
@@ -148,22 +150,20 @@ def incidence(kind: str, n: int, aux: int | None = None):
     * c0: the first n odd numbers against [n], gcd = 1;
     * ca: the first n + 1 odd numbers against [n], gcd = 1, the (n+1) x n
       matrix whose row minors are the C_(a)(n);
+    * c1: the first n + 1 odd numbers against 1, 1, 2, ..., n, gcd = 1, the
+      ca matrix with column 1 twice, whose permanent sums the C_(a)(n);
     * a: :func:`anti_labels` against themselves, one <= n (gcd > 1);
     * ck (aux = k >= 2): [n] against [n], none <= min(k, n) (gcd with k!
       is 1).
 
-    c1 is a sum of permanents, not one, so it and every unknown kind
-    raise ``ValueError``, as does any request :func:`admit` refuses
-    (ca as c0); a matrix takes no ceiling.
+    :func:`admit` refuses a malformed request (ca as c0), with no ceiling.
     """
-    if kind not in ("c", "c0", "ca", "a", "ck"):
-        raise ValueError(f"kind {kind!r} is not the permanent of one matrix")
     admit("c0" if kind == "ca" else kind, n, aux, ceiling=inf)
-    span = range(1, n + 1)
-    if kind == "c0":
-        return range(1, 2 * n, 2), span, False, n
-    if kind == "ca":
-        return range(1, 2 * n + 2, 2), span, False, n
+    span, odd = range(1, n + 1), range(1, 2 * n + 2, 2)
+    if kind in ("c0", "ca"):
+        return odd[: n + (kind == "ca")], span, False, n
+    if kind == "c1":
+        return odd, (1, *span), False, n
     if kind == "a":
         labels = anti_labels(n)
         return labels, labels, True, n

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -301,8 +302,6 @@ class TestCount:
         "argv",
         [
             ["count", "--kind", "c", "--n", "9", "--aux", "3"],
-            ["count", "--kind", "c1", "--n", "4", "--method", "permanent"],
-            ["count", "--kind", "c1", "--n", "3", "--dump-matrix"],
             ["count", "--kind", "c0", "--n", "6", "--sieve-limit", "5"],
             ["count", "--kind", "c0", "--n", "6", "--format", "json"],
             ["table", "--which", "t1", "--max", "3", "--verify-cache"],
@@ -322,8 +321,6 @@ class TestCount:
         ],
         ids=[
             "count-aux-on-c",
-            "count-c1-permanent",
-            "count-c1-dump",
             "count-sieve-limit",
             "count-format",
             "table-verify-cache",
@@ -346,6 +343,44 @@ class TestCount:
         res = run_cli(*argv, cwd=tmp_path)
         assert res.returncode == 2, res.stdout + res.stderr
         assert list(tmp_path.iterdir()) == []  # no cache file is created
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count", "--kind", "a", "--n", "1", "--ceiling", "-2"],
+             "the ceiling must be >= 0, not -2"),
+            (["table", "--which", "t1", "--max", "3", "--ceiling", "-1"],
+             "the ceiling must be >= 0, not -1"),
+            (["dist", "--n", "5", "--sieve-limit", "-1"],
+             "--sieve-limit must be >= 0, not -1"),
+        ],
+        ids=["count", "table", "dist"],
+    )
+    def test_a_negative_cap_is_a_usage_error(self, tmp_path, argv, message):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert (res.returncode, res.stdout) == (2, ""), res.stderr
+        assert res.stderr == f"invalid arguments: {message}\n"
+        assert list(tmp_path.iterdir()) == []  # no cache file is created
+
+    def test_c1_permanent_prints_the_auto_record(self, tmp_path):
+        # the (n+1)-square c1 matrix against the sum of the C_(a) minors
+        argv = ["count", "--kind", "c1", "--n", "12", "--no-cache"]
+        auto = run_cli(*argv, cwd=tmp_path)
+        direct = run_cli(*argv, "--method", "permanent", cwd=tmp_path)
+        assert (direct.returncode, direct.stderr) == (0, "")
+        assert payload(json.loads(direct.stdout)) == payload(json.loads(auto.stdout))
+
+    def test_c1_dump_golden(self, tmp_path):
+        argv = ["count", "--kind", "c1", "--n", "3", "--dump-matrix", "--no-cache"]
+        res = run_cli(*argv, cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (0, "")
+        # the first n + 1 odd numbers against column 1 twice, then 2..n
+        masked = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', res.stdout)
+        assert masked == (
+            "rows: 1 3 5 7\ncols: 1 1 2 3\n1111\n1110\n1111\n1111\n"
+            '{"aux": null, "engine_version": "%s", "kind": "c1", "n": 3, "ratio": null, '
+            '"timestamp": "", "value": "18"}\n' % coprime_census.__version__
+        )
 
 
 class TestCache:
@@ -463,11 +498,10 @@ class TestCache:
         [
             (["--kind", "c", "--n", "0"], 2),
             (["--kind", "ck", "--n", "5", "--aux", "1"], 2),
-            (["--kind", "c1", "--n", "5", "--method", "permanent"], 2),
             (["--kind", "c", "--n", "83"], 3),
             (["--kind", "c", "--n", "13", "--method", "brute"], 3),
         ],
-        ids=["n-0", "ck-aux-1", "c1-permanent", "past-the-ceiling", "brute-past-12"],
+        ids=["n-0", "ck-aux-1", "past-the-ceiling", "brute-past-12"],
     )
     def test_refused_request_leaves_no_cache_file(self, tmp_path, monkeypatch, capsys, argv, code):
         from coprime_census import cli
@@ -662,6 +696,20 @@ class TestDist:
         from coprime_census import dist
 
         assert (row["alpha"], int(row["count"])) == ("1/2", dist.d_count(0.5, 1000).count)
+
+    def test_twenty_digit_cutoff_is_counted_exactly(self, tmp_path):
+        from fractions import Fraction
+
+        from coprime_census.arith import coprime_count
+
+        # a denominator of 10^20 puts q * phi(m) past int64
+        res = run_cli("dist", "--n", "1000", "--alpha", "0.12345678901234567891", cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (0, "")
+        [row] = csv.DictReader(io.StringIO(res.stdout))
+        alpha = Fraction("0.12345678901234567891")
+        p, q = alpha.numerator, alpha.denominator
+        want = sum(q * coprime_count(m, m) <= p * m for m in range(1, 2000, 2))
+        assert (row["alpha"], int(row["count"])) == (str(alpha), want)
 
     def test_second_moment_mode(self, tmp_path):
         res = run_cli(

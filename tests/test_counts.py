@@ -740,12 +740,21 @@ class TestCompute:
 
     @pytest.mark.parametrize(
         "kind, n, aux, method",
-        [("c", 9, 3, "auto"), ("c1", 4, None, "permanent")],
-        ids=["aux-on-c", "c1-permanent"],
+        [("c", 9, 3, "auto")],
+        ids=["aux-on-c"],
     )
     def test_refuses_unread_input(self, kind, n, aux, method):
         with pytest.raises(ValueError):
             compute(kind, n, aux, method=method)
+
+    def test_c1_is_the_permanent_of_one_matrix(self):
+        # the ("c1", n) table walked whole against the sum of the C_(a)(n)
+        # minors, and the oracle's sum of row-deleted DPs
+        for n in range(1, 21):
+            direct = compute("c1", n, method="permanent").value
+            assert direct == count_c1(n), n
+            if n <= 12:
+                assert direct == brute_constrained_count(n, "c1"), n
 
     @pytest.mark.parametrize(
         "kind, n, aux",
@@ -835,9 +844,10 @@ def log_bregman(rows) -> float:
 
 
 # the gate counts by kind, each (n, aux, value): the published rows, and
-# C_k(n) for k = 2, 3 and 5, counted in the test (value None)
+# C1(n) and C_k(n) for k = 2, 3 and 5, counted in the test (value None)
 BREGMAN_CASES = {
     "c0": [(n, None, v) for n, (v, _) in reference.TABLE_C0.items()],
+    "c1": [(n, None, None) for n in range(1, 17)],
     "c": [(n, None, v) for n, (v, _) in reference.TABLE_C_ODD.items()],
     "a": [(n, None, v) for n, (v, _) in reference.TABLE_A.items()],
     "ck": [(n, k, None) for k in (2, 3, 5) for n in range(1, 17)],
@@ -854,10 +864,23 @@ class TestBregman:
             degrees = [row.bit_count() for row in matrix("c0", n)]
             assert degrees == [coprime_count(j, n) for j in range(1, 2 * n, 2)], n
 
+    def test_c1_degrees_are_coprime_counts_plus_one(self):
+        # row j of the C1(n) matrix adds its second column 1, coprime to every odd j
+        for n in range(1, 61):
+            degrees = [row.bit_count() for row in matrix("c1", n)]
+            assert degrees == [coprime_count(j, n) + 1 for j in range(1, 2 * n + 2, 2)], n
+
+    def test_bregman_records_are_passing_diagnostics(self):
+        # the float sums of the lemmas suite bound r_2000 and r_2001 below
+        records = [r for r in checks.lemmas(1) if r.name.startswith("bregman")]
+        assert [r.name for r in records] == ["bregman 2n=2000", "bregman n=2001"]
+        assert all(r.diagnostic and r.passed and r.claimed == 2.5 for r in records)
+        assert [round(r.computed, 5) for r in records] == [2.51638, 2.5079]
+
     @pytest.mark.parametrize("kind", BREGMAN_CASES)
     def test_count_is_within_bregman(self, kind):
         for n, aux, value in BREGMAN_CASES[kind]:
-            value = count_ck(n, aux) if value is None else value
+            value = compute(kind, n, aux).value if value is None else value
             # equality holds on blocks of ones (A(4), C0(2)), where the float
             # sum may land an ulp below log(value)
             assert math.log(value) <= log_bregman(matrix(kind, n, aux)) + 1e-12, (n, aux)

@@ -90,6 +90,24 @@ class TestDCount:
         want = sum(1 for m, ph in zip(range(1, 2 * n, 2), phi) if 100_000 * ph <= 99_999 * m)
         assert d_count(alpha, n).count == want
 
+    def test_twenty_digit_denominators_take_the_exact_branch(self, monkeypatch):
+        # q * phi(m) >= q >= 2^62, so the cross-products are compared as
+        # Python ints: the int64 comparison would overflow
+        third = Fraction(2, 3)
+        cuts = [third - Fraction(1, 10**25), third + Fraction(1, 10**25)]
+        cuts.append(Fraction("0.12345678901234567891"))
+
+        def int64_branch(*args, **kwargs):
+            raise AssertionError("the int64 comparison ran")
+
+        monkeypatch.setattr(dist.np, "count_nonzero", int64_branch)
+        for alpha in cuts:
+            assert alpha.denominator >= 2**62
+            for n in (2, 10, 700):
+                assert d_count(alpha, n).count == brute_d_count(alpha, n), (alpha, n)
+        # phi(3)/3 = 2/3 lies between the first two: only the upper one counts m = 3
+        assert [d_count(alpha, 2).count for alpha in cuts[:2]] == [0, 1]
+
     def test_density_near_bracket_at_1e6(self):
         est = d_count(Fraction(1, 2), 10**6)
         alpha, lower, upper = BRACKETS[0]

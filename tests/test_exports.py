@@ -21,9 +21,9 @@ MODULES = sorted(
     m.name for m in pkgutil.iter_modules(coprime_census.__path__) if m.name != "__main__"
 )
 
-# public for the tests alone: the trial-division and prime-table oracles
-# the numeric layer is checked against
-ORACLES = {"arith.coprime_count", "arith.primes_upto"}
+# public for the tests alone: the prime-table oracle the trial-division
+# factoring is checked against
+ORACLES = {"arith.primes_upto"}
 
 SOURCE = Path(coprime_census.__file__).parent
 

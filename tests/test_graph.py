@@ -234,6 +234,7 @@ class TestIncidence:
             ("a", 10, None, [2, 3, 4, 5, 6, 8, 9, 10], [2, 3, 4, 5, 6, 8, 9, 10]),
             ("a", 1, None, [], []),
             ("ck", 4, 3, [1, 2, 3, 4], [1, 2, 3, 4]),
+            ("c1", 4, None, [1, 3, 5, 7, 9], [1, 1, 2, 3, 4]),  # the ca matrix, column 1 twice
         ],
     )
     def test_labels_at_small_n(self, kind, n, aux, rows, cols):
@@ -250,18 +251,20 @@ class TestIncidence:
         [
             ("c0", lambda x, y: gcd(x, y) == 1),
             ("ca", lambda x, y: gcd(x, y) == 1),
+            ("c1", lambda x, y: gcd(x, y) == 1),
             ("a", lambda x, y: gcd(x, y) > 1),
         ],
-        ids=["c0", "ca", "a"],
+        ids=["c0", "ca", "c1", "a"],
     )
     def test_bits_equal_the_gcd_definition(self, kind, pred):
         for n in range(1, 31):
             xs, ys, _, _ = incidence(kind, n)
             assert matrix(kind, n) == bit_rows(xs, ys, pred), n
 
-    @pytest.mark.parametrize("kind", ["c1", "zz"])
+    @pytest.mark.parametrize("kind", ["zz"])
     def test_refuses_kinds_that_are_not_one_matrix(self, kind):
-        with pytest.raises(ValueError, match="not the permanent of one matrix"):
+        # every kind in KINDS is one matrix; admit refuses any other
+        with pytest.raises(ValueError, match=f"^no kind {kind!r}"):
             matrix(kind, 3)
 
 
@@ -275,6 +278,7 @@ class TestAdmit:
             ("c", 30, None, "permanent", 30),
             ("c0", 30, None, "auto", 30),
             ("c1", 30, None, "auto", 30),
+            ("c1", 30, None, "permanent", 31),  # the ca matrix with column 1 twice
             ("a", 24, None, "auto", 19),  # the reduced matrix on anti_labels
             ("a", 24, None, "permanent", 19),
             ("a", 12, None, "brute", 12),  # the oracle's DP runs over n rows
@@ -292,7 +296,6 @@ class TestAdmit:
         [
             ("ca", 3, None, "auto", "no kind 'ca'"),
             ("c", 3, None, "walk", "no method 'walk'"),
-            ("c1", 3, None, "permanent", "no method 'permanent'"),
             ("ck", 3, None, "auto", "needs --aux K >= 2"),
             ("ck", 3, 1, "brute", "needs --aux K >= 2"),
             ("a", 3, 2, "auto", "only read by kind 'ck'"),
@@ -306,13 +309,35 @@ class TestAdmit:
 
     def test_every_a_is_priced_by_its_labels(self):
         # admitted at len(anti_labels(n)) and refused one below it, whether
-        # the labels are listed or a bound decides
+        # the labels are listed or a bound decides; a ceiling below 0 is
+        # malformed, so at n <= 3, where there are no labels, -1 is too
         for n in range(1, 300):
             dim = len(anti_labels(n))
             admit("a", n, ceiling=dim)
-            refusal = f"dimension (at least )?[0-9]+ exceeds ceiling {dim - 1}$"
-            with pytest.raises(CapacityError, match=refusal):
+            refused = CapacityError if dim else ValueError
+            refusal = "dimension (at least )?[0-9]+ exceeds ceiling" if dim else "must be >= 0, not"
+            refusal += f" {dim - 1}$"
+            with pytest.raises(refused, match=refusal):
                 admit("a", n, ceiling=dim - 1)
+
+    @pytest.mark.parametrize(
+        "kind, aux, method",
+        # A(1)'s bound reads "at least -1": -2 is malformed, not past it
+        [("a", None, "auto"), ("c1", None, "permanent"), ("ck", 2, "brute")],
+    )
+    def test_a_negative_ceiling_is_malformed(self, kind, aux, method):
+        for ceiling in (-1, -2):
+            message = f"^the ceiling must be >= 0, not {ceiling}$"
+            with pytest.raises(ValueError, match=message) as refused:
+                admit(kind, 1, aux, method=method, ceiling=ceiling)
+            assert not isinstance(refused.value, CapacityError)
+
+    def test_a_zero_ceiling_admits_the_counts_of_dimension_0(self):
+        # C(1) by its reduction and A(1), whose reduced matrix is 0 x 0
+        admit("c", 1, ceiling=0)
+        admit("a", 1, ceiling=0)
+        with pytest.raises(CapacityError, match="^permanent dimension 1 exceeds ceiling 0$"):
+            admit("c0", 1, ceiling=0)
 
     def test_a_far_past_the_ceiling_is_refused_without_trial_division(self, monkeypatch):
         def unfactored(m):
