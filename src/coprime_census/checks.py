@@ -144,7 +144,7 @@ def lemmas(max_n: int) -> list[BoundReport]:
         # sides of the square read no common memo: count_c0 may read C0(n)
         # from the minors memo, so the computed side walks the C0(n)
         # matrix itself and the claimed side squares C_(2n+1)(n), the last
-        # minor of the ("ca", n) walk
+        # minor of the ("ca", n) walk; the sandwich's upper side walks C1(n)'s own matrix
         own = counts.compute("c0", n, method="permanent").value
         square = counts.count_c_a(n, 2 * n + 1) ** 2
         c_odd = counts.count_c(2 * n + 1)

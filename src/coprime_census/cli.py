@@ -239,7 +239,6 @@ def cmd_verify(args) -> int:
 _SHARED_FLAGS = {
     "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="permanent dimension cap"),
     "--no-cache": dict(action="store_true", help="skip the cache"),
-    "--format": dict(choices=("csv", "json"), default="csv"),
 }
 
 
@@ -275,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-matrix", action="store_true", help="print the matrix before counting"
     )
 
-    p_table = add("table", cmd_table, "emit a full table", "--ceiling", "--format")
+    table_flags = {"--format": dict(choices=("csv", "json"), default="csv")}
+    p_table = add("table", cmd_table, "emit a full table", "--ceiling", own=table_flags)
     p_table.add_argument("--which", required=True, choices=("t1", "t2", "t3"))
     p_table.add_argument("--max", required=True, type=int)
 

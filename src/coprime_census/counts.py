@@ -8,10 +8,10 @@
   reductions.  Every C_(a)(m) comes from one walk: the C_(a)(m) matrix
   is the (m+1) x m odd-against-[m] matrix ("ca", m) with the row of a
   deleted, and ``permanent_minors`` returns all m+1 of those permanents
-  from one class walk, memoized under ("c1", m), the count it serves.
-  C1(m) is their sum, and also one permanent: ("c1", m) is the ("ca",
-  m) matrix with column 1 twice, which expands along that column to
-  the sum.
+  from one class walk, memoized under ("ca", m).  C1(m) is their sum,
+  and one permanent: ("c1", m) is the ("ca", m) matrix with column 1
+  twice, which expands along that column to the sum; C1(m) walks that
+  matrix, which costs less than the minors walk.
 * A(n): anti-coprime permutations (gcd > 1 away from position 1), via the
   reduced matrix with forced fixed points removed.  Every prime in
   (sqrt(n), n/2] is eliminated before the walk: A(n) is a weighted sum
@@ -45,7 +45,7 @@ memo: the square record of ``checks.lemmas`` walks the C0(n) matrix
 itself (``compute(..., method="permanent")``) against the last minor.
 
 All values are exact integers and are memoized in-process by
-(kind, n, aux), the C_(a)(m) as one tuple under ("c1", m).  Only
+(kind, n, aux), the C_(a)(m) as one tuple under ("ca", m).  Only
 :func:`compute` and :func:`table_rows` read a ceiling (``graph.admit``);
 the count_* functions take none, like the permanent engines, and
 ``graph.incidence`` refuses a malformed request before any table is
@@ -135,16 +135,16 @@ def count_c0(n: int) -> int:
     """Number of coprime matchings from the first n odd numbers into [n].
 
     Read from the C_(a) minors when the memo holds them: C0(n) is
-    C_(2n+1)(n), the last of ("c1", n), and the sum of C_(a)(n-1) over
+    C_(2n+1)(n), the last of ("ca", n), and the sum of C_(a)(n-1) over
     the odd a < 2n coprime to n, its expansion along column n.  Otherwise
     one walk of its own table.
     """
 
     def count() -> int:
-        if ("c1", n) in _memo:
-            return _memo[("c1", n)][-1]
-        if ("c1", n - 1) in _memo:  # C_(a)(n - 1) for a = 2i + 1
-            return sum(c for i, c in enumerate(_memo[("c1", n - 1)]) if gcd(2 * i + 1, n) == 1)
+        if ("ca", n) in _memo:
+            return _memo[("ca", n)][-1]
+        if ("ca", n - 1) in _memo:  # C_(a)(n - 1) for a = 2i + 1
+            return sum(c for i, c in enumerate(_memo[("ca", n - 1)]) if gcd(2 * i + 1, n) == 1)
         return permanent_ryser(_table(*incidence("c0", n)))
 
     return _memoized(("c0", n), count)
@@ -152,10 +152,10 @@ def count_c0(n: int) -> int:
 
 def _c_a_all(n: int) -> tuple[int, ...]:
     """(C_(1)(n), C_(3)(n), ..., C_(2n+1)(n)) from one class walk: the
-    minors of the first n+1 odd numbers against [n], ("ca", n),
-    memoized under ("c1", n)."""
+    row minors of the ("ca", n) matrix, the first n+1 odd numbers against
+    [n], memoized under that key."""
     count = lambda: tuple(permanent_minors(_table(*incidence("ca", n))))
-    return _memoized(("c1", n), count)
+    return _memoized(("ca", n), count)
 
 
 def count_c_a(n: int, a: int) -> int:
@@ -166,10 +166,10 @@ def count_c_a(n: int, a: int) -> int:
 
 
 def count_c1(n: int) -> int:
-    """Sum of count_c_a(n, a) over all odd a <= 2n+1: the permanent of
-    the ("c1", n) matrix expanded along its column 1, read from the one
-    minors walk that odd C(2n+1) shares."""
-    return sum(_c_a_all(n))
+    """Sum of count_c_a(n, a) over all odd a <= 2n+1: one walk of the
+    (n+1)-square ("c1", n) matrix, which expands along its column 1 to
+    that sum and costs less than the minors walk of ("ca", n)."""
+    return _memoized(("c1", n), lambda: permanent_ryser(_table(*incidence("c1", n))))
 
 
 def count_c(n: int) -> int:

@@ -94,10 +94,10 @@ def admit(
     largest permanent behind the count is larger than ``ceiling``:
     dimension n // 2 for C(n) by its reduction, the reduced matrix on
     :func:`anti_labels` for A(n) unless brute ("at least" a bound with no
-    trial division, far past it), the (n+1)-square matrix of C1(n) under
-    permanent, and n otherwise (a brute DP runs over n rows); and for
-    brute past n = 12.  Only the request entries pass a ceiling;
-    :func:`incidence` and the brute oracle pass ``inf``.
+    trial division, far past it), n + 1 for C1(n) under auto and
+    permanent (its square matrix), and n otherwise (a brute DP runs over
+    n rows); and for brute past n = 12.  Only the request entries pass a
+    ceiling; :func:`incidence` and the brute oracle pass ``inf``.
     """
     if kind not in KINDS:
         raise ValueError(f"no kind {kind!r}; the kinds are {', '.join(KINDS)}")
@@ -121,7 +121,7 @@ def admit(
         if n - 1 > ceiling:
             dim = len(anti_labels(n))
     else:
-        dim = n + ((kind, method) == ("c1", "permanent"))
+        dim = n + (kind == "c1" and method != "brute")
     if dim > ceiling:
         raise CapacityError(f"permanent dimension {dim} exceeds ceiling {ceiling}")
     if method == "brute" and n > BRUTE_MAX:

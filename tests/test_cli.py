@@ -177,6 +177,12 @@ class TestCount:
         assert res.returncode == 3
         assert "ceiling" in res.stderr
 
+    def test_c1_at_the_ceiling_is_refused(self, tmp_path):
+        # auto walks the (n+1)-square C1(n) matrix, one past the default ceiling
+        res = run_cli("count", "--kind", "c1", "--n", "40", "--no-cache", cwd=tmp_path)
+        assert (res.returncode, res.stdout) == (3, ""), res.stderr
+        assert res.stderr == "capacity refusal: permanent dimension 41 exceeds ceiling 40\n"
+
     def test_capacity_refusal_for_anti(self, tmp_path):
         # matrix("a", 20) has dimension 15; a subprocess has an empty memo
         res = run_cli(
@@ -363,7 +369,7 @@ class TestCount:
         assert list(tmp_path.iterdir()) == []  # no cache file is created
 
     def test_c1_permanent_prints_the_auto_record(self, tmp_path):
-        # the (n+1)-square c1 matrix against the sum of the C_(a) minors
+        # both routes walk the (n+1)-square c1 matrix; the record is the same
         argv = ["count", "--kind", "c1", "--n", "12", "--no-cache"]
         auto = run_cli(*argv, cwd=tmp_path)
         direct = run_cli(*argv, "--method", "permanent", cwd=tmp_path)
@@ -852,7 +858,7 @@ class TestVerify:
         # does not, so the wrong C_(17)(8) = C0(8) is caught
         minors = counts._c_a_all(8)
         wrong = minors[:-1] + (minors[-1] + 1,)
-        monkeypatch.setattr(counts, "_memo", {("c1", 8): wrong})
+        monkeypatch.setattr(counts, "_memo", {("ca", 8): wrong})
         failed = [r.name for r in checks.lemmas(16) if not r.passed and not r.diagnostic]
         assert failed == ["square n=8"]
 

@@ -100,6 +100,55 @@ class TestC1:
         for n in range(2, 8):
             assert count_c(2 * n + 1) <= count_c1(n) ** 2
 
+    @pytest.mark.parametrize("n", [1, 12, 20])
+    def test_one_walk_of_its_square_matrix(self, monkeypatch, n):
+        # from an empty memo, C1(n) walks the (n+1)-square table of ("c1", n)
+        # once, and never the C_(a) minors
+        want = compute("c1", n, method="permanent").value
+        walked = []
+
+        def walk(table):
+            walked.append(table)
+            return permanent_ryser(table)
+
+        def refused(table):
+            raise AssertionError("C1 walked the C_(a) minors")
+
+        monkeypatch.setattr(counts, "_memo", {})
+        monkeypatch.setattr(counts, "permanent_ryser", walk)
+        monkeypatch.setattr(counts, "permanent_minors", refused)
+        assert count_c1(n) == want
+        assert walked == [counts._table(*incidence("c1", n))]
+        assert (walked[0].n, len(walked[0].row_class)) == (n + 1, n + 1)
+        assert counts._memo == {("c1", n): want}
+
+    def test_minors_live_under_their_own_matrix(self, monkeypatch):
+        # odd C(2n+1) memoizes the C_(a)(n) as one tuple under ("ca", n) and
+        # C1(n) its count under ("c1", n); a wrong ("ca", n) leaves C1(n) as it is
+        for n in (1, 12):
+            want = count_c1(n)
+            monkeypatch.setattr(counts, "_memo", {})
+            count_c(2 * n + 1)
+            minors = counts._memo[("ca", n)]
+            assert isinstance(minors, tuple) and len(minors) == n + 1
+            wrong = tuple(c + 1 for c in minors)
+            monkeypatch.setattr(counts, "_memo", {("ca", n): wrong})
+            assert count_c1(n) == want
+            assert count_c_a(n, 2 * n + 1) == wrong[-1]  # count_c_a reads ("ca", n)
+            assert counts._memo == {("ca", n): wrong, ("c1", n): want}
+
+    @pytest.mark.parametrize("n", [1, 20, 40])
+    def test_ceiling_meets_its_square_matrix(self, monkeypatch, n):
+        # auto walks the (n+1)-square matrix too, so n = ceiling is refused
+        def unwalked(*args, **kwargs):
+            raise AssertionError("a table was built or walked")
+
+        monkeypatch.setattr(counts, "_memo", {})
+        monkeypatch.setattr(counts, "_table", unwalked)
+        refusal = f"^permanent dimension {n + 1} exceeds ceiling {n}$"
+        with pytest.raises(CapacityError, match=refusal):
+            compute("c1", n, ceiling=n)
+
 
 class TestOddFromOneWalk:
     def test_double_sum_of_per_a_permanents(self):
@@ -130,10 +179,12 @@ class TestOddFromOneWalk:
         monkeypatch.setattr(counts, "permanent_ryser", refused)
         monkeypatch.setattr(counts, "permanent_minors", minors)
         assert count_c(25) == 172593628397420544
-        assert count_c1(12) == sum(count_c_a(12, a) for a in range(1, 26, 2))
         # one walk of the 13 x 12 table built from the labels
         assert len(walked) == 1 and isinstance(walked[0], ClassTable)
         assert (walked[0].n, len(walked[0].row_class)) == (12, 13)
+        # C1(12) walks its own square matrix, the C_(a)(12) are read from the memo
+        monkeypatch.setattr(counts, "permanent_ryser", permanent_ryser)
+        assert count_c1(12) == sum(count_c_a(12, a) for a in range(1, 26, 2))
 
     def test_ceiling_refuses_before_the_walk(self, monkeypatch):
         def unwalked(*args, **kwargs):
@@ -145,7 +196,7 @@ class TestOddFromOneWalk:
         # every route meets a largest permanent of dimension 15
         runs = [
             lambda: compute("c", 31, ceiling=14),
-            lambda: compute("c1", 15, ceiling=14),
+            lambda: compute("c1", 14, ceiling=14),
             lambda: compute("c0", 15, ceiling=14),
             lambda: compute("a", 20, ceiling=14),
             lambda: compute("ck", 15, 3, ceiling=14),
@@ -747,12 +798,18 @@ class TestCompute:
         with pytest.raises(ValueError):
             compute(kind, n, aux, method=method)
 
-    def test_c1_is_the_permanent_of_one_matrix(self):
+    @pytest.mark.parametrize(
+        "ns",
+        [range(1, 21), pytest.param(range(21, 25), marks=pytest.mark.extended)],
+        ids=["1-20", "21-24"],
+    )
+    def test_c1_is_the_permanent_of_one_matrix(self, ns):
         # the ("c1", n) table walked whole against the sum of the C_(a)(n)
         # minors, and the oracle's sum of row-deleted DPs
-        for n in range(1, 21):
+        for n in ns:
             direct = compute("c1", n, method="permanent").value
             assert direct == count_c1(n), n
+            assert direct == sum(count_c_a(n, a) for a in range(1, 2 * n + 2, 2)), n
             if n <= 12:
                 assert direct == brute_constrained_count(n, "c1"), n
 
@@ -807,8 +864,9 @@ class TestUncappedCounts:
         monkeypatch.setattr(counts, "compute", spy)
         checks.lemmas(24)
         assert ("a", 24) in counts._memo and ("a", 24, None, "permanent") in requests
-        for key in counts._memo:
-            admit(*key, ceiling=DEFAULT_CEILING)
+        for kind, *args in counts._memo:
+            # the C_(a) minors are memoized under ("ca", m), admitted as c0 as incidence does
+            admit("c0" if kind == "ca" else kind, *args, ceiling=DEFAULT_CEILING)
         for kind, n, aux, method in requests:
             admit(kind, n, aux, method=method, ceiling=DEFAULT_CEILING)
 

@@ -277,8 +277,8 @@ class TestAdmit:
             ("c", 30, None, "auto", 15),  # C(2m) = C0(m)^2, odd C from C_(a)(m)
             ("c", 30, None, "permanent", 30),
             ("c0", 30, None, "auto", 30),
-            ("c1", 30, None, "auto", 30),
-            ("c1", 30, None, "permanent", 31),  # the ca matrix with column 1 twice
+            ("c1", 30, None, "auto", 31),  # the ca matrix with column 1 twice
+            ("c1", 30, None, "permanent", 31),
             ("a", 24, None, "auto", 19),  # the reduced matrix on anti_labels
             ("a", 24, None, "permanent", 19),
             ("a", 12, None, "brute", 12),  # the oracle's DP runs over n rows
